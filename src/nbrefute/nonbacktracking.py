@@ -5,7 +5,6 @@ induces 2m oriented edges. This module builds the bundle of matrices living
 on vertex and edge space:
 
   S, T : n x 2m     signed square-root source / target incidence
-  Q    : m x m      diagonal of undirected weight magnitudes |A_e|
   J    : 2m x 2m    orientation swap, J[e, e_inverse] = 1
   L    : 2m x 2m    orientation swap with weights, L[e, e_inverse] = |A_e|
   D    : n x n      diagonal of weighted degrees, D_uu = sum_w |A_uw|
@@ -62,7 +61,7 @@ class OrientedEdgeIndex:
 class GraphMatrices:
     """Immutable bundle of the matrices built from one weight matrix."""
 
-    def __init__(self, A_sym, index, S, T, Q, J, L, B, D):
+    def __init__(self, A_sym, index, S, T, J, L, B, D):
         self.A = A_sym
         self.A_dense = A_sym.to_dense()
         self.index = index
@@ -70,7 +69,6 @@ class GraphMatrices:
         self.m = A_sym.edge_count()
         self.S = S
         self.T = T
-        self.Q = Q
         self.J = J
         self.L = L
         self.B = B
@@ -102,7 +100,6 @@ def build(A):
         S[u, i] = sign * root if u < v else root
         T[v, i] = sign * root if v < u else root
 
-    Q = np.diag([abs(A.entries[p]) for p in pairs])
     J = np.zeros((tm, tm))
     L = np.zeros((tm, tm))
     ids = np.arange(tm)
@@ -116,7 +113,7 @@ def build(A):
     B = T.T @ S
     B[ids, index.inverse_of] = 0.0
 
-    return GraphMatrices(A, index, S, T, Q, J, L, B, D)
+    return GraphMatrices(A, index, S, T, J, L, B, D)
 
 
 def ihara_bass_residual(A, u, matrices=None):

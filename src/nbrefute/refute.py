@@ -81,6 +81,12 @@ def _tuple_rank(tup, n):
     return rank
 
 
+def _require_odd_arity(k):
+    if k % 2 == 0:
+        raise ValueError(
+            f"even arity k={k} is unsupported: flattening needs odd k")
+
+
 def flatten(I):
     """Flatten the instance tensor to the matrix
     A[(alpha,beta),(alpha',beta')] = sum_l T(alpha,alpha',l) T(beta,beta',l)
@@ -93,10 +99,7 @@ def flatten(I):
     """
     k = I.k
     n = I.n
-    if k % 2 == 0:
-        raise ValueError(
-            f"even arity k={k} not supported here: use direct flattening "
-            f"path")
+    _require_odd_arity(k)
     if k < 3:
         raise ValueError(f"arity must be at least 3 to flatten, got {k}")
     dim = n ** (k - 1)
@@ -197,6 +200,7 @@ def refute_xor(I, mode="gelfand", z=16):
     passed through to the spectral certificates; mode "eig" marks the
     certificate unsound.
     """
+    _require_odd_arity(I.k)
     if I.m == 0:
         raise ValueError("no clauses to refute")
     n = I.n
@@ -317,6 +321,7 @@ def refute_csp(I, mode="gelfand", z=16):
     rescale factor carried as a step), runs the XOR polynomial bound on it,
     and adds |chat_k| for each constraint whose scope repeats an index.
     """
+    _require_odd_arity(I.k)
     if I.m == 0:
         raise ValueError("no constraints to refute")
     n = I.n

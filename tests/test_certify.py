@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nbrefute import certify, linalg
+from nbrefute import certify, instances, linalg, refute
 
 from conftest import complete_graph, nonempty_weighted_graph
 
@@ -200,3 +200,100 @@ def test_dual_route_agreement_on_threshold():
     target = max(1.0, np.max(np.abs(real)) if real.size else 0.0)
     assert lam_edge >= target - 1e-8
     assert lam_comp >= target - 1e-8
+
+
+def _swap_invariant_cases():
+    # flattened matrices are exactly invariant under the pair swap: the split
+    # main part A' at k = 3 (its pair-diagonal rows are zero) and the full
+    # flattened matrix at k = 5 (q = 25, nonzero pair-diagonal rows)
+    main, _ = refute.split(refute.flatten(instances.sample_kxor(8, 3, 0.5, 0)))
+    k5 = refute.flatten(instances.XorInstance(5, 5, {(0, 1, 2, 3, 4): -0.7}))
+    return [(main.base, 8), (k5.base, 25)]
+
+
+def _one_block(dense, degs, mode, z):
+    return certify._lambda_companion_route([(dense, degs)], mode, z,
+                                           "frobenius")
+
+
+def test_swap_blocks_have_half_dimensions():
+    for dense, q in _swap_invariant_cases():
+        degs = np.abs(dense).sum(axis=1)
+        blocks = certify._swap_blocks(dense, degs)
+        assert [a.shape for a, _ in blocks] == [
+            (q * (q + 1) // 2,) * 2, (q * (q - 1) // 2,) * 2]
+        assert [d.shape for _, d in blocks] == [
+            (q * (q + 1) // 2,), (q * (q - 1) // 2,)]
+
+
+def test_swap_block_lambda_matches_one_block():
+    for dense, _ in _swap_invariant_cases():
+        degs = np.abs(dense).sum(axis=1)
+        for z in (3, 6, 16):
+            for sign in (1.0, -1.0):
+                two = certify._lambda_companion_route(
+                    certify._swap_blocks(dense, degs, sign < 0), "gelfand",
+                    z, "frobenius")
+                one = _one_block(sign * dense, degs, "gelfand", z)
+                np.testing.assert_allclose(two, one, rtol=1e-12)
+
+
+def test_swap_block_eig_matches_full_companion():
+    for dense, _ in _swap_invariant_cases():
+        degs = np.abs(dense).sum(axis=1)
+        for sign in (1.0, -1.0):
+            two = certify._lambda_companion_route(
+                certify._swap_blocks(dense, degs, sign < 0), "eig", 16,
+                "frobenius")
+            full = certify._max_abs_real_eig(
+                certify.companion_matrix(sign * dense, degs))
+            np.testing.assert_allclose(two, full, rtol=1e-12)
+
+
+def test_swap_block_route_through_lambda_certificate():
+    # force the companion route; both signs take the two-block path, agree
+    # exactly and match the one-block route on +A
+    for dense, _ in _swap_invariant_cases():
+        degs = np.abs(dense).sum(axis=1)
+        for mode, margin in (("gelfand", 1.0), ("eig", 1.0 + 1e-6)):
+            old = certify.EDGE_ROUTE_CAP
+            try:
+                certify.EDGE_ROUTE_CAP = 0
+                plus = certify.lambda_certificate(dense, mode=mode, z=6)
+                minus = certify.lambda_certificate(-dense, mode=mode, z=6)
+            finally:
+                certify.EDGE_ROUTE_CAP = old
+            assert plus == minus
+            np.testing.assert_allclose(
+                plus, max(1.0, margin * _one_block(dense, degs, mode, 6)),
+                rtol=1e-12)
+
+
+def test_swap_block_power_bound_survives_rescale():
+    # heavy weights at z = 200 rescale inside each block by different
+    # amounts; the log-domain combination must stay finite, agree with the
+    # one-block recurrence and dominate the spectral radius
+    main = _swap_invariant_cases()[0][0] * 10.0
+    degs = np.abs(main).sum(axis=1)
+    val = certify._companion_power_bound(main, degs, 200)
+    assert np.isfinite(val)
+    np.testing.assert_allclose(val, _one_block(main, degs, "gelfand", 200),
+                               rtol=1e-12)
+    rho = np.max(np.abs(np.linalg.eigvals(
+        certify.companion_matrix(main, degs))))
+    assert val >= rho - 1e-6
+
+
+def test_swap_broken_matrix_takes_one_block():
+    main = _swap_invariant_cases()[0][0].copy()
+    i, j = np.argwhere(main != 0)[0]
+    main[i, j] = main[j, i] = main[i, j] + 0.5
+    degs = np.abs(main).sum(axis=1)
+    blocks = certify._swap_blocks(main, degs)
+    assert len(blocks) == 1 and blocks[0][0] is main
+    for z in (3, 7):
+        val = certify._companion_power_bound(main, degs, z)
+        assert val == _one_block(main, degs, "gelfand", z)
+        P = np.linalg.matrix_power(certify.companion_matrix(main, degs), z)
+        np.testing.assert_allclose(val, np.linalg.norm(P) ** (1.0 / z),
+                                   rtol=1e-10)

@@ -100,8 +100,30 @@ def test_flatten_quadratic_identity_k5():
 
 def test_flatten_rejects_even_arity():
     I = instances.XorInstance(6, 4, {(0, 1, 2, 3): 1.0})
-    with pytest.raises(ValueError, match="direct flattening path"):
+    with pytest.raises(ValueError, match="flattening needs odd k"):
         refute.flatten(I)
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("work started before the arity check")
+
+
+def test_refute_xor_rejects_even_arity_up_front(monkeypatch):
+    monkeypatch.setattr(refute, "flatten", _fail_if_called)
+    I = instances.XorInstance(6, 4, {(0, 1, 2, 3): 1.0, (1, 2, 4, 5): -1.0})
+    with pytest.raises(ValueError, match="k=4 is unsupported"):
+        refute.refute_xor(I)
+
+
+@pytest.mark.parametrize("k", [2, 4])
+def test_refute_csp_rejects_even_arity_up_front(monkeypatch, k):
+    monkeypatch.setattr(instances, "fourier_decompose", _fail_if_called)
+    monkeypatch.setattr(refute, "flatten", _fail_if_called)
+    J = instances.sample_csp(instances.predicate_table("parity", k), 5, k,
+                             0.2, seed=0)
+    assert J.m > 0
+    with pytest.raises(ValueError, match=f"k={k} is unsupported"):
+        refute.refute_csp(J)
 
 
 def test_flatten_dimension_cap():
