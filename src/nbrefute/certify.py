@@ -31,7 +31,9 @@ their transposes and dg the positions (i, i), the orthonormal basis
                         [sqrt2 A[dg,lo],      A[dg,dg]     ]]   q(q+1)/2
   antisymmetric block  A[lo,lo] - A[lo,hi]                      q(q-1)/2
 
-and leaves D - Id diagonal (degrees are swap-invariant too). The change of
+and leaves D - Id diagonal (degrees are swap-invariant too); the
+refutation pipelines build A[lo,lo] and A[lo,hi] of their split matrix
+directly and never the dense A (_inf_to_one_from_swap_parts). The change of
 basis is orthogonal, so the companion matrix is orthogonally similar to the
 direct sum of the two block companions: the spectra agree, and the
 Frobenius norm of a power is the root of the blocks' summed squares. The
@@ -152,6 +154,13 @@ def _leads_negative(dense):
     return bool(flat[np.argmax(flat != 0)] < 0)
 
 
+def _swap_index(q):
+    """Row ids of the q x q grid positions lo = (i, j) with i < j, their
+    transposes hi = (j, i) and the diagonal dg = (i, i)."""
+    a, b = np.triu_indices(q, 1)
+    return a * q + b, b * q + a, np.arange(q) * (q + 1)
+
+
 def _swap_blocks(dense, degs, negate=False):
     """Diagonal blocks [(A_b, degs_b)] of dense (negated when asked) in the
     swap basis of the module docstring: two blocks when the dimension is
@@ -162,18 +171,22 @@ def _swap_blocks(dense, degs, negate=False):
     grid = dense.reshape(q, q, q, q) if q >= 2 and q * q == dim else None
     if grid is None or not np.array_equal(grid, grid.transpose(1, 0, 3, 2)):
         return [(-dense if negate else dense, degs)]
-    a, b = np.triu_indices(q, 1)
-    lo = a * q + b
-    hi = b * q + a
-    dg = np.arange(q) * (q + 1)
+    lo, hi, dg = _swap_index(q)
     pairs = lo.size
-    ll = dense[np.ix_(lo, lo)]
-    lh = dense[np.ix_(lo, hi)]
     sym = np.empty((pairs + q, pairs + q))
-    np.add(ll, lh, out=sym[:pairs, :pairs])
     sym[:pairs, pairs:] = math.sqrt(2.0) * dense[np.ix_(lo, dg)]
     sym[pairs:, :pairs] = math.sqrt(2.0) * dense[np.ix_(dg, lo)]
     sym[pairs:, pairs:] = dense[np.ix_(dg, dg)]
+    return _fill_blocks(sym, dense[np.ix_(lo, lo)], dense[np.ix_(lo, hi)],
+                        degs, negate)
+
+
+def _fill_blocks(sym, ll, lh, degs, negate):
+    """Swap blocks from ll = A[lo,lo], lh = A[lo,hi]: ll + lh into the top
+    left of sym (its dg part set by the caller), ll - lh over ll."""
+    pairs = ll.shape[0]
+    lo, _, dg = _swap_index(sym.shape[0] - pairs)
+    np.add(ll, lh, out=sym[:pairs, :pairs])
     anti = np.subtract(ll, lh, out=ll)
     if negate:
         np.negative(sym, out=sym)
@@ -233,32 +246,35 @@ def _log_companion_power_norm(dense, degs, z, norm):
     """log ||C^z|| (-inf when it is 0) for the companion matrix C, via the
     recurrence P_{j+1} = A P_j - (D-Id) P_{j-1} with C^z = [[P_z, -P_{z-1}
     E], [P_{z-1}, -P_{z-2} E]] (E = D - Id). Rescales to avoid overflow.
-    dense is only read, never written."""
+    dense is only read, never written (P_{z-1} or P_{z-2} may be dense
+    itself); the elementwise temporaries go into one scratch block."""
     n = dense.shape[0]
     E = degs - 1.0
+    work = np.empty((n, n))
     p_prev2 = np.zeros((n, n))   # P_{z-2}
     p_prev = np.eye(n)           # P_{z-1}
     p_cur = dense                # P_z
     log_scale = 0.0
     for _ in range(int(z) - 1):
-        s = max(np.abs(p_cur).max(), np.abs(p_prev).max())
+        s = max(np.abs(p_cur, out=work).max(), np.abs(p_prev, out=work).max())
         if s > linalg._RESCALE_ABOVE or 0.0 < s < linalg._RESCALE_BELOW:
             p_cur = p_cur / s
             p_prev = p_prev / s
             p_prev2 = p_prev2 / s
             log_scale += np.log(s)
         nxt = dense @ p_cur
-        nxt -= E[:, None] * p_prev
+        nxt -= np.multiply(E[:, None], p_prev, out=work)
         p_prev2, p_prev, p_cur = p_prev, p_cur, nxt
-    top_right = p_prev * E[None, :]
-    bot_right = p_prev2 * E[None, :]
     if norm == "frobenius":
-        v = np.sqrt((p_cur * p_cur).sum() + (top_right * top_right).sum()
-                    + (p_prev * p_prev).sum() + (bot_right * bot_right).sum())
+        def sq_sum(x):
+            return np.multiply(x, x, out=work).sum()
+
+        v = np.sqrt(sq_sum(p_cur) + sq_sum(np.multiply(p_prev, E, out=work))
+                    + sq_sum(p_prev)
+                    + sq_sum(np.multiply(p_prev2, E, out=work)))
     elif norm == "inf_induced":
-        upper = (np.abs(p_cur) + np.abs(top_right)).sum(axis=1).max()
-        lower = (np.abs(p_prev) + np.abs(bot_right)).sum(axis=1).max()
-        v = max(upper, lower)
+        v = max((np.abs(p_cur) + np.abs(p_prev * E)).sum(axis=1).max(),
+                (np.abs(p_prev) + np.abs(p_prev2 * E)).sum(axis=1).max())
     else:
         raise ValueError(
             f"unknown norm {norm!r}; use 'frobenius' or 'inf_induced'")
@@ -267,25 +283,34 @@ def _log_companion_power_norm(dense, degs, z, norm):
     return np.log(v) + log_scale
 
 
-def _lambda(dense, degs, m, mode, z, norm):
-    """lambda_certificate on input already normalized by _prep."""
+def _lambda(m, negate, dense, blocks, mode, z, norm):
+    """lambda for a matrix with m edges whose first nonzero entry is negative
+    when negate: the edge route on dense() when 2m <= EDGE_ROUTE_CAP, else
+    the companion route on blocks(), its swap blocks with the sign applied."""
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
     if int(z) < 1:
         raise ValueError(f"power count must be >= 1, got {z}")
     if m == 0:
         raise ValueError("empty graph: no edges to certify")
-    negate = _leads_negative(dense)
     if 2 * m <= EDGE_ROUTE_CAP:
-        A_sym = linalg.as_sym_matrix(dense)
+        A_sym = linalg.as_sym_matrix(dense())
         raw = _lambda_edge_route(A_sym.negated() if negate else A_sym,
                                  mode, z, norm)
     else:
-        raw = _lambda_companion_route(_swap_blocks(dense, degs, negate),
-                                      mode, z, norm)
+        raw = _lambda_companion_route(blocks(), mode, z, norm)
     if mode == "eig":
         raw = raw * (1.0 + EIG_MARGIN)
     return max(1.0, float(raw))
+
+
+def _dense_lambda(A, mode, z, norm):
+    """(lambda, degrees) of A, validated and normalized by _prep."""
+    dense, _, degs, m = _prep(A)
+    negate = m > 0 and _leads_negative(dense)
+    return _lambda(m, negate, lambda: dense,
+                   lambda: _swap_blocks(dense, degs, negate),
+                   mode, z, norm), degs
 
 
 def lambda_certificate(A, mode="gelfand", z=16, norm="frobenius"):
@@ -298,8 +323,7 @@ def lambda_certificate(A, mode="gelfand", z=16, norm="frobenius"):
 
     Raises ValueError on an empty graph (no edges).
     """
-    dense, _, degs, m = _prep(A)
-    return _lambda(dense, degs, m, mode, z, norm)
+    return _dense_lambda(A, mode, z, norm)[0]
 
 
 def lowner_witness(A, lam):
@@ -322,8 +346,31 @@ def inf_to_one_certificate(A, mode="gelfand", z=16, norm="frobenius"):
     Steps record lambda for both signs of A (equal by the signed-diagonal
     similarity) and the final trace bound. sound=True in gelfand mode.
     """
-    dense, n, degs, m = _prep(A)
-    lam = _lambda(dense, degs, m, mode, z, norm)
+    return _trace_certificate(*_dense_lambda(A, mode, z, norm), mode)
+
+
+def _inf_to_one_from_swap_parts(ll, lh, degs, m, negate, mode, z):
+    """inf_to_one_certificate, unvalidated, of a swap-invariant A that is
+    zero on its dg rows, given as ll = A[lo,lo] (overwritten), lh = A[lo,hi],
+    its degrees, edge count m and _leads_negative(A)."""
+    q = math.isqrt(degs.size)
+
+    def dense():
+        lo, hi, _ = _swap_index(q)
+        out = np.zeros((q * q, q * q))
+        out[np.ix_(lo, lo)] = out[np.ix_(hi, hi)] = ll
+        out[np.ix_(lo, hi)] = out[np.ix_(hi, lo)] = lh
+        return out
+
+    def blocks():
+        dim = ll.shape[0] + q
+        return _fill_blocks(np.zeros((dim, dim)), ll, lh, degs, negate)
+
+    return _trace_certificate(
+        _lambda(m, negate, dense, blocks, mode, z, "frobenius"), degs, mode)
+
+
+def _trace_certificate(lam, degs, mode):
     method = "eigensolve" if mode == "eig" else "gelfand"
     bound = 2.0 * float(np.abs(lam + (degs - 1.0) / lam).sum())
     steps = [
@@ -340,7 +387,7 @@ def inf_to_one_certificate(A, mode="gelfand", z=16, norm="frobenius"):
          "claim": "norm_inf_to_one(A) <= 2 * sum_u |lambda + (deg_u - 1)/lambda|",
          "value": bound, "method": "exact"},
     ]
-    return Certificate("inf_to_one", n, steps)
+    return Certificate("inf_to_one", degs.size, steps)
 
 
 def audit(A, cert):

@@ -4,20 +4,22 @@ pieces into an upper bound on the optimum value.
 
 The k-XOR chain (k odd) is
 
-    A   = flatten(I)                  square matrix over (k-1)/2-tuple pairs
+    A   = flatten(I)                  V V^T for the n^(k-1) x n unfolding V,
+                                      its middle half-indices swapped
     A', A'' = split(A)                A' keeps entries whose two tensor-factor
                                       index groups barely overlap; A'' is the
                                       rest, so A = A' + A'' exactly
-    b1  = inf_to_one certificate(A')
+    b1  = inf_to_one certificate(A')  from the two swap blocks of A'
     b2  = sum of |entries| of A''
     N   = sqrt(n * (b1 + b2))         bound on max_x <T, x^(k)>
     U   = 1/2 + N / (2 m k!)          clamped to 1
 
-and opt(I) <= U for every assignment. The CSP(P) chain decomposes P into
-its multilinear expansion, bounds each degree-d part (0 < d < k) by a
-spectral norm of its coefficient matrix scaled by n^(d/2), and routes the
-degree-k part through the XOR chain after aggregating constraints by
-support into a rescaled weighted XOR instance.
+and opt(I) <= U for every assignment; the pipelines never hold A, as row
+slabs of V V^T go straight into A''s swap blocks, its degrees and b2. The
+CSP(P) chain decomposes P into its multilinear expansion, bounds each
+degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
+scaled by n^(d/2), and routes the degree-k part through the XOR chain after
+aggregating constraints by support into a rescaled weighted XOR instance.
 """
 
 import itertools
@@ -30,6 +32,10 @@ from . import instances
 from . import linalg
 
 FLATTEN_DIM_CAP = 6561
+# Largest swap block q(q+1)/2 the pipelines certify: k = 3 at n = 120.
+BLOCK_DIM_CAP = 7260
+# Bytes of one row slab of the unfolding product V V^T.
+SLAB_BYTES = 1 << 25
 
 
 class FlattenedMatrix:
@@ -57,21 +63,16 @@ class FlattenedMatrix:
 
     def row_of(self, alpha, beta):
         """Row id of the pair (alpha, beta) of (k-1)/2-tuples."""
-        rank = 0
-        for i in tuple(alpha) + tuple(beta):
+        tup = tuple(alpha) + tuple(beta)
+        for i in tup:
             if not (0 <= i < self.n):
                 raise ValueError(f"index {i} out of range for n={self.n}")
-            rank = rank * self.n + int(i)
-        return rank
+        return _tuple_rank(tup, self.n)
 
     def pair_of(self, row):
-        digits = []
-        rem = int(row)
-        for _ in range(self.k - 1):
-            rem, d = divmod(rem, self.n)
-            digits.append(d)
-        digits.reverse()
-        return tuple(digits[:self.half]), tuple(digits[self.half:])
+        digits = tuple(int(d) for d in np.unravel_index(
+            int(row), (self.n,) * (self.k - 1)))
+        return digits[:self.half], digits[self.half:]
 
 
 def _tuple_rank(tup, n):
@@ -87,57 +88,72 @@ def _require_odd_arity(k):
             f"even arity k={k} is unsupported: flattening needs odd k")
 
 
-def flatten(I):
-    """Flatten the instance tensor to the matrix
-    A[(alpha,beta),(alpha',beta')] = sum_l T(alpha,alpha',l) T(beta,beta',l)
-    for k = 3, and the analogous split over middle indices for larger odd k.
+def _unfolding(I):
+    """The n^(k-1) x n unfolding V of the instance tensor: V[(alpha, alpha'),
+    l] = w for every clause, every index l of it and every ordering of its
+    other k-1 indices into two (k-1)/2-tuples (alpha, alpha'). Then
+    A[(alpha,beta),(alpha',beta')] = (V V^T)[(alpha,alpha'),(beta,beta')].
+    Each entry of V comes from one clause, so it is assigned, not summed."""
+    n, k = I.n, I.k
+    tups = np.array(list(I.clauses), dtype=np.int64).reshape(-1, k)
+    weights = np.array(list(I.clauses.values()), dtype=float)
+    place = n ** np.arange(k - 2, -1, -1)
+    V = np.zeros((n ** (k - 1), n))
+    for j in range(k):
+        rest = np.delete(tups, j, axis=1)
+        for perm in itertools.permutations(range(k - 1)):
+            V[rest[:, list(perm)] @ place, tups[:, j]] = weights
+    return V
 
-    Built per middle index l: each clause containing l contributes the
-    ordered splittings of its remaining k-1 indices into two halves, and
-    every pair of such fragments adds the product of their weights. The
-    result is symmetric with zero diagonal by construction.
-    """
-    k = I.k
-    n = I.n
+
+def _digits(n, k):
+    """Base-n digits (most significant first) of the n^(k-1) row ids."""
+    place = n ** np.arange(k - 2, -1, -1)
+    return np.arange(n ** (k - 1))[:, None] // place % n
+
+
+def _overlap_at_least(left, right, h, n):
+    """Boolean matrix: digit row i of left and digit row j of right share at
+    least h indices. Rows of V that hold a clause fragment have distinct
+    digits, and there the count of digits of j found in i is the overlap."""
+    member = np.zeros((len(left), n), dtype=np.int8)
+    member[np.arange(len(left))[:, None], left] = 1
+    return sum(member[:, column] for column in right.T) >= h
+
+
+def _swap_middle(x, q):
+    """Rows of V V^T over (alpha, alpha') x (beta, beta') rearranged as the
+    rows of A over (alpha, beta) x (alpha', beta'), as a new array."""
+    return x.reshape(-1, q, q, q).transpose(0, 2, 1, 3).reshape(x.shape)
+
+
+def _slabs(V, q):
+    """Row slabs of V V^T, one BLAS product per chunk of first half-indices
+    alpha, each at most SLAB_BYTES: yields (a0, a1, rows a0*q .. a1*q-1)."""
+    step = max(1, SLAB_BYTES // (8 * q * len(V)))
+    for a0 in range(0, q, step):
+        a1 = min(q, a0 + step)
+        yield a0, a1, V[a0 * q:a1 * q] @ V.T
+
+
+def flatten(I):
+    """Flatten the instance tensor to the dense matrix
+    A[(alpha,beta),(alpha',beta')] = sum_l T(alpha,alpha',l) T(beta,beta',l)
+    for k = 3, and the analogous split over middle indices for larger odd k:
+    the unfolding product V V^T with its two middle half-indices swapped,
+    symmetric with zero diagonal. The reference definition: the pipelines
+    build only what they read of it (_swap_parts)."""
+    n, k = I.n, I.k
     _require_odd_arity(k)
-    if k < 3:
-        raise ValueError(f"arity must be at least 3 to flatten, got {k}")
     dim = n ** (k - 1)
     if dim > FLATTEN_DIM_CAP:
         raise ValueError(
             f"flatten infeasible: dense dimension {dim} exceeds cap "
             f"{FLATTEN_DIM_CAP}")
-    h = (k - 1) // 2
-    base = np.zeros((dim, dim))
-    buckets = {}
-    for tup, w in I.clauses.items():
-        for ell in tup:
-            rest = tuple(i for i in tup if i != ell)
-            buckets.setdefault(ell, []).append((rest, w))
-    for ell, frags in buckets.items():
-        first = []
-        second = []
-        weights = []
-        for rest, w in frags:
-            if k == 3:
-                a, b = rest
-                for alpha, alpha2 in ((a, b), (b, a)):
-                    first.append(alpha)
-                    second.append(alpha2)
-                    weights.append(w)
-            else:
-                for perm in itertools.permutations(rest):
-                    first.append(_tuple_rank(perm[:h], n))
-                    second.append(_tuple_rank(perm[h:], n))
-                    weights.append(w)
-        first = np.asarray(first, dtype=np.int64)
-        second = np.asarray(second, dtype=np.int64)
-        weights = np.asarray(weights)
-        scale = n ** h
-        rows = first[:, None] * scale + first[None, :]
-        cols = second[:, None] * scale + second[None, :]
-        vals = weights[:, None] * weights[None, :]
-        np.add.at(base, (rows.ravel(), cols.ravel()), vals.ravel())
+    q = n ** ((k - 1) // 2)
+    base = np.empty((dim, dim))
+    for a0, a1, slab in _slabs(_unfolding(I), q):
+        base[a0 * q:a1 * q] = _swap_middle(slab, q)
     return FlattenedMatrix(base, n, k)
 
 
@@ -147,49 +163,83 @@ def split(F):
     A' exactly when the multisets {alpha, alpha'} and {beta, beta'} share at
     most (k-3)/2 indices. A' + A'' = A exactly.
     """
-    n = F.n
-    k = F.k
-    dim = F.dim
-    allow = (k - 3) // 2
-    if k == 3:
-        ids = np.arange(dim, dtype=np.int64)
-        a = ids // n
-        b = ids % n
-        keep = a[:, None] != b[None, :]
-        keep &= a[None, :] != b[:, None]
-        keep &= (a != b)[:, None]
-        keep &= (a != b)[None, :]
-    else:
-        h = F.half
-        alpha_digits = np.zeros((dim, h), dtype=np.int64)
-        beta_digits = np.zeros((dim, h), dtype=np.int64)
-        for row in range(dim):
-            alpha, beta = F.pair_of(row)
-            alpha_digits[row] = alpha
-            beta_digits[row] = beta
-        acnt = np.zeros((dim, n), dtype=np.int16)
-        bcnt = np.zeros((dim, n), dtype=np.int16)
-        for row in range(dim):
-            acnt[row] = np.bincount(alpha_digits[row], minlength=n)
-            bcnt[row] = np.bincount(beta_digits[row], minlength=n)
-        keep = np.zeros((dim, dim), dtype=bool)
-        for row in range(dim):
-            left = acnt[row][None, :] + acnt
-            right = bcnt[row][None, :] + bcnt
-            overlap = np.minimum(left, right).sum(axis=1)
-            keep[row] = overlap <= allow
-    main = np.where(keep, F.base, 0.0)
-    residual = F.base - main
-    return (FlattenedMatrix(main, n, k), FlattenedMatrix(residual, n, k))
+    digits = _digits(F.n, F.k)
+    drop = _swap_middle(_overlap_at_least(digits, digits, F.half, F.n),
+                        F.n ** F.half)
+    main = np.where(drop, 0.0, F.base)
+    return (FlattenedMatrix(main, F.n, F.k),
+            FlattenedMatrix(F.base - main, F.n, F.k))
+
+
+def _swap_parts(I):
+    """What the XOR chain reads of the split flatten(I) = A' + A'', built
+    from row slabs of V V^T without the dense matrix: A'[lo,lo] and
+    A'[lo,hi] in certify's swap-block layout, the degrees of A' in row
+    order, its edge count, whether its first nonzero entry (row-major) is
+    negative, and b2 = sum |A''|. On a slab the split condition reads: the
+    row's and the column's fragments share at least (k-1)/2 indices."""
+    n, h = I.n, (I.k - 1) // 2
+    q = n ** h
+    if q * (q + 1) // 2 > BLOCK_DIM_CAP:
+        raise ValueError(
+            f"refutation infeasible: swap block dimension {q * (q + 1) // 2} "
+            f"exceeds cap {BLOCK_DIM_CAP}")
+    digits = _digits(n, I.k)
+    lo, hi, _ = certify._swap_index(q)
+    ll, lh = np.empty((2, lo.size, lo.size))
+    degs = np.empty(q * q)
+    residual = []
+    nnz = 0
+    negate = False
+    for a0, a1, slab in _slabs(_unfolding(I), q):
+        drop = np.flatnonzero(
+            _overlap_at_least(digits[a0 * q:a1 * q], digits, h, n))
+        flat = slab.reshape(-1)
+        residual.append(flat[drop])
+        flat[drop] = 0.0
+        rows = _swap_middle(slab, q)
+        degs[a0 * q:a1 * q] = np.abs(rows, out=slab).sum(axis=1)
+        if nnz == 0:
+            negate = certify._leads_negative(rows)
+        nnz += np.count_nonzero(rows)
+        i0, i1 = np.searchsorted(lo // q, [a0, a1])
+        local = lo[i0:i1] - a0 * q
+        ll[i0:i1] = rows[np.ix_(local, lo)]
+        lh[i0:i1] = rows[np.ix_(local, hi)]
+    return ll, lh, degs, nnz // 2, negate, _abs_fsum(np.concatenate(residual))
+
+
+def _abs_fsum(values):
+    """Correctly rounded sum of |values|: independent of order and slabs."""
+    return math.fsum(np.abs(values[values != 0]).tolist())
 
 
 def residual_bound(F):
-    """Entrywise bound sum |A''_ij| on the inf-to-one norm of the residual."""
-    return linalg.abs_entry_sum(F.base)
+    """Entrywise bound sum |A''_ij| (correctly rounded) on ||A''||_inf->1."""
+    return _abs_fsum(F.base)
 
 
-def _embed_steps(steps, prefix):
-    return [dict(s, name=f"{prefix}{s['name']}") for s in steps]
+def _step(name, claim, value, method="exact"):
+    return {"name": name, "claim": claim, "value": value, "method": method}
+
+
+def _xor_chain(I, mode, z, prefix):
+    """The XOR chain's steps through b2 and sqrt(n (b1 + b2)). Step names
+    start with prefix; A''s certificate steps with prefix or "main_"."""
+    ll, lh, degs, m, negate, b2 = _swap_parts(I)
+    if m == 0:
+        b1 = 0.0
+        steps = [_step(f"{prefix}main_empty", "the split kept no entries, "
+                       "so norm_inf_to_one(A') = 0", 0.0)]
+    else:
+        cert1 = certify._inf_to_one_from_swap_parts(ll, lh, degs, m, negate,
+                                                    mode, z)
+        b1 = cert1.final_bound
+        steps = [dict(s, name=(prefix or "main_") + s["name"])
+                 for s in cert1.steps]
+    steps.append(_step(f"{prefix}residual_bound",
+                       "norm_inf_to_one(A'') <= sum of |entries| of A''", b2))
+    return steps, math.sqrt(I.n * (b1 + b2))
 
 
 def refute_xor(I, mode="gelfand", z=16):
@@ -203,59 +253,27 @@ def refute_xor(I, mode="gelfand", z=16):
     _require_odd_arity(I.k)
     if I.m == 0:
         raise ValueError("no clauses to refute")
-    n = I.n
-    k = I.k
-    F = flatten(I)
-    main, residual = split(F)
-    steps = []
-    if np.count_nonzero(main.base) == 0:
-        b1 = 0.0
-        steps.append({
-            "name": "main_empty",
-            "claim": "the split kept no entries, so norm_inf_to_one(A') = 0",
-            "value": 0.0,
-            "method": "exact",
-        })
-    else:
-        cert1 = certify.inf_to_one_certificate(main.base, mode=mode, z=z)
-        b1 = cert1.final_bound
-        steps.extend(_embed_steps(cert1.steps, "main_"))
-    b2 = residual_bound(residual)
-    steps.append({
-        "name": "residual_bound",
-        "claim": "norm_inf_to_one(A'') <= sum of |entries| of A''",
-        "value": b2,
-        "method": "exact",
-    })
-    poly = math.sqrt(n * (b1 + b2))
-    steps.append({
-        "name": "polynomial_bound",
-        "claim": ("max_x <T, x^(k)> <= sqrt(n * (bound(A') + bound(A''))) "
-                  "over sign assignments"),
-        "value": poly,
-        "method": "exact",
-    })
-    raw = 0.5 + poly / (2.0 * I.m * math.factorial(k))
+    steps, poly = _xor_chain(I, mode, z, "")
+    steps.append(_step("polynomial_bound",
+                       "max_x <T, x^(k)> <= sqrt(n * (bound(A') + "
+                       "bound(A''))) over sign assignments", poly))
+    return _refutation(
+        "xor_refutation", I, steps,
+        0.5 + poly / (2.0 * I.m * math.factorial(I.k)),
+        "opt(I) <= 1/2 + polynomial_bound / (2 m k!), clamped to 1",
+        mode, z, split_condition=("entry kept when the two tensor-factor "
+                                  "index multisets share at most (k-3)/2 "
+                                  "indices"))
+
+
+def _refutation(kind, I, steps, raw, claim, mode, z, **extra_meta):
+    """Certificate of I: steps, then opt_bound = min(1, raw) with claim."""
     bound = min(1.0, raw)
-    steps.append({
-        "name": "opt_bound",
-        "claim": ("opt(I) <= 1/2 + polynomial_bound / (2 m k!), "
-                  "clamped to 1"),
-        "value": bound,
-        "method": "exact",
-    })
-    meta = {
-        "mode": mode,
-        "z": z,
-        "n": n,
-        "k": k,
-        "m": I.m,
-        "clamped": bool(raw > 1.0),
-        "split_condition": ("entry kept when the two tensor-factor index "
-                            "multisets share at most (k-3)/2 indices"),
-    }
-    return certify.Certificate("xor_refutation", n, steps,
-                               meta=meta, informative=bool(bound < 1.0))
+    steps.append(_step("opt_bound", claim, bound))
+    meta = dict(mode=mode, z=z, n=I.n, k=I.k, m=I.m,
+                clamped=bool(raw > 1.0), **extra_meta)
+    return certify.Certificate(kind, I.n, steps, meta=meta,
+                               informative=bool(bound < 1.0))
 
 
 def flatten_degree_d(I, d, fourier=None):
@@ -324,17 +342,11 @@ def refute_csp(I, mode="gelfand", z=16):
     _require_odd_arity(I.k)
     if I.m == 0:
         raise ValueError("no constraints to refute")
-    n = I.n
-    k = I.k
+    n, k = I.n, I.k
     fourier = instances.fourier_decompose(I.truth_table)
     p0 = fourier.coefficient(())
-    steps = [{
-        "name": "mean_value",
-        "claim": "the predicate mean contributes chat_empty to every "
-                 "assignment's value",
-        "value": p0,
-        "method": "exact",
-    }]
+    steps = [_step("mean_value", "the predicate mean contributes chat_empty "
+                   "to every assignment's value", p0)]
     total = 0.0
     for d in range(1, k):
         part = fourier.degree_part(d)
@@ -344,23 +356,16 @@ def refute_csp(I, mode="gelfand", z=16):
         s_d, method = specnorm_upper(M, z=z)
         term = (n ** (d / 2.0)) * s_d
         total += term
-        steps.append({
-            "name": f"degree_{d}_matrix_bound",
-            "claim": (f"the degree-{d} part of the value is bounded by "
-                      f"n^({d}/2) times a certified spectral-norm bound on "
-                      f"its coefficient matrix"),
-            "value": term,
-            "method": method,
-        })
+        steps.append(_step(
+            f"degree_{d}_matrix_bound",
+            f"the degree-{d} part of the value is bounded by n^({d}/2) times "
+            f"a certified spectral-norm bound on its coefficient matrix",
+            term, method))
     chat_k = fourier.coefficient(tuple(range(k)))
     if chat_k == 0.0:
-        steps.append({
-            "name": "degree_k_skipped",
-            "claim": "the top Fourier coefficient vanishes, so the "
-                     "degree-k part contributes nothing",
-            "value": 0.0,
-            "method": "exact",
-        })
+        steps.append(_step("degree_k_skipped", "the top Fourier coefficient "
+                           "vanishes, so the degree-k part contributes "
+                           "nothing", 0.0))
         bound_k = 0.0
     else:
         supp_w = {}
@@ -370,85 +375,33 @@ def refute_csp(I, mode="gelfand", z=16):
                 degenerate += 1
                 continue
             key = tuple(sorted(alpha))
-            coef = chat_k
-            for s in c:
-                coef *= s
-            supp_w[key] = supp_w.get(key, 0.0) + coef
+            supp_w[key] = supp_w.get(key, 0.0) + chat_k * math.prod(c)
         supp_w = {key: w for key, w in supp_w.items() if w != 0.0}
         bound_k = 0.0
         if supp_w:
             W = max(abs(w) for w in supp_w.values())
-            steps.append({
-                "name": "degree_k_rescale",
-                "claim": "aggregated support weights are divided by their "
-                         "max magnitude before flattening; the factor "
-                         "multiplies the resulting bound",
-                "value": W,
-                "method": "exact",
-            })
+            steps.append(_step("degree_k_rescale", "aggregated support "
+                               "weights are divided by their max magnitude "
+                               "before flattening; the factor multiplies "
+                               "the resulting bound", W))
             tilde = {key: w / W for key, w in supp_w.items()}
-            xor_like = instances.XorInstance(n, k, tilde)
-            F = flatten(xor_like)
-            main, residual = split(F)
-            if np.count_nonzero(main.base) == 0:
-                b1 = 0.0
-                steps.append({
-                    "name": "degree_k_main_empty",
-                    "claim": "the split kept no entries, so "
-                             "norm_inf_to_one(A') = 0",
-                    "value": 0.0,
-                    "method": "exact",
-                })
-            else:
-                cert1 = certify.inf_to_one_certificate(main.base,
-                                                       mode=mode, z=z)
-                b1 = cert1.final_bound
-                steps.extend(_embed_steps(cert1.steps, "degree_k_"))
-            b2 = residual_bound(residual)
-            steps.append({
-                "name": "degree_k_residual_bound",
-                "claim": "norm_inf_to_one(A'') <= sum of |entries| of A''",
-                "value": b2,
-                "method": "exact",
-            })
-            poly = math.sqrt(n * (b1 + b2))
+            chain, poly = _xor_chain(instances.XorInstance(n, k, tilde),
+                                     mode, z, "degree_k_")
+            steps += chain
             bound_k = W * poly / math.factorial(k)
-            steps.append({
-                "name": "degree_k_bound",
-                "claim": "the non-degenerate degree-k contribution is at "
-                         "most W * sqrt(n (b1 + b2)) / k!",
-                "value": bound_k,
-                "method": "exact",
-            })
+            steps.append(_step("degree_k_bound", "the non-degenerate "
+                               "degree-k contribution is at most W * "
+                               "sqrt(n (b1 + b2)) / k!", bound_k))
         if degenerate:
             extra = abs(chat_k) * degenerate
             bound_k += extra
-            steps.append({
-                "name": "degree_k_degenerate",
-                "claim": "each constraint whose scope repeats an index "
-                         "contributes at most |chat_k|",
-                "value": extra,
-                "method": "exact",
-            })
-    raw = p0 + (total + bound_k) / I.m
-    bound = min(1.0, raw)
-    steps.append({
-        "name": "opt_bound",
-        "claim": "opt(I) <= chat_empty + (sum of degree bounds) / m, "
-                 "clamped to 1",
-        "value": bound,
-        "method": "exact",
-    })
-    meta = {
-        "mode": mode,
-        "z": z,
-        "n": n,
-        "k": k,
-        "m": I.m,
-        "clamped": bool(raw > 1.0),
-    }
-    return certify.Certificate("csp_refutation", n, steps,
-                               meta=meta, informative=bool(bound < 1.0))
+            steps.append(_step("degree_k_degenerate", "each constraint whose "
+                               "scope repeats an index contributes at most "
+                               "|chat_k|", extra))
+    return _refutation("csp_refutation", I, steps,
+                       p0 + (total + bound_k) / I.m,
+                       "opt(I) <= chat_empty + (sum of degree bounds) / m, "
+                       "clamped to 1", mode, z)
 
 
 def audit_refutation(I, cert, max_n=instances.BRUTE_ASSIGN_CAP):

@@ -1,13 +1,14 @@
 """Acceptance gate: one test per shipping criterion, each pinning its
 tolerance inline and printing a one-line summary. Criteria 1-9 finish in
 about a minute together; criterion 10 refutes eighty instances at n = 60
-and dominates the runtime (roughly ten minutes on one core)."""
+and dominates the runtime (about 150 s on two cores; marked slow)."""
 
 import itertools
 import math
 import time
 
 import numpy as np
+import pytest
 
 from nbrefute import certify, instances, linalg, nonbacktracking, refute, walks
 
@@ -215,6 +216,7 @@ def test_criterion_09_fourier_and_csp_soundness():
           f"3-SAT refutations dominated the optimum")
 
 
+@pytest.mark.slow
 def test_criterion_10_large_scale_refutation():
     n = 60
     z = 6

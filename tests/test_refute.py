@@ -1,10 +1,11 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
-from nbrefute import instances, refute
+from nbrefute import certify, instances, refute
 
 
 def kept_entry(F, row, col):
@@ -372,3 +373,140 @@ def test_audit_rejects_unknown_kind():
         {"name": "x", "claim": "c", "value": 1.0, "method": "exact"}])
     with pytest.raises(ValueError, match="cannot audit"):
         refute.audit_refutation(I, cert)
+
+
+def _dense_parts(I):
+    """The dense reference for everything _swap_parts returns: the split
+    of flatten(I), its degrees, edge count and leading sign, and b2."""
+    main, residual = refute.split(refute.flatten(I))
+    dense, _, degs, m = certify._prep(main.base)
+    return dense, degs, m, certify._leads_negative(dense), \
+        refute.residual_bound(residual)
+
+
+def _degree_k_instance(J):
+    """The rescaled weighted XOR instance refute_csp hands to the XOR chain
+    for the degree-k part of J."""
+    seen = []
+    real = refute._xor_chain
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(refute, "_xor_chain",
+                   lambda I, *args: seen.append(I) or real(I, *args))
+        refute.refute_csp(J)
+    return seen[0]
+
+
+def _builder_cases():
+    cases = [instances.sample_kxor(n, 3, p, seed=seed)
+             for n, p, seed in ((8, 0.5, 0), (11, 0.3, 1), (14, 0.2, 2),
+                                (14, 0.05, 3))]
+    sat = instances.predicate_table("3sat")
+    cases += [_degree_k_instance(instances.sample_csp(sat, n, 3, p, seed))
+              for n, p, seed in ((10, 0.05, 0), (12, 0.03, 1), (14, 0.02, 2))]
+    # k = 5 keeps nothing in A' below n = 8 (a kept entry spans 8 indices)
+    cases += [instances.sample_kxor(n, 5, p, seed=seed)
+              for n, p, seed in ((5, 1.0, 0), (6, 0.8, 1), (7, 0.5, 2),
+                                 (8, 0.2, 3))]
+    return cases
+
+
+@pytest.mark.parametrize("slab_bytes", [refute.SLAB_BYTES, 1],
+                         ids=["one-slab", "slab-per-index"])
+@pytest.mark.parametrize("I", _builder_cases(),
+                         ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
+def test_swap_parts_match_dense_split(monkeypatch, I, slab_bytes):
+    monkeypatch.setattr(refute, "SLAB_BYTES", slab_bytes)
+    dense, degs, m, negate, b2 = _dense_parts(I)
+    ll, lh, parts_degs, parts_m, parts_negate, parts_b2 = \
+        refute._swap_parts(I)
+    np.testing.assert_array_equal(parts_degs, degs)
+    assert (parts_m, parts_negate, parts_b2) == (m, negate, b2)
+    q = I.n ** ((I.k - 1) // 2)
+    mine = certify._fill_blocks(np.zeros((ll.shape[0] + q,) * 2), ll, lh,
+                                parts_degs, parts_negate)
+    ref = certify._swap_blocks(dense, degs, negate)
+    assert len(ref) == len(mine) == 2
+    for (a, d), (b, e) in zip(mine, ref):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(d, e)
+
+
+def test_swap_parts_rescaled_weights_are_not_signs():
+    # the CSP cases above exercise weights other than +-1
+    weights = {abs(w) for I in _builder_cases() for w in I.clauses.values()}
+    assert weights - {1.0}
+
+
+def _dense_xor_steps(I, mode, z):
+    """refute_xor's steps recomputed from flatten, split,
+    inf_to_one_certificate and residual_bound."""
+    main, residual = refute.split(refute.flatten(I))
+    if np.count_nonzero(main.base) == 0:
+        b1 = 0.0
+        steps = [{"name": "main_empty",
+                  "claim": "the split kept no entries, so "
+                           "norm_inf_to_one(A') = 0",
+                  "value": 0.0, "method": "exact"}]
+    else:
+        cert = certify.inf_to_one_certificate(main.base, mode=mode, z=z)
+        b1 = cert.final_bound
+        steps = [dict(s, name="main_" + s["name"]) for s in cert.steps]
+    b2 = refute.residual_bound(residual)
+    steps.append({"name": "residual_bound",
+                  "claim": "norm_inf_to_one(A'') <= sum of |entries| of A''",
+                  "value": b2, "method": "exact"})
+    poly = math.sqrt(I.n * (b1 + b2))
+    steps.append({"name": "polynomial_bound",
+                  "claim": "max_x <T, x^(k)> <= sqrt(n * (bound(A') + "
+                           "bound(A''))) over sign assignments",
+                  "value": poly, "method": "exact"})
+    bound = min(1.0, 0.5 + poly / (2.0 * I.m * math.factorial(I.k)))
+    steps.append({"name": "opt_bound",
+                  "claim": "opt(I) <= 1/2 + polynomial_bound / (2 m k!), "
+                           "clamped to 1",
+                  "value": bound, "method": "exact"})
+    return steps
+
+
+@pytest.mark.parametrize("edge_cap", [certify.EDGE_ROUTE_CAP, 0])
+@pytest.mark.parametrize("mode", ["gelfand", "eig"])
+def test_refute_xor_matches_dense_chain(monkeypatch, edge_cap, mode):
+    # the edge cap 0 sends every certificate down the companion route
+    monkeypatch.setattr(certify, "EDGE_ROUTE_CAP", edge_cap)
+    for n, p, seed in ((4, 0.5, 0), (9, 0.4, 1), (12, 0.3, 2), (13, 0.2, 3)):
+        I = instances.sample_kxor(n, 3, p, seed=seed)
+        got = refute.refute_xor(I, mode=mode, z=6).to_json_dict()
+        want = _dense_xor_steps(I, mode, 6)
+        assert json.dumps(got["steps"]) == json.dumps(want)
+        assert got["final_bound"] == want[-1]["value"]
+
+
+def _no_dense(*args, **kwargs):
+    raise AssertionError("the pipeline built the dense flattened matrix")
+
+
+def test_pipelines_never_build_the_dense_matrix(monkeypatch):
+    monkeypatch.setattr(refute, "flatten", _no_dense)
+    monkeypatch.setattr(refute, "split", _no_dense)
+    I = instances.sample_kxor(12, 3, 0.3, seed=1)
+    assert refute.refute_xor(I).final_bound <= 1.0
+    J = instances.sample_csp(instances.predicate_table("3sat"), 10, 3, 0.02,
+                             seed=0)
+    names = [s["name"] for s in refute.refute_csp(J).steps]
+    assert "degree_k_residual_bound" in names
+
+
+def test_refute_xor_beyond_the_dense_cap():
+    # n^2 = 8100 is past FLATTEN_DIM_CAP; the pipeline only needs the swap
+    # blocks (q(q+1)/2 = 4095)
+    I = instances.XorInstance(90, 3, {(0, 1, 2): 1.0})
+    cert = refute.refute_xor(I, z=6)
+    assert [s["name"] for s in cert.steps][0] == "main_empty"
+    assert cert.final_bound == 1.0
+
+
+def test_refute_size_cap_bounds_the_swap_block():
+    I = instances.XorInstance(121, 3, {(0, 1, 2): 1.0})
+    with pytest.raises(ValueError, match="infeasible: swap block dimension "
+                                         "7381 exceeds cap 7260"):
+        refute.refute_xor(I)
