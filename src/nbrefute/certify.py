@@ -212,7 +212,10 @@ def _max_abs_real_eig(M):
 
 def _lambda_edge_route(A_sym, mode, z, norm):
     G = nonbacktracking.build(A_sym)
-    M = G.B + G.L - G.J
+    M = G.B + G.L
+    M -= G.J
+    # the bundle's own 2m x 2m matrices are dead past this point
+    del G
     if mode == "eig":
         return _max_abs_real_eig(M)
     return linalg.spectral_radius_upper(M, z, norm)
@@ -349,13 +352,17 @@ def inf_to_one_certificate(A, mode="gelfand", z=16, norm="frobenius"):
     return _trace_certificate(*_dense_lambda(A, mode, z, norm), mode)
 
 
-def _inf_to_one_from_swap_parts(ll, lh, degs, m, negate, mode, z):
+def _inf_to_one_from_swap_parts(halves, degs, m, negate, mode, z):
     """inf_to_one_certificate, unvalidated, of a swap-invariant A that is
-    zero on its dg rows, given as ll = A[lo,lo] (overwritten), lh = A[lo,hi],
-    its degrees, edge count m and _leads_negative(A)."""
+    zero on its dg rows, given as halves = [A[lo,lo], A[lo,hi]], its
+    degrees, edge count m and _leads_negative(A). The companion route
+    empties halves: A[lo,lo] is overwritten by the antisymmetric block and
+    A[lo,hi] is dropped once the blocks are formed, so without another
+    reference it is freed before the recurrence."""
     q = math.isqrt(degs.size)
 
     def dense():
+        ll, lh = halves
         lo, hi, _ = _swap_index(q)
         out = np.zeros((q * q, q * q))
         out[np.ix_(lo, lo)] = out[np.ix_(hi, hi)] = ll
@@ -363,6 +370,8 @@ def _inf_to_one_from_swap_parts(ll, lh, degs, m, negate, mode, z):
         return out
 
     def blocks():
+        ll, lh = halves
+        halves.clear()
         dim = ll.shape[0] + q
         return _fill_blocks(np.zeros((dim, dim)), ll, lh, degs, negate)
 

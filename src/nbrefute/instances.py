@@ -18,6 +18,12 @@ Conventions used throughout:
     scope-major (alpha, then sign pattern) for CSP). A draw u yields weight
     +1 when u < p/2 and -1 when p/2 <= u < p, so presence has probability
     exactly p with equiprobable signs from a single uniform.
+  * The brute-force optima are exact Walsh-Hadamard evaluations over all
+    2^n assignments. Both values are multilinear polynomials in x, so the
+    instance's Fourier coefficients, indexed by monomial bitmask, go into a
+    length-2^n vector and one in-place fast Walsh-Hadamard transform yields
+    the value at every x (O(n 2^n) vectorised work). At the cap n = 24 that
+    vector is 2^24 doubles (128 MB), plus one half-size temporary (64 MB).
 """
 
 import itertools
@@ -26,7 +32,8 @@ import math
 import numpy as np
 
 BRUTE_ASSIGN_CAP = 24
-_ASSIGN_CHUNK = 1 << 14
+# Uniforms per Generator.random call in sample_csp (8 MB of draws).
+CSP_DRAW_CHUNK = 1 << 20
 
 
 class XorInstance:
@@ -264,39 +271,56 @@ def value(I, x):
     return total / I.m
 
 
-def _sign_chunks(n, cap, what):
-    if n > cap:
+def _require_cube(n, max_n):
+    if n > max_n:
         raise ValueError(
-            f"oracle infeasible: {what} over {n} variables exceeds cap {cap}")
-    total = 1 << n
-    shifts = np.arange(n, dtype=np.int64)
-    for start in range(0, total, _ASSIGN_CHUNK):
-        idx = np.arange(start, min(start + _ASSIGN_CHUNK, total),
-                        dtype=np.int64)
-        yield ((idx[:, None] >> shifts[None, :]) & 1) * 2.0 - 1.0
+            f"oracle infeasible: assignment enumeration over {n} variables "
+            f"exceeds cap {max_n}")
+
+
+def _cube_max(masks, weights, n):
+    """Max over x in {-1,+1}^n of sum_i weights[i] * prod_{j in masks[i]} x_j,
+    where masks[i] is a monomial's bitmask (0 is the constant term).
+
+    The coefficients are summed into a length-2^n vector by mask, then one
+    in-place radix-2 Walsh-Hadamard butterfly turns it into the polynomial's
+    value at every point (bit j of the index set means x_j = -1; only the
+    maximum is read, so the convention does not matter). Memory: 2^n
+    doubles plus one half-size temporary, 192 MB at n = 24. Dyadic
+    coefficients of bounded size keep every partial sum exact."""
+    vals = np.bincount(masks, weights=weights, minlength=1 << n)
+    half = np.empty(vals.size // 2)
+    h = 1
+    while h < vals.size:
+        pairs = vals.reshape(-1, 2, h)
+        top, bottom = pairs[:, 0], pairs[:, 1]
+        diff = np.subtract(top, bottom, out=half.reshape(-1, h))
+        top += bottom
+        bottom[...] = diff
+        h *= 2
+    return vals.max()
 
 
 def brute_opt(I, max_n=BRUTE_ASSIGN_CAP):
-    """Exact maximum of value(I, .) over all sign assignments."""
+    """Exact maximum of value(I, .) over all sign assignments: the max of
+    m/2 + sum_S (w_S/2) x^S over the cube, by one Walsh-Hadamard transform
+    (exact for +-1 weights, within rounding for others), divided by m."""
     if I.m == 0:
         raise ValueError("no clauses to evaluate")
-    items = sorted(I.clauses.items())
-    best = -np.inf
-    for X in _sign_chunks(I.n, max_n, "assignment enumeration"):
-        sat = np.zeros(X.shape[0])
-        for tup, w in items:
-            prod = X[:, tup[0]].copy()
-            for i in tup[1:]:
-                prod *= X[:, i]
-            sat += (1.0 + w * prod) / 2.0
-        best = max(best, sat.max() / I.m)
-    return float(best)
+    _require_cube(I.n, max_n)
+    tups = np.array(list(I.clauses), dtype=np.int64).reshape(-1, I.k)
+    masks = np.bitwise_xor.reduce(np.left_shift(1, tups), axis=1)
+    halves = np.array(list(I.clauses.values())) / 2.0
+    best = _cube_max(np.concatenate([[0], masks]),
+                     np.concatenate([[I.m / 2.0], halves]), I.n)
+    return float(best / I.m)
 
 
 def sample_csp(truth_table, n, k, p, seed):
     """Sample a CSP(P) instance: every (scope, negation) pair in
     [n]^k x {-1,+1}^k independently present with probability p, from one
-    uniform per pair in scope-major rank order."""
+    uniform per pair in scope-major rank order, drawn CSP_DRAW_CHUNK at a
+    time."""
     n = int(n)
     k = int(k)
     p = float(p)
@@ -308,8 +332,11 @@ def sample_csp(truth_table, n, k, p, seed):
             f"truth table must have length 2^{k}={2 ** k}")
     rng = np.random.default_rng(seed)
     total = (n ** k) * (2 ** k)
-    draws = rng.random(total)
-    hits = np.flatnonzero(draws < p)
+    hits = []
+    # chunked draws continue one stream, so they equal a single call's
+    for start in range(0, total, CSP_DRAW_CHUNK):
+        draws = rng.random(min(CSP_DRAW_CHUNK, total - start))
+        hits.extend((start + np.flatnonzero(draws < p)).tolist())
     constraints = []
     for rank in hits:
         alpha_rank, c_rank = divmod(int(rank), 2 ** k)
@@ -338,21 +365,25 @@ def csp_value(I, x):
 
 
 def csp_brute_opt(I, max_n=BRUTE_ASSIGN_CAP):
-    """Exact maximum of csp_value(I, .) over all sign assignments."""
+    """Exact maximum of csp_value(I, .) over all sign assignments.
+
+    Constraint (alpha, c) contributes chat_S prod_{j in S} c_j at the mask
+    XOR_{j in S} bit(alpha_j) for each Fourier coefficient chat_S of P: XOR,
+    not OR, because a scope may repeat an index and x_i^2 = 1. The dyadic
+    coefficients keep the Walsh-Hadamard values exact."""
     if I.m == 0:
         raise ValueError("no constraints to evaluate")
-    k = I.k
-    best = -np.inf
-    for X in _sign_chunks(I.n, max_n, "assignment enumeration"):
-        sat = np.zeros(X.shape[0])
-        for alpha, c in I.constraints:
-            idx = np.zeros(X.shape[0], dtype=np.int64)
-            for j in range(k):
-                pos = (c[j] * X[:, alpha[j]]) > 0
-                idx |= pos.astype(np.int64) << (k - 1 - j)
-            sat += I.truth_table[idx]
-        best = max(best, sat.max() / I.m)
-    return float(best)
+    _require_cube(I.n, max_n)
+    alphas = np.array([a for a, _ in I.constraints], dtype=np.int64)
+    signs = np.array([c for _, c in I.constraints], dtype=float)
+    bits = np.left_shift(1, alphas)
+    masks, weights = [], []
+    for S, chat in fourier_decompose(I.truth_table).coefficients.items():
+        S = list(S)
+        masks.append(np.bitwise_xor.reduce(bits[:, S], axis=1))
+        weights.append(chat * np.prod(signs[:, S], axis=1))
+    best = _cube_max(np.concatenate(masks), np.concatenate(weights), I.n)
+    return float(best / I.m)
 
 
 def fourier_decompose(truth_table):

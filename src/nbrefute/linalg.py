@@ -171,8 +171,11 @@ def spectral_radius_upper(M, z, norm="frobenius"):
     Valid for any submultiplicative matrix norm, so the returned value is
     always >= rho(M) in exact arithmetic. The bound need not improve
     monotonically with z; callers may take a minimum over several z.
-    Intermediate powers are rescaled so the computation neither overflows
-    nor silently underflows to zero.
+    M^z is formed by binary powering over the bits of z from the top (a
+    squaring per bit, times M for each set bit: 4 products for z = 16, 3
+    for z = 6), holding M, one power and one product at a time; M is never
+    written. The power is rescaled before every product so the computation
+    neither overflows nor silently underflows to zero.
 
     Args:
       M: square 2d array.
@@ -187,20 +190,32 @@ def spectral_radius_upper(M, z, norm="frobenius"):
         raise ValueError(f"power count must be >= 1, got {z}")
     if M.shape[0] == 0:
         return 0.0
-    P = M.copy()
+    # one squaring per bit of z below the leading one, then a product with
+    # M if the bit is set: P * exp(log_scale) = M^e for the bits read so far
+    P = M
     log_scale = 0.0
-    for _ in range(z - 1):
-        s = np.abs(P).max()
-        if s == 0.0:
-            return 0.0
-        if s > _RESCALE_ABOVE or s < _RESCALE_BELOW:
-            P = P / s
-            log_scale += np.log(s)
-        P = P @ M
+    for op in "".join("S" + "M" * int(bit) for bit in bin(z)[3:]):
+        P, log_scale = _rescaled(P, log_scale)
+        if op == "S":
+            P = P @ P
+            log_scale *= 2.0
+        else:
+            P = P @ M
+    P, log_scale = _rescaled(P, log_scale)
     v = _matrix_norm(P, norm)
     if v == 0.0:
         return 0.0
     return float(np.exp((np.log(v) + log_scale) / z))
+
+
+def _rescaled(P, log_scale):
+    """(P / s, log_scale + log s) for s = max |P| when s lies outside
+    [_RESCALE_BELOW, _RESCALE_ABOVE] and is nonzero; else unchanged. P is
+    never written."""
+    s = np.abs(P).max()
+    if s > _RESCALE_ABOVE or 0.0 < s < _RESCALE_BELOW:
+        return P / s, log_scale + np.log(s)
+    return P, log_scale
 
 
 def min_real_eigenvalue(M, im_tol=DEFAULT_IM_TOL, max_dim=EIG_DIM_CAP):

@@ -186,7 +186,8 @@ def _swap_parts(I):
             f"exceeds cap {BLOCK_DIM_CAP}")
     digits = _digits(n, I.k)
     lo, hi, _ = certify._swap_index(q)
-    ll, lh = np.empty((2, lo.size, lo.size))
+    ll = np.empty((lo.size, lo.size))
+    lh = np.empty((lo.size, lo.size))
     degs = np.empty(q * q)
     residual = []
     nnz = 0
@@ -226,13 +227,15 @@ def _step(name, claim, value, method="exact"):
 def _xor_chain(I, mode, z, prefix):
     """The XOR chain's steps through b2 and sqrt(n (b1 + b2)). Step names
     start with prefix; A''s certificate steps with prefix or "main_"."""
-    ll, lh, degs, m, negate, b2 = _swap_parts(I)
+    # halves = [A'[lo,lo], A'[lo,hi]], handed over so that A'[lo,hi] is
+    # freed once the certificate has formed the swap blocks
+    *halves, degs, m, negate, b2 = _swap_parts(I)
     if m == 0:
         b1 = 0.0
         steps = [_step(f"{prefix}main_empty", "the split kept no entries, "
                        "so norm_inf_to_one(A') = 0", 0.0)]
     else:
-        cert1 = certify._inf_to_one_from_swap_parts(ll, lh, degs, m, negate,
+        cert1 = certify._inf_to_one_from_swap_parts(halves, degs, m, negate,
                                                     mode, z)
         b1 = cert1.final_bound
         steps = [dict(s, name=(prefix or "main_") + s["name"])

@@ -97,6 +97,102 @@ def test_brute_opt_cap():
         instances.brute_opt(I)
 
 
+def _cube(n):
+    return [np.array(x) for x in itertools.product((-1.0, 1.0), repeat=n)]
+
+
+def _enumerated_opt(evaluate, I):
+    return max(evaluate(I, x) for x in _cube(I.n))
+
+
+@pytest.mark.parametrize("n,k,p,seed", [(6, 3, 0.5, 0), (9, 3, 0.2, 1),
+                                        (10, 3, 0.1, 2), (7, 5, 0.4, 3),
+                                        (10, 5, 0.05, 4)])
+def test_brute_opt_equals_enumeration_sign_weights(n, k, p, seed):
+    I = instances.sample_kxor(n, k, p, seed=seed)
+    assert I.m > 0
+    assert instances.brute_opt(I) == _enumerated_opt(instances.value, I)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_brute_opt_non_dyadic_weights(seed):
+    rng = np.random.default_rng(seed)
+    n, k = 9, 3
+    clauses = {c: rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 1.0)
+               for c in itertools.combinations(range(n), k)
+               if rng.random() < 0.3}
+    I = instances.XorInstance(n, k, clauses)
+    np.testing.assert_allclose(instances.brute_opt(I),
+                               _enumerated_opt(instances.value, I),
+                               rtol=1e-12)
+
+
+def _random_table_cases():
+    rng = np.random.default_rng(21)
+    return [(rng.integers(0, 2, size=2 ** k).astype(float), n, k, p, seed)
+            for seed, (n, k, p) in enumerate(((8, 3, 0.03), (10, 3, 0.005),
+                                              (6, 5, 0.0005), (9, 2, 0.1)))]
+
+
+@pytest.mark.parametrize("table,n,k,p,seed", [
+    (instances.predicate_table("3sat"), 8, 3, 0.03, 0),
+    (instances.predicate_table("3sat"), 10, 3, 0.01, 1),
+    (instances.predicate_table("parity"), 9, 3, 0.02, 2),
+    (instances.predicate_table("parity", 5), 7, 5, 0.001, 3),
+] + _random_table_cases())
+def test_csp_brute_opt_equals_enumeration(table, n, k, p, seed):
+    J = instances.sample_csp(table, n, k, p, seed)
+    assert J.m > 0
+    # sampled scopes repeat indices too
+    assert any(len(set(alpha)) < k for alpha, _ in J.constraints)
+    assert (instances.csp_brute_opt(J)
+            == _enumerated_opt(instances.csp_value, J))
+
+
+def test_csp_brute_opt_repeated_scope_indices():
+    # a mask built with OR instead of XOR gets each of these wrong
+    table = instances.predicate_table("parity")
+    rng = np.random.default_rng(5)
+    constraints = []
+    for _ in range(12):
+        i, j = rng.choice(6, size=2, replace=False)
+        scope = [(i, i, j), (i, j, i), (j, i, i), (i, i, i)][rng.integers(4)]
+        constraints.append((scope, tuple(rng.choice((-1, 1), size=3))))
+    J = instances.CspInstance(6, 3, table, constraints)
+    assert (instances.csp_brute_opt(J)
+            == _enumerated_opt(instances.csp_value, J))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_oracles_find_a_constant_optimum(sign):
+    # the unique optimum is x = sign * (1, ..., 1): the first and the last
+    # point of the transform
+    n = 5
+    xor = instances.XorInstance(
+        n, 3, {c: float(sign) for c in itertools.combinations(range(n), 3)})
+    # sign * x_i OR sign * x_i OR sign * x_i for every i
+    csp = instances.CspInstance(n, 3, instances.predicate_table("3sat"),
+                                [((i, i, i), (sign,) * 3) for i in range(n)])
+    for I, oracle, evaluate in ((xor, instances.brute_opt, instances.value),
+                                (csp, instances.csp_brute_opt,
+                                 instances.csp_value)):
+        best = [x for x in _cube(n) if evaluate(I, x) == 1.0]
+        assert len(best) == 1 and np.all(best[0] == sign)
+        assert oracle(I) == 1.0
+
+
+def test_csp_brute_opt_cap():
+    J = instances.CspInstance(30, 3, instances.predicate_table("3sat"),
+                              [((0, 1, 29), (1, 1, 1))])
+    with pytest.raises(ValueError, match="oracle infeasible: assignment "
+                                         "enumeration over 30 variables "
+                                         "exceeds cap 24"):
+        instances.csp_brute_opt(J)
+    with pytest.raises(ValueError, match="no constraints"):
+        instances.csp_brute_opt(
+            instances.CspInstance(3, 3, J.truth_table, []))
+
+
 def test_assignment_index_frozen_order():
     # lexicographic with -1 before +1: index 0 is all -1
     assert instances.assignment_from_index(0, 2) == (-1, -1)
@@ -160,6 +256,18 @@ def test_sample_csp_rank_indexed_draws():
                     (alpha, instances.assignment_from_index(c_rank, k)))
             rank += 1
     assert J.constraints == expect
+
+
+@pytest.mark.parametrize("n,k,p,seed", [(4, 2, 0.3, 11), (7, 3, 0.05, 2),
+                                        (5, 3, 0.5, 3), (4, 5, 0.01, 4)])
+def test_sample_csp_chunked_draws_match_one_call(monkeypatch, n, k, p, seed):
+    table = np.ones(2 ** k)
+    table[0] = 0.0
+    whole = instances.sample_csp(table, n, k, p, seed)
+    assert (n ** k) * (2 ** k) <= instances.CSP_DRAW_CHUNK
+    monkeypatch.setattr(instances, "CSP_DRAW_CHUNK", 7)
+    assert instances.sample_csp(table, n, k, p, seed).constraints \
+        == whole.constraints
 
 
 def test_csp_brute_opt_matches_direct():
