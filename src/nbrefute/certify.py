@@ -7,9 +7,13 @@ the two values coincide through an exact signed-diagonal similarity) yields
   A  >=  -lambda Id - (1/lambda)(D - Id)       (PSD witness)
   norm_inf_to_one(A)  <=  2 sum_u |lambda + (deg_u - 1)/lambda|
 
-Two interchangeable routes produce lambda:
+Two interchangeable routes produce lambda, each from the Frobenius power
+bound ||M^z||_F^(1/z) of its operator M:
 
   * edge route: build B + L - J explicitly (2m x 2m) and bound its spectrum.
+    It reads only A's vertices of nonzero degree: relabelling them in
+    increasing order keeps the canonical edge order and every sign
+    convention of nonbacktracking.build, so B + L - J is the same matrix.
   * companion route: the determinant identity shows the spectrum of B + L - J
     equals the roots of det(x^2 Id - xA + (D - Id)) plus copies of +-1, so
     the companion matrix [[A, -(D-Id)], [Id, 0]] (2n x 2n) carries the same
@@ -36,10 +40,8 @@ refutation pipelines build A[lo,lo] and A[lo,hi] of their split matrix
 directly and never the dense A (_inf_to_one_from_swap_parts). The change of
 basis is orthogonal, so the companion matrix is orthogonally similar to the
 direct sum of the two block companions: the spectra agree, and the
-Frobenius norm of a power is the root of the blocks' summed squares. The
-induced infinity norm is then taken in the block basis, where it is the max
-over blocks; it bounds the spectral radius just the same. Each block
-product costs 1/8 of a full one. Any other input is a single block.
+Frobenius norm of a power is the root of the blocks' summed squares. Each
+block product costs 1/8 of a full one. Any other input is a single block.
 
 mode="gelfand" (power norms, rigorous up to floating point) is the default
 for emitted certificates; mode="eig" uses an uncertified dense eigensolve,
@@ -129,18 +131,7 @@ def _prep(A):
     is square, symmetric, and zero-diagonal."""
     if isinstance(A, linalg.SymWeightedMatrix):
         return A.to_dense(), A.n, A.degrees(), A.edge_count()
-    dense = np.asarray(A, dtype=float)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-    # one scratch matrix serves both the asymmetry check and the degrees
-    work = dense - dense.T
-    asym = np.abs(work, out=work).max() if dense.size else 0.0
-    if asym > linalg.SYMMETRY_TOL:
-        raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
-    bad = np.flatnonzero(np.diagonal(dense))
-    if bad.size:
-        raise ValueError(f"nonzero diagonal entry at index {bad[0]}")
-    degs = np.abs(dense, out=work).sum(axis=1)
+    dense, degs = linalg.symmetric_degrees(A)
     m = sum(int(np.count_nonzero(row[u + 1:])) for u, row in enumerate(dense))
     return dense, dense.shape[0], degs, m
 
@@ -210,7 +201,7 @@ def _max_abs_real_eig(M):
     return max(vals) if vals else 0.0
 
 
-def _lambda_edge_route(A_sym, mode, z, norm):
+def _lambda_edge_route(A_sym, mode, z):
     G = nonbacktracking.build(A_sym)
     M = G.B + G.L
     M -= G.J
@@ -218,35 +209,32 @@ def _lambda_edge_route(A_sym, mode, z, norm):
     del G
     if mode == "eig":
         return _max_abs_real_eig(M)
-    return linalg.spectral_radius_upper(M, z, norm)
+    return linalg.spectral_radius_upper(M, z)
 
 
-def _lambda_companion_route(blocks, mode, z, norm):
+def _lambda_companion_route(blocks, mode, z):
     """Spectral bound for the companion of the direct sum of the diagonal
     blocks [(A_b, degs_b)]: the max over block companions in eig mode, else
-    ||C^z||^(1/z) with the per-block norms combined in the log domain."""
+    ||C^z||_F^(1/z) with the per-block norms combined in the log domain."""
     if mode == "eig":
         return max(_max_abs_real_eig(companion_matrix(a, d))
                    for a, d in blocks)
-    logs = np.array([_log_companion_power_norm(a, d, z, norm)
-                     for a, d in blocks])
+    logs = np.array([_log_companion_power_norm(a, d, z) for a, d in blocks])
     top = logs.max()
     if top == -np.inf:
         return 0.0
-    if norm == "frobenius":
-        top += 0.5 * np.log(np.exp(2.0 * (logs - top)).sum())
+    top += 0.5 * np.log(np.exp(2.0 * (logs - top)).sum())
     return float(np.exp(top / z))
 
 
-def _companion_power_bound(dense, degs, z, norm="frobenius"):
-    """||C^z||^(1/z) for the companion matrix C of (dense, degs), run on its
-    swap blocks."""
-    return _lambda_companion_route(_swap_blocks(dense, degs), "gelfand", z,
-                                   norm)
+def _companion_power_bound(dense, degs, z):
+    """||C^z||_F^(1/z) for the companion matrix C of (dense, degs), run on
+    its swap blocks."""
+    return _lambda_companion_route(_swap_blocks(dense, degs), "gelfand", z)
 
 
-def _log_companion_power_norm(dense, degs, z, norm):
-    """log ||C^z|| (-inf when it is 0) for the companion matrix C, via the
+def _log_companion_power_norm(dense, degs, z):
+    """log ||C^z||_F (-inf when it is 0) for the companion matrix C, via the
     recurrence P_{j+1} = A P_j - (D-Id) P_{j-1} with C^z = [[P_z, -P_{z-1}
     E], [P_{z-1}, -P_{z-2} E]] (E = D - Id). Rescales to avoid overflow.
     dense is only read, never written (P_{z-1} or P_{z-2} may be dense
@@ -268,28 +256,22 @@ def _log_companion_power_norm(dense, degs, z, norm):
         nxt = dense @ p_cur
         nxt -= np.multiply(E[:, None], p_prev, out=work)
         p_prev2, p_prev, p_cur = p_prev, p_cur, nxt
-    if norm == "frobenius":
-        def sq_sum(x):
-            return np.multiply(x, x, out=work).sum()
 
-        v = np.sqrt(sq_sum(p_cur) + sq_sum(np.multiply(p_prev, E, out=work))
-                    + sq_sum(p_prev)
-                    + sq_sum(np.multiply(p_prev2, E, out=work)))
-    elif norm == "inf_induced":
-        v = max((np.abs(p_cur) + np.abs(p_prev * E)).sum(axis=1).max(),
-                (np.abs(p_prev) + np.abs(p_prev2 * E)).sum(axis=1).max())
-    else:
-        raise ValueError(
-            f"unknown norm {norm!r}; use 'frobenius' or 'inf_induced'")
+    def sq_sum(x):
+        return np.multiply(x, x, out=work).sum()
+
+    v = np.sqrt(sq_sum(p_cur) + sq_sum(np.multiply(p_prev, E, out=work))
+                + sq_sum(p_prev) + sq_sum(np.multiply(p_prev2, E, out=work)))
     if v == 0.0:
         return -np.inf
     return np.log(v) + log_scale
 
 
-def _lambda(m, negate, dense, blocks, mode, z, norm):
+def _lambda(m, negate, dense, blocks, mode, z):
     """lambda for a matrix with m edges whose first nonzero entry is negative
-    when negate: the edge route on dense() when 2m <= EDGE_ROUTE_CAP, else
-    the companion route on blocks(), its swap blocks with the sign applied."""
+    when negate: the edge route on dense(), the matrix restricted to its
+    vertices of nonzero degree, when 2m <= EDGE_ROUTE_CAP, else the companion
+    route on blocks(), its swap blocks with the sign applied."""
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
     if int(z) < 1:
@@ -299,24 +281,24 @@ def _lambda(m, negate, dense, blocks, mode, z, norm):
     if 2 * m <= EDGE_ROUTE_CAP:
         A_sym = linalg.as_sym_matrix(dense())
         raw = _lambda_edge_route(A_sym.negated() if negate else A_sym,
-                                 mode, z, norm)
+                                 mode, z)
     else:
-        raw = _lambda_companion_route(blocks(), mode, z, norm)
+        raw = _lambda_companion_route(blocks(), mode, z)
     if mode == "eig":
         raw = raw * (1.0 + EIG_MARGIN)
     return max(1.0, float(raw))
 
 
-def _dense_lambda(A, mode, z, norm):
+def _dense_lambda(A, mode, z):
     """(lambda, degrees) of A, validated and normalized by _prep."""
     dense, _, degs, m = _prep(A)
     negate = m > 0 and _leads_negative(dense)
-    return _lambda(m, negate, lambda: dense,
-                   lambda: _swap_blocks(dense, degs, negate),
-                   mode, z, norm), degs
+    keep = np.flatnonzero(degs)
+    return _lambda(m, negate, lambda: dense[np.ix_(keep, keep)],
+                   lambda: _swap_blocks(dense, degs, negate), mode, z), degs
 
 
-def lambda_certificate(A, mode="gelfand", z=16, norm="frobenius"):
+def lambda_certificate(A, mode="gelfand", z=16):
     """Scale parameter lambda >= 1 dominating |real spectrum| of B + L - J
     for both +A and -A.
 
@@ -326,7 +308,7 @@ def lambda_certificate(A, mode="gelfand", z=16, norm="frobenius"):
 
     Raises ValueError on an empty graph (no edges).
     """
-    return _dense_lambda(A, mode, z, norm)[0]
+    return _dense_lambda(A, mode, z)[0]
 
 
 def lowner_witness(A, lam):
@@ -343,13 +325,13 @@ def lowner_witness(A, lam):
     return linalg.min_eig_symmetric(witness)
 
 
-def inf_to_one_certificate(A, mode="gelfand", z=16, norm="frobenius"):
+def inf_to_one_certificate(A, mode="gelfand", z=16):
     """Certificate for norm_inf_to_one(A) <= 2 sum_u |lambda + (deg_u-1)/lambda|.
 
     Steps record lambda for both signs of A (equal by the signed-diagonal
     similarity) and the final trace bound. sound=True in gelfand mode.
     """
-    return _trace_certificate(*_dense_lambda(A, mode, z, norm), mode)
+    return _trace_certificate(*_dense_lambda(A, mode, z), mode)
 
 
 def _inf_to_one_from_swap_parts(halves, degs, m, negate, mode, z):
@@ -362,11 +344,16 @@ def _inf_to_one_from_swap_parts(halves, degs, m, negate, mode, z):
     q = math.isqrt(degs.size)
 
     def dense():
+        # A[keep, keep] for keep the vertices of nonzero degree: the same
+        # pairs among lo and hi, as degrees are swap-invariant
         ll, lh = halves
         lo, hi, _ = _swap_index(q)
-        out = np.zeros((q * q, q * q))
-        out[np.ix_(lo, lo)] = out[np.ix_(hi, hi)] = ll
-        out[np.ix_(lo, hi)] = out[np.ix_(hi, lo)] = lh
+        pick = np.flatnonzero(degs[lo])
+        keep = np.sort(np.concatenate([lo[pick], hi[pick]]))
+        a, b = np.searchsorted(keep, lo[pick]), np.searchsorted(keep, hi[pick])
+        out = np.zeros((keep.size, keep.size))
+        out[np.ix_(a, a)] = out[np.ix_(b, b)] = ll[np.ix_(pick, pick)]
+        out[np.ix_(a, b)] = out[np.ix_(b, a)] = lh[np.ix_(pick, pick)]
         return out
 
     def blocks():
@@ -376,7 +363,7 @@ def _inf_to_one_from_swap_parts(halves, degs, m, negate, mode, z):
         return _fill_blocks(np.zeros((dim, dim)), ll, lh, degs, negate)
 
     return _trace_certificate(
-        _lambda(m, negate, dense, blocks, mode, z, "frobenius"), degs, mode)
+        _lambda(m, negate, dense, blocks, mode, z), degs, mode)
 
 
 def _trace_certificate(lam, degs, mode):

@@ -12,6 +12,7 @@ the console entry point can honor it reliably).
 """
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -49,13 +50,25 @@ def _load_json(path):
         return json.load(fh)
 
 
+@contextlib.contextmanager
+def _well_formed(what, path):
+    """Report JSON that parses but is not the expected object (a missing
+    field, a list in place of an object) as bad input."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed {what} {path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+
+
 def _load_instance(path):
     d = _load_json(path)
-    kind = d.get("kind")
-    if kind == "xor":
-        return instances.XorInstance.from_json_dict(d)
-    if kind == "csp":
-        return instances.CspInstance.from_json_dict(d)
+    with _well_formed("instance", path):
+        kind = d.get("kind")
+        if kind == "xor":
+            return instances.XorInstance.from_json_dict(d)
+        if kind == "csp":
+            return instances.CspInstance.from_json_dict(d)
     raise ValueError(f"unknown instance kind {kind!r} in {path}")
 
 
@@ -92,7 +105,8 @@ def cmd_refute(args):
 
 def cmd_audit(args):
     inst = _load_instance(args.infile)
-    cert = certify.Certificate.from_json_dict(_load_json(args.cert))
+    with _well_formed("certificate", args.cert):
+        cert = certify.Certificate.from_json_dict(_load_json(args.cert))
     report = refute.audit_refutation(inst, cert)
     print(json.dumps(report, indent=2, sort_keys=True))
     if not report.get("auditable", False):
@@ -101,6 +115,8 @@ def cmd_audit(args):
 
 
 def cmd_check_identity(args):
+    if args.n < 2:
+        raise ValueError(f"--n must be at least 2, got {args.n}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -125,6 +141,8 @@ def cmd_check_identity(args):
 
 def cmd_walks(args):
     if args.experiment == "rho":
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
         report = walks.rho_B_experiment(args.n, args.d,
                                         list(range(args.seeds)), z=args.z)
         if args.out:

@@ -271,11 +271,11 @@ def value(I, x):
     return total / I.m
 
 
-def _require_cube(n, max_n):
-    if n > max_n:
+def _require_cube(n):
+    if n > BRUTE_ASSIGN_CAP:
         raise ValueError(
             f"oracle infeasible: assignment enumeration over {n} variables "
-            f"exceeds cap {max_n}")
+            f"exceeds cap {BRUTE_ASSIGN_CAP}")
 
 
 def _cube_max(masks, weights, n):
@@ -301,13 +301,13 @@ def _cube_max(masks, weights, n):
     return vals.max()
 
 
-def brute_opt(I, max_n=BRUTE_ASSIGN_CAP):
+def brute_opt(I):
     """Exact maximum of value(I, .) over all sign assignments: the max of
     m/2 + sum_S (w_S/2) x^S over the cube, by one Walsh-Hadamard transform
     (exact for +-1 weights, within rounding for others), divided by m."""
     if I.m == 0:
         raise ValueError("no clauses to evaluate")
-    _require_cube(I.n, max_n)
+    _require_cube(I.n)
     tups = np.array(list(I.clauses), dtype=np.int64).reshape(-1, I.k)
     masks = np.bitwise_xor.reduce(np.left_shift(1, tups), axis=1)
     halves = np.array(list(I.clauses.values())) / 2.0
@@ -364,7 +364,7 @@ def csp_value(I, x):
     return total / I.m
 
 
-def csp_brute_opt(I, max_n=BRUTE_ASSIGN_CAP):
+def csp_brute_opt(I):
     """Exact maximum of csp_value(I, .) over all sign assignments.
 
     Constraint (alpha, c) contributes chat_S prod_{j in S} c_j at the mask
@@ -373,7 +373,7 @@ def csp_brute_opt(I, max_n=BRUTE_ASSIGN_CAP):
     coefficients keep the Walsh-Hadamard values exact."""
     if I.m == 0:
         raise ValueError("no constraints to evaluate")
-    _require_cube(I.n, max_n)
+    _require_cube(I.n)
     alphas = np.array([a for a, _ in I.constraints], dtype=np.int64)
     signs = np.array([c for _, c in I.constraints], dtype=float)
     bits = np.left_shift(1, alphas)

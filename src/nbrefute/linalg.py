@@ -4,10 +4,11 @@ Everything downstream (edge operators, certificates, refutation pipelines)
 reduces to the handful of primitives in this module:
 
   * SymWeightedMatrix   sparse container for symmetric zero-diagonal weights
+  * symmetric_degrees   validates a dense symmetric zero-diagonal matrix
   * brute_inf_to_one    exact infinity-to-one norm by sign enumeration
-  * spectral_radius_upper   power-norm upper bound ||M^z||^(1/z)
+  * spectral_radius_upper   Frobenius power bound ||M^z||_F^(1/z)
   * min_real_eigenvalue     smallest real eigenvalue of a square matrix
-  * det_shift / frobenius / abs_entry_sum / min_eig_symmetric
+  * det_shift / frobenius / min_eig_symmetric
 
 All functions are pure, operate on float64 numpy arrays, and are safe to call
 concurrently; reductions run in a fixed order so results do not depend on
@@ -64,20 +65,10 @@ class SymWeightedMatrix:
     def from_dense(cls, arr):
         """Build from a dense symmetric array; rejects asymmetry and nonzero
         diagonal, naming the offending index."""
-        arr = np.asarray(arr, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-        n = arr.shape[0]
-        asym = np.abs(arr - arr.T).max() if n else 0.0
-        if asym > SYMMETRY_TOL:
-            raise ValueError(
-                f"matrix is not symmetric: max asymmetry {asym:.3e}")
-        bad_diag = np.flatnonzero(np.diagonal(arr))
-        if bad_diag.size:
-            raise ValueError(f"nonzero diagonal entry at index {bad_diag[0]}")
+        arr, _ = symmetric_degrees(arr)
         us, vs = np.nonzero(np.triu(arr, 1))
         entries = {(int(u), int(v)): float(arr[u, v]) for u, v in zip(us, vs)}
-        return cls(n, entries)
+        return cls(arr.shape[0], entries)
 
     def to_dense(self):
         out = np.zeros((self.n, self.n))
@@ -102,6 +93,30 @@ class SymWeightedMatrix:
             self.n, {k: -w for k, w in self.entries.items()})
 
 
+def _square(M):
+    """M as a float64 ndarray; raises unless it is a square matrix."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    return M
+
+
+def symmetric_degrees(M):
+    """(M as a float64 ndarray, its weighted degrees sum_v |M_uv|) after
+    checking that M is square, symmetric within SYMMETRY_TOL and zero on the
+    diagonal; raises ValueError naming the first violation. One scratch
+    matrix serves both the asymmetry check and the degrees."""
+    M = _square(M)
+    work = M - M.T
+    asym = np.abs(work, out=work).max() if M.size else 0.0
+    if asym > SYMMETRY_TOL:
+        raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
+    bad = np.flatnonzero(np.diagonal(M))
+    if bad.size:
+        raise ValueError(f"nonzero diagonal entry at index {bad[0]}")
+    return M, np.abs(M, out=work).sum(axis=1)
+
+
 def as_sym_matrix(A):
     """Coerce a dense array or SymWeightedMatrix to SymWeightedMatrix."""
     if isinstance(A, SymWeightedMatrix):
@@ -116,7 +131,7 @@ def as_dense(A):
     return np.asarray(A, dtype=float)
 
 
-def brute_inf_to_one(M, max_rows=BRUTE_ROWS_CAP):
+def brute_inf_to_one(M):
     """Exact infinity-to-one norm: max of x^T M y over sign vectors x, y.
 
     For fixed x the optimal y is sign(M^T x) entrywise (ties broken to +1,
@@ -124,8 +139,8 @@ def brute_inf_to_one(M, max_rows=BRUTE_ROWS_CAP):
     so only x is enumerated; the symmetry x -> -x halves the search again.
 
     Args:
-      M: 2d array, rows x cols.
-      max_rows: enumeration cap; 2^(rows-1) sign vectors are visited.
+      M: 2d array, rows x cols, at most BRUTE_ROWS_CAP rows; 2^(rows-1)
+        sign vectors are visited.
 
     Returns:
       The exact maximum, a nonnegative float.
@@ -134,9 +149,10 @@ def brute_inf_to_one(M, max_rows=BRUTE_ROWS_CAP):
     if M.ndim != 2:
         raise ValueError(f"expected a 2d array, got ndim={M.ndim}")
     rows = M.shape[0]
-    if rows > max_rows:
+    if rows > BRUTE_ROWS_CAP:
         raise ValueError(
-            f"oracle infeasible: {rows} rows exceeds enumeration cap {max_rows}")
+            f"oracle infeasible: {rows} rows exceeds enumeration cap "
+            f"{BRUTE_ROWS_CAP}")
     if rows == 0 or M.shape[1] == 0:
         return 0.0
     # x[rows-1] is pinned to +1; the remaining rows-1 signs come from the
@@ -157,18 +173,10 @@ def brute_inf_to_one(M, max_rows=BRUTE_ROWS_CAP):
     return float(best)
 
 
-def _matrix_norm(P, norm):
-    if norm == "frobenius":
-        return float(np.sqrt((P * P).sum()))
-    if norm == "inf_induced":
-        return float(np.abs(P).sum(axis=1).max())
-    raise ValueError(f"unknown norm {norm!r}; use 'frobenius' or 'inf_induced'")
+def spectral_radius_upper(M, z):
+    """Upper bound on the spectral radius: ||M^z||_F^(1/z).
 
-
-def spectral_radius_upper(M, z, norm="frobenius"):
-    """Upper bound on the spectral radius: ||M^z||^(1/z).
-
-    Valid for any submultiplicative matrix norm, so the returned value is
+    The Frobenius norm is submultiplicative, so the returned value is
     always >= rho(M) in exact arithmetic. The bound need not improve
     monotonically with z; callers may take a minimum over several z.
     M^z is formed by binary powering over the bits of z from the top (a
@@ -180,11 +188,8 @@ def spectral_radius_upper(M, z, norm="frobenius"):
     Args:
       M: square 2d array.
       z: power count, >= 1.
-      norm: 'frobenius' or 'inf_induced' (max absolute row sum).
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    M = _square(M)
     z = int(z)
     if z < 1:
         raise ValueError(f"power count must be >= 1, got {z}")
@@ -202,7 +207,7 @@ def spectral_radius_upper(M, z, norm="frobenius"):
         else:
             P = P @ M
     P, log_scale = _rescaled(P, log_scale)
-    v = _matrix_norm(P, norm)
+    v = frobenius(P)
     if v == 0.0:
         return 0.0
     return float(np.exp((np.log(v) + log_scale) / z))
@@ -218,15 +223,13 @@ def _rescaled(P, log_scale):
     return P, log_scale
 
 
-def min_real_eigenvalue(M, im_tol=DEFAULT_IM_TOL, max_dim=EIG_DIM_CAP):
+def min_real_eigenvalue(M, max_dim=EIG_DIM_CAP):
     """Smallest real eigenvalue of a square matrix, or None.
 
-    An eigenvalue counts as real when |imag| <= im_tol. Returns None when no
-    eigenvalue is real within tolerance (e.g. a rotation matrix).
+    An eigenvalue counts as real when |imag| <= DEFAULT_IM_TOL. Returns None
+    when no eigenvalue is real within tolerance (e.g. a rotation matrix).
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    M = _square(M)
     dim = M.shape[0]
     if dim > max_dim:
         raise ValueError(
@@ -237,7 +240,7 @@ def min_real_eigenvalue(M, im_tol=DEFAULT_IM_TOL, max_dim=EIG_DIM_CAP):
         w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigensolver failed to converge: {exc}") from exc
-    real = w.real[np.abs(w.imag) <= im_tol]
+    real = w.real[np.abs(w.imag) <= DEFAULT_IM_TOL]
     if real.size == 0:
         return None
     return float(real.min())
@@ -246,10 +249,7 @@ def min_real_eigenvalue(M, im_tol=DEFAULT_IM_TOL, max_dim=EIG_DIM_CAP):
 def det_shift(M):
     """Determinant (LU with partial pivoting); the workhorse for evaluating
     shifted-identity determinants on both sides of the edge/vertex identity."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    return float(np.linalg.det(M))
+    return float(np.linalg.det(_square(M)))
 
 
 def frobenius(M):
@@ -257,21 +257,15 @@ def frobenius(M):
     return float(np.sqrt((M * M).sum()))
 
 
-def abs_entry_sum(M):
-    M = np.asarray(M, dtype=float)
-    return float(np.abs(M).sum())
-
-
-def min_eig_symmetric(M, tol=SYMMETRY_TOL):
+def min_eig_symmetric(M):
     """Smallest eigenvalue of a symmetric matrix (rejects asymmetric input)."""
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    M = _square(M)
     if M.shape[0] == 0:
         raise ValueError("empty matrix has no eigenvalues")
     asym = np.abs(M - M.T).max()
-    if asym > tol:
+    if asym > SYMMETRY_TOL:
         raise ValueError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds {tol}")
+            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
+            f"{SYMMETRY_TOL}")
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
     return float(w[0])

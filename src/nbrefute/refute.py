@@ -407,7 +407,7 @@ def refute_csp(I, mode="gelfand", z=16):
                        "clamped to 1", mode, z)
 
 
-def audit_refutation(I, cert, max_n=instances.BRUTE_ASSIGN_CAP):
+def audit_refutation(I, cert):
     """Check a refutation certificate against the exact brute-force optimum.
 
     Returns a report dict with the recomputed optimum, the certified bound,
@@ -429,7 +429,7 @@ def audit_refutation(I, cert, max_n=instances.BRUTE_ASSIGN_CAP):
         "sound_chain": cert.sound,
     }
     try:
-        opt = compute(I, max_n=max_n)
+        opt = compute(I)
     except ValueError as exc:
         report["auditable"] = False
         report["reason"] = str(exc)

@@ -212,8 +212,7 @@ def nbw_power_entry(A, e, f, z):
     return total
 
 
-def trace_walk_sum(A, q, z, max_n=TRACE_MAX_N, max_z=TRACE_MAX_Z,
-                   max_q=TRACE_MAX_Q, cap=ENUM_CAP):
+def trace_walk_sum(A, q, z):
     """Walk-sum expansion of Tr[(M M^T)^q] for M the (z-1)-th power of the
     oriented-edge operator: over block walks of 2q non-backtracking blocks
     of z edges, wrap-linked cyclically, sum the product over blocks of
@@ -227,10 +226,10 @@ def trace_walk_sum(A, q, z, max_n=TRACE_MAX_N, max_z=TRACE_MAX_Z,
         raise ValueError(f"blocks need at least two edges, got z={z}")
     dense = linalg.as_dense(A)
     n = dense.shape[0]
-    if n > max_n or z > max_z or q > max_q:
+    if n > TRACE_MAX_N or z > TRACE_MAX_Z or q > TRACE_MAX_Q:
         raise ValueError(
             f"enumeration infeasible: (n={n}, z={z}, q={q}) exceeds caps "
-            f"(n<={max_n}, z<={max_z}, q<={max_q})")
+            f"(n<={TRACE_MAX_N}, z<={TRACE_MAX_Z}, q<={TRACE_MAX_Q})")
     neigh = _neighbors(dense)
     blocks = 2 * q
     explored = 0
@@ -256,9 +255,9 @@ def trace_walk_sum(A, q, z, max_n=TRACE_MAX_N, max_z=TRACE_MAX_Z,
             if len(cur) >= 2 and nxt == cur[-2]:
                 continue
             explored += 1
-            if explored > cap:
+            if explored > ENUM_CAP:
                 raise ValueError(
-                    f"enumeration cap exceeded: more than {cap} partial "
+                    f"enumeration cap exceeded: more than {ENUM_CAP} partial "
                     f"walks explored")
             cur.append(nxt)
             fill_block(bi, cur, weight, first_edge)
@@ -271,7 +270,7 @@ def trace_walk_sum(A, q, z, max_n=TRACE_MAX_N, max_z=TRACE_MAX_Z,
 
 
 @functools.lru_cache(maxsize=None)
-def _canonical_census(q, z, v_cap, cap):
+def _canonical_census(q, z, v_cap):
     """Census of canonical interesting block walks with 2q blocks of z
     edges on at most v_cap vertices: a dict mapping (vertex count, distinct
     undirected edge count, max per-block cycle excess) to the number of
@@ -334,9 +333,9 @@ def _canonical_census(q, z, v_cap, cap):
             if nxt == cur[-1] or (len(cur) >= 2 and nxt == cur[-2]):
                 continue
             state["explored"] += 1
-            if state["explored"] > cap:
+            if state["explored"] > ENUM_CAP:
                 raise ValueError(
-                    f"census infeasible: enumeration cap {cap} exceeded")
+                    f"census infeasible: enumeration cap {ENUM_CAP} exceeded")
             fresh = nxt == state["used"]
             if fresh:
                 state["used"] += 1
@@ -355,7 +354,7 @@ def _canonical_census(q, z, v_cap, cap):
     return results
 
 
-def count_canonical(q, z, v, e, t, cap=ENUM_CAP):
+def count_canonical(q, z, v, e, t):
     """Number of canonical interesting block walks (2q blocks of z edges,
     wrap-linked, every undirected edge traversed at least twice) with
     exactly v vertices, exactly e distinct undirected edges, and per-block
@@ -373,7 +372,7 @@ def count_canonical(q, z, v, e, t, cap=ENUM_CAP):
             f"(v<={CENSUS_MAX_V}, q*z<={CENSUS_MAX_EDGES})")
     if v < 2 or e < v - 1:
         return 0
-    census = _canonical_census(q, z, v, cap)
+    census = _canonical_census(q, z, v)
     return sum(count for (vv, ee, tau), count in census.items()
                if vv == v and ee == e and tau <= t)
 

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from nbrefute import cli
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
 
 
 def run(capsys, *argv):
@@ -160,6 +166,59 @@ def test_audit_unknown_kind_is_bad_input(tmp_path, capsys):
                           "--cert", str(cert))
     assert code == 2
     assert "unknown instance kind" in stderr
+
+
+def _xor_files(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run(capsys, "gen", "--kind", "xor", "--n", "8", "--p", "0.3",
+        "--seed", "1", "--out", str(inst))
+    run(capsys, "refute", "--in", str(inst), "--z", "4", "--out", str(cert))
+    return inst, cert
+
+
+@pytest.mark.parametrize("command, target, field", [
+    ("refute", "inst", "clauses"), ("refute", "inst", None),
+    ("audit", "inst", "clauses"), ("audit", "inst", None),
+    ("audit", "cert", "n"), ("audit", "cert", None)])
+def test_malformed_file_is_exit_2(tmp_path, capsys, command, target, field):
+    # valid JSON that is not an instance or certificate object: a missing
+    # field, or a top-level list (field None)
+    inst, cert = _xor_files(tmp_path, capsys)
+    path = inst if target == "inst" else cert
+    d = json.loads(path.read_text())
+    if field is None:
+        d = [d]
+    else:
+        del d[field]
+    path.write_text(json.dumps(d))
+    if command == "refute":
+        argv = ["refute", "--in", str(inst), "--out", str(tmp_path / "o")]
+    else:
+        argv = ["audit", "--in", str(inst), "--cert", str(cert)]
+    code, _, stderr = run(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error: malformed")
+
+
+def _console(*argv):
+    # a fresh interpreter under a timeout, so an argument that makes the
+    # command loop forever fails the test instead of hanging the suite
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, "-m", "nbrefute.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-identity", "--n", "1"),
+    ("check-identity", "--n", "0"),
+    ("walks", "--experiment", "rho", "--seeds", "0"),
+])
+def test_degenerate_arguments_are_exit_2(argv):
+    proc = _console(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --")
 
 
 def test_missing_file_is_exit_2(tmp_path, capsys):

@@ -473,12 +473,32 @@ def _dense_xor_steps(I, mode, z):
 def test_refute_xor_matches_dense_chain(monkeypatch, edge_cap, mode):
     # the edge cap 0 sends every certificate down the companion route
     monkeypatch.setattr(certify, "EDGE_ROUTE_CAP", edge_cap)
-    for n, p, seed in ((4, 0.5, 0), (9, 0.4, 1), (12, 0.3, 2), (13, 0.2, 3)):
+    # (30, 0.002, 0) is sparse: 8 clauses touch 52 of A''s 900 vertices
+    for n, p, seed in ((4, 0.5, 0), (9, 0.4, 1), (12, 0.3, 2), (13, 0.2, 3),
+                       (30, 0.002, 0)):
         I = instances.sample_kxor(n, 3, p, seed=seed)
         got = refute.refute_xor(I, mode=mode, z=6).to_json_dict()
         want = _dense_xor_steps(I, mode, 6)
         assert json.dumps(got["steps"]) == json.dumps(want)
         assert got["final_bound"] == want[-1]["value"]
+
+
+def test_edge_route_reads_only_touched_vertices(monkeypatch):
+    seen = []
+    route = certify._lambda_edge_route
+
+    def spy(A_sym, *args):
+        seen.append(A_sym.n)
+        return route(A_sym, *args)
+
+    monkeypatch.setattr(certify, "_lambda_edge_route", spy)
+    I = instances.sample_kxor(30, 3, 0.002, seed=0)
+    refute.refute_xor(I, z=6)
+    main, _ = refute.split(refute.flatten(I))
+    certify.inf_to_one_certificate(main.base, z=6)
+    touched = np.count_nonzero(np.abs(main.base).sum(axis=1))
+    assert touched < main.dim
+    assert seen == [touched, touched]
 
 
 def _no_dense(*args, **kwargs):
