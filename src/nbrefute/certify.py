@@ -1,4 +1,5 @@
-"""Sound certificates for PSD lower bounds and the infinity-to-one norm.
+"""Sound certificates for PSD lower bounds, the infinity-to-one norm and
+the refutation chain's quadratic form.
 
 The certified chain: a scale parameter lambda >= 1 dominating the absolute
 real spectrum of the oriented-edge operator B + L - J (built from +A and -A;
@@ -35,20 +36,39 @@ their transposes and dg the positions (i, i), the orthonormal basis
                         [sqrt2 A[dg,lo],      A[dg,dg]     ]]   q(q+1)/2
   antisymmetric block  A[lo,lo] - A[lo,hi]                      q(q-1)/2
 
-and leaves D - Id diagonal (degrees are swap-invariant too); the
-refutation pipelines build A[lo,lo] and A[lo,hi] of their split matrix
-directly and never the dense A (_inf_to_one_from_swap_parts). The change of
+and leaves D - Id diagonal (degrees are swap-invariant too). The change of
 basis is orthogonal, so the companion matrix is orthogonally similar to the
 direct sum of the two block companions: the spectra agree, and the
 Frobenius norm of a power is the root of the blocks' summed squares. Each
 block product costs 1/8 of a full one. Any other input is a single block.
 
-mode="gelfand" (power norms, rigorous up to floating point) is the default
-for emitted certificates; mode="eig" uses an uncertified dense eigensolve,
-is inflated by (1 + 1e-6), and marks the certificate sound=False.
+For lambda and the norm certificates, mode="gelfand" (power norms,
+rigorous up to floating point) is the default; mode="eig" uses an
+uncertified dense eigensolve, is inflated by (1 + 1e-6), and marks the
+certificate sound=False.
+
+Diagonal witness (the refutation chains). The chains need only the
+one-sided quadratic form max_y y^T A y over sign vectors y, and any
+diagonal W with W - A PSD bounds it by tr W = sum_u w_u. _diagonal_witness
+searches the cone w_u = a + b deg_u (a, b >= 0, rows of zero degree get
+w_u = 0), which holds the paper's lambda + (deg_u - 1)/lambda as the point
+a = lambda - 1/lambda, b = 1/lambda. W is swap-invariant, so W - A is PSD
+exactly when both swap blocks of it are. An uncertified Lanczos estimate
+picks the direction and scale; only a Cholesky factorization counts. If
+floating-point Cholesky of H = fl(W_b - A_b - c Id) runs to completion,
+W_b - A_b is PSD in exact arithmetic for the shift c of _cholesky_shift.
+That is the test of Rump, "Verification of positive definiteness", BIT 46
+(2006), Thm 2.3; the shift here is derived from the backward error of
+Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, which
+gives R^T R = H + dH with |dH| <= gamma_{N+1} |R^T| |R|, so
+||dH||_2 <= gamma_{N+1} ||R||_F^2 <= gamma_{N+1}/(1 - gamma_{N+1}) tr H,
+and it also covers the rounding made forming H and, for non-integer
+weights, the entries of A_b, each with a margin. Such a step is sound with
+rounding included.
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -58,7 +78,16 @@ from . import nonbacktracking
 EIG_MARGIN = 1e-6
 # Maximum oriented-edge count (2m) for the explicit edge-space route.
 EDGE_ROUTE_CAP = 2048
-VALID_METHODS = ("exact", "eigensolve", "gelfand", "brute")
+VALID_METHODS = ("exact", "eigensolve", "gelfand", "brute", "cholesky")
+# Directions w = theta + (1 - theta) deg the witness search compares (the
+# bound is nearly flat in theta below 0.95 on random 3-XOR instances), and
+# the Lanczos steps that estimate the scale along each.
+WITNESS_THETAS = (0.0, 0.5, 0.8, 0.9, 0.95)
+LANCZOS_STEPS = 60
+# Relative margins over the estimated scale, tried in order; the Gershgorin
+# point (1 + last margin) deg + last margin * mean(deg) ends the ladder.
+WITNESS_MARGINS = (1e-3, 1e-2, 1e-1)
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class Certificate:
@@ -96,6 +125,10 @@ class Certificate:
                     raise ValueError(f"step missing field {key!r}: {s}")
             if s["method"] not in VALID_METHODS:
                 raise ValueError(f"unknown step method {s['method']!r}")
+            if (isinstance(s["value"], bool)
+                    or not isinstance(s["value"], numbers.Real)):
+                raise ValueError(f"step value in {s['name']!r} is not a "
+                                 f"number: {s['value']!r}")
             if not np.isfinite(s["value"]):
                 raise ValueError(f"non-finite step value in {s['name']!r}")
         if self.final_bound != self.steps[-1]["value"]:
@@ -267,35 +300,30 @@ def _log_companion_power_norm(dense, degs, z):
     return np.log(v) + log_scale
 
 
-def _lambda(m, negate, dense, blocks, mode, z):
-    """lambda for a matrix with m edges whose first nonzero entry is negative
-    when negate: the edge route on dense(), the matrix restricted to its
-    vertices of nonzero degree, when 2m <= EDGE_ROUTE_CAP, else the companion
-    route on blocks(), its swap blocks with the sign applied."""
+def _dense_lambda(A, mode, z):
+    """(lambda, degrees) of A, validated and normalized by _prep, computed
+    for the sign of A whose first nonzero entry is positive: the edge route
+    on A restricted to its vertices of nonzero degree when 2m <=
+    EDGE_ROUTE_CAP, else the companion route on its swap blocks."""
+    dense, _, degs, m = _prep(A)
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
     if int(z) < 1:
         raise ValueError(f"power count must be >= 1, got {z}")
     if m == 0:
         raise ValueError("empty graph: no edges to certify")
+    negate = _leads_negative(dense)
     if 2 * m <= EDGE_ROUTE_CAP:
-        A_sym = linalg.as_sym_matrix(dense())
+        keep = np.flatnonzero(degs)
+        A_sym = linalg.as_sym_matrix(dense[np.ix_(keep, keep)])
         raw = _lambda_edge_route(A_sym.negated() if negate else A_sym,
                                  mode, z)
     else:
-        raw = _lambda_companion_route(blocks(), mode, z)
+        raw = _lambda_companion_route(_swap_blocks(dense, degs, negate),
+                                      mode, z)
     if mode == "eig":
         raw = raw * (1.0 + EIG_MARGIN)
-    return max(1.0, float(raw))
-
-
-def _dense_lambda(A, mode, z):
-    """(lambda, degrees) of A, validated and normalized by _prep."""
-    dense, _, degs, m = _prep(A)
-    negate = m > 0 and _leads_negative(dense)
-    keep = np.flatnonzero(degs)
-    return _lambda(m, negate, lambda: dense[np.ix_(keep, keep)],
-                   lambda: _swap_blocks(dense, degs, negate), mode, z), degs
+    return max(1.0, float(raw)), degs
 
 
 def lambda_certificate(A, mode="gelfand", z=16):
@@ -334,38 +362,6 @@ def inf_to_one_certificate(A, mode="gelfand", z=16):
     return _trace_certificate(*_dense_lambda(A, mode, z), mode)
 
 
-def _inf_to_one_from_swap_parts(halves, degs, m, negate, mode, z):
-    """inf_to_one_certificate, unvalidated, of a swap-invariant A that is
-    zero on its dg rows, given as halves = [A[lo,lo], A[lo,hi]], its
-    degrees, edge count m and _leads_negative(A). The companion route
-    empties halves: A[lo,lo] is overwritten by the antisymmetric block and
-    A[lo,hi] is dropped once the blocks are formed, so without another
-    reference it is freed before the recurrence."""
-    q = math.isqrt(degs.size)
-
-    def dense():
-        # A[keep, keep] for keep the vertices of nonzero degree: the same
-        # pairs among lo and hi, as degrees are swap-invariant
-        ll, lh = halves
-        lo, hi, _ = _swap_index(q)
-        pick = np.flatnonzero(degs[lo])
-        keep = np.sort(np.concatenate([lo[pick], hi[pick]]))
-        a, b = np.searchsorted(keep, lo[pick]), np.searchsorted(keep, hi[pick])
-        out = np.zeros((keep.size, keep.size))
-        out[np.ix_(a, a)] = out[np.ix_(b, b)] = ll[np.ix_(pick, pick)]
-        out[np.ix_(a, b)] = out[np.ix_(b, a)] = lh[np.ix_(pick, pick)]
-        return out
-
-    def blocks():
-        ll, lh = halves
-        halves.clear()
-        dim = ll.shape[0] + q
-        return _fill_blocks(np.zeros((dim, dim)), ll, lh, degs, negate)
-
-    return _trace_certificate(
-        _lambda(m, negate, dense, blocks, mode, z), degs, mode)
-
-
 def _trace_certificate(lam, degs, mode):
     method = "eigensolve" if mode == "eig" else "gelfand"
     bound = 2.0 * float(np.abs(lam + (degs - 1.0) / lam).sum())
@@ -384,6 +380,155 @@ def _trace_certificate(lam, degs, mode):
          "value": bound, "method": "exact"},
     ]
     return Certificate("inf_to_one", degs.size, steps)
+
+
+def gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff."""
+    return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
+
+
+def _kept_rows(a, d):
+    """(A_b, degs_b) restricted to the rows of nonzero degree: a view when
+    they are a leading range (the symmetric block of a flattened matrix
+    whose lo rows all have edges), else a copy."""
+    keep = np.flatnonzero(d)
+    if keep[-1] == keep.size - 1:
+        return a[:keep.size, :keep.size], d[:keep.size]
+    return a[np.ix_(keep, keep)], d[keep]
+
+
+def _lanczos_top(blocks, thetas):
+    """Top Ritz value of W^(-1/2) A W^(-1/2), A the direct sum of the
+    blocks [(A_b, degs_b)] and W = diag(theta + (1 - theta) degs), for
+    every theta at once, after LANCZOS_STEPS steps from a fixed start: a
+    lower estimate of the largest eigenvalue over all blocks, never
+    certified. One Lanczos vector per row: each A_b is symmetric, and v A_b
+    streams it faster than A_b v^T does."""
+    d = np.concatenate([d for _, d in blocks])
+    ends = np.cumsum([0] + [d.size for _, d in blocks])
+    steps = min(LANCZOS_STEPS, d.size)
+    scale = 1.0 / np.sqrt(thetas[:, None] + np.outer(1.0 - thetas, d))
+    v = np.random.default_rng(0).standard_normal(scale.shape)
+    v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+    prev = np.zeros_like(v)
+    alphas = np.zeros((steps, thetas.size, 1))
+    betas = np.zeros((steps, thetas.size, 1))
+    for j in range(steps):
+        u = scale * v
+        x = np.empty_like(v)
+        for (a, _), lo, hi in zip(blocks, ends, ends[1:]):
+            x[:, lo:hi] = u[:, lo:hi] @ a
+        x *= scale
+        alphas[j] = np.einsum("ij,ij->i", v, x)[:, None]
+        x -= alphas[j] * v
+        if j:
+            x -= betas[j - 1] * prev
+        betas[j] = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+        # a zero residual leaves v = 0, and the steps after it add zeros
+        prev, v = v, x / np.maximum(betas[j], np.finfo(float).tiny)
+    # the scaled operator has norm at most 1/(1 - theta) <= 20, so a
+    # smaller residual means the Krylov space was invariant: the Ritz
+    # values split into independent runs
+    betas[betas < 1e-10] = 0.0
+    i = np.arange(steps)
+    tri = np.zeros((thetas.size, steps, steps))
+    tri[:, i, i] = alphas[:, :, 0].T
+    tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = betas[:-1, :, 0].T
+    return np.linalg.eigvalsh(tri)[:, -1]
+
+
+def _cholesky_shift(w, diag, entry_err):
+    """The shift c for verifying diag(w) - A_b, whose diagonal is w - diag,
+    by Cholesky of fl(diag(w) - A_b - c Id) (module docstring): the
+    backward error gamma/(1 - gamma) tr H with gamma_{N+2} in place of
+    gamma_{N+1} (LAPACK's blocked potrf may divide through a reciprocal,
+    one rounding more) and a factor 2 for the rounding of tr H itself; 3u
+    max |H_uu| for forming the diagonal; entry_err, a bound on the spectral
+    norm of the error in A_b's entries; and an underflow allowance with the
+    smallest normal number, far above every subnormal error."""
+    big = w + np.abs(diag)
+    top = float(big.max())
+    dim = w.size
+    return float(2.0 * gamma(dim + 2) * math.fsum(big.tolist())
+                 + 3.0 * UNIT_ROUNDOFF * top + entry_err
+                 + 4.0 * dim * (2.0 * dim + top) * np.finfo(float).tiny)
+
+
+def _factorizes(neg, diag, w, c):
+    """Whether Cholesky of diag(w) - A_b - c Id runs to completion; neg
+    holds -A_b off its diagonal, which is overwritten."""
+    idx = np.arange(w.size)
+    neg[idx, idx] = (w - c) - diag
+    try:
+        np.linalg.cholesky(neg)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _diagonal_witness(blocks, mode, entry_err=0.0):
+    """Step bounding max_y y^T A y over sign vectors y by tr W for a
+    diagonal W = diag(a + b deg_u) (0 on rows of zero degree) with W - A
+    PSD, verified by one Cholesky per block (module docstring). blocks are
+    the swap blocks [(A_b, degs_b)] of A, overwritten; entry_err bounds the
+    spectral norm of the rounding error in their entries.
+
+    Guide: along each direction theta of WITNESS_THETAS, Lanczos estimates
+    the least scale s with s W_theta - A PSD, W_theta = diag(theta + (1 -
+    theta) deg); the direction minimising s tr W_theta wins. Verify: s (1 +
+    delta) W_theta for delta in WITNESS_MARGINS, then the Gershgorin point,
+    until every block factorizes. mode "eig" labels the step eigensolve
+    (unsound) and is otherwise the same route."""
+    if mode not in ("eig", "gelfand"):
+        raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
+    dims = [d.size for _, d in blocks]
+    blocks = [_kept_rows(a, d) for a, d in blocks]
+    thetas = np.array(WITNESS_THETAS)
+    s = _lanczos_top(blocks, thetas)
+    degs = np.concatenate([d for _, d in blocks])
+    traces = thetas * degs.size + (1.0 - thetas) * degs.sum()
+    best = int(np.argmin(s * traces))
+    estimate = float(s[best])
+    # (theta, sigma) pairs: w = sigma (theta + (1 - theta) deg); the last
+    # is (1 + delta) deg + delta mean(deg), diagonally dominant with a
+    # margin that dwarfs the shift on every row
+    ladder = [(float(thetas[best]), estimate * (1.0 + delta))
+              for delta in WITNESS_MARGINS]
+    extra = WITNESS_MARGINS[-1] * float(degs.mean())
+    ladder.append((extra / (extra + 1.0 + WITNESS_MARGINS[-1]),
+                   extra + 1.0 + WITNESS_MARGINS[-1]))
+    diags = [a.diagonal().copy() for a, _ in blocks]
+    for a, _ in blocks:
+        np.negative(a, out=a)
+    probes = 0
+    for theta, sigma in ladder:
+        a_w, b_w = sigma * theta, sigma * (1.0 - theta)
+        shifts = []
+        for (neg, d), diag in zip(blocks, diags):
+            w = a_w + b_w * d
+            shifts.append(_cholesky_shift(w, diag, entry_err))
+            probes += 1
+            if not _factorizes(neg, diag, w, shifts[-1]):
+                break
+        else:
+            break
+    else:
+        raise np.linalg.LinAlgError(
+            "no diagonal witness factorized, not even the Gershgorin point")
+    weights = np.concatenate([a_w + b_w * d for _, d in blocks])
+    bound = math.nextafter(math.fsum(weights.tolist()), math.inf)
+    return {"name": "trace_bound",
+            "claim": "max_y y^T A' y <= tr W over sign vectors y, for the "
+                     "diagonal W = diag(a + b deg_u) on rows of nonzero "
+                     "degree; W - A' PSD verified by Cholesky of "
+                     "W - A' - c Id on each swap block",
+            "value": bound,
+            "method": "eigensolve" if mode == "eig" else "cholesky",
+            "witness": {"a": a_w, "b": b_w, "theta": theta, "scale": sigma,
+                        "estimate": estimate, "shift": shifts,
+                        "block_dims": dims,
+                        "rows": [d.size for _, d in blocks],
+                        "cholesky_probes": probes}}
 
 
 def audit(A, cert):

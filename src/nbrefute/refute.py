@@ -9,13 +9,20 @@ The k-XOR chain (k odd) is
     A', A'' = split(A)                A' keeps entries whose two tensor-factor
                                       index groups barely overlap; A'' is the
                                       rest, so A = A' + A'' exactly
-    b1  = inf_to_one certificate(A')  from the two swap blocks of A'
+    b1  = tr W, W - A' PSD            diagonal witness on A''s two swap
+                                      blocks, verified by Cholesky
     b2  = sum of |entries| of A''
     N   = sqrt(n * (b1 + b2))         bound on max_x <T, x^(k)>
     U   = 1/2 + N / (2 m k!)          clamped to 1
 
-and opt(I) <= U for every assignment; the pipelines never hold A, as row
-slabs of V V^T go straight into A''s swap blocks, its degrees and b2. The
+and opt(I) <= U for every assignment. By Cauchy-Schwarz over the middle
+index, <T, x^(k)>^2 <= n y^T A y for y = x^(k-1), a sign vector, and
+y^T A y = y^T A' y + y^T A'' y <= b1 + b2: the chain needs only the
+one-sided quadratic form of A', which any diagonal W >= A' bounds by its
+trace (certify._diagonal_witness). In the default mode the certificate is
+sound with floating-point rounding included in that step. The pipelines
+never hold A, as row slabs of V V^T go straight into A''s swap blocks, its
+degrees and b2. The
 CSP(P) chain decomposes P into its multilinear expansion, bounds each
 degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
 scaled by n^(d/2), and routes the degree-k part through the XOR chain after
@@ -129,11 +136,14 @@ def _swap_middle(x, q):
 
 def _slabs(V, q):
     """Row slabs of V V^T, one BLAS product per chunk of first half-indices
-    alpha, each at most SLAB_BYTES: yields (a0, a1, rows a0*q .. a1*q-1)."""
+    alpha, each at most SLAB_BYTES: yields (a0, a1, rows a0*q .. a1*q-1),
+    skipping slabs whose rows of V are all zero (so are the slab's)."""
     step = max(1, SLAB_BYTES // (8 * q * len(V)))
     for a0 in range(0, q, step):
         a1 = min(q, a0 + step)
-        yield a0, a1, V[a0 * q:a1 * q] @ V.T
+        rows = V[a0 * q:a1 * q]
+        if rows.any():
+            yield a0, a1, rows @ V.T
 
 
 def flatten(I):
@@ -151,7 +161,7 @@ def flatten(I):
             f"flatten infeasible: dense dimension {dim} exceeds cap "
             f"{FLATTEN_DIM_CAP}")
     q = n ** ((k - 1) // 2)
-    base = np.empty((dim, dim))
+    base = np.zeros((dim, dim))
     for a0, a1, slab in _slabs(_unfolding(I), q):
         base[a0 * q:a1 * q] = _swap_middle(slab, q)
     return FlattenedMatrix(base, n, k)
@@ -175,9 +185,9 @@ def _swap_parts(I):
     """What the XOR chain reads of the split flatten(I) = A' + A'', built
     from row slabs of V V^T without the dense matrix: A'[lo,lo] and
     A'[lo,hi] in certify's swap-block layout, the degrees of A' in row
-    order, its edge count, whether its first nonzero entry (row-major) is
-    negative, and b2 = sum |A''|. On a slab the split condition reads: the
-    row's and the column's fragments share at least (k-1)/2 indices."""
+    order, b2 = sum |A''|, and a bound on the rounding error of the swap
+    blocks (_entry_error). On a slab the split condition reads: the row's
+    and the column's fragments share at least (k-1)/2 indices."""
     n, h = I.n, (I.k - 1) // 2
     q = n ** h
     if q * (q + 1) // 2 > BLOCK_DIM_CAP:
@@ -186,13 +196,12 @@ def _swap_parts(I):
             f"exceeds cap {BLOCK_DIM_CAP}")
     digits = _digits(n, I.k)
     lo, hi, _ = certify._swap_index(q)
-    ll = np.empty((lo.size, lo.size))
-    lh = np.empty((lo.size, lo.size))
-    degs = np.empty(q * q)
-    residual = []
-    nnz = 0
-    negate = False
-    for a0, a1, slab in _slabs(_unfolding(I), q):
+    ll = np.zeros((lo.size, lo.size))
+    lh = np.zeros((lo.size, lo.size))
+    degs = np.zeros(q * q)
+    residual = [np.zeros(0)]
+    V = _unfolding(I)
+    for a0, a1, slab in _slabs(V, q):
         drop = np.flatnonzero(
             _overlap_at_least(digits[a0 * q:a1 * q], digits, h, n))
         flat = slab.reshape(-1)
@@ -200,14 +209,29 @@ def _swap_parts(I):
         flat[drop] = 0.0
         rows = _swap_middle(slab, q)
         degs[a0 * q:a1 * q] = np.abs(rows, out=slab).sum(axis=1)
-        if nnz == 0:
-            negate = certify._leads_negative(rows)
-        nnz += np.count_nonzero(rows)
         i0, i1 = np.searchsorted(lo // q, [a0, a1])
         local = lo[i0:i1] - a0 * q
         ll[i0:i1] = rows[np.ix_(local, lo)]
         lh[i0:i1] = rows[np.ix_(local, hi)]
-    return ll, lh, degs, nnz // 2, negate, _abs_fsum(np.concatenate(residual))
+    return (ll, lh, degs, _abs_fsum(np.concatenate(residual)),
+            _entry_error(V, q))
+
+
+def _entry_error(V, q):
+    """Bound on the spectral norm of the rounding error in the swap blocks
+    A'[lo,lo] +- A'[lo,hi] built from V V^T: 0 when V holds integers small
+    enough for every sum to be exact (the +-1 XOR weights), else
+    gamma_{n+1} times the largest absolute row sum of the swapped
+    |V| |V|^T, doubled for the rounding of that bound itself. Row
+    (alpha, beta) of it sums to (P P^T)[alpha, beta] with P[alpha, l] =
+    sum_alpha' |V[(alpha, alpha'), l]|."""
+    n = V.shape[1]
+    absV = np.abs(V)
+    if (np.array_equal(V, np.round(V))
+            and 2 * n * float(absV.max()) ** 2 < 2.0 ** 53):
+        return 0.0
+    P = absV.reshape(q, q, n).sum(axis=1)
+    return 2.0 * certify.gamma(n + 1) * float((P @ P.T).max())
 
 
 def _abs_fsum(values):
@@ -224,24 +248,25 @@ def _step(name, claim, value, method="exact"):
     return {"name": name, "claim": claim, "value": value, "method": method}
 
 
-def _xor_chain(I, mode, z, prefix):
+def _xor_chain(I, mode, prefix):
     """The XOR chain's steps through b2 and sqrt(n (b1 + b2)). Step names
-    start with prefix; A''s certificate steps with prefix or "main_"."""
-    # halves = [A'[lo,lo], A'[lo,hi]], handed over so that A'[lo,hi] is
-    # freed once the certificate has formed the swap blocks
-    *halves, degs, m, negate, b2 = _swap_parts(I)
-    if m == 0:
+    start with prefix; A''s witness step with prefix or "main_"."""
+    ll, lh, degs, b2, entry_err = _swap_parts(I)
+    if not degs.any():
         b1 = 0.0
         steps = [_step(f"{prefix}main_empty", "the split kept no entries, "
-                       "so norm_inf_to_one(A') = 0", 0.0)]
+                       "so max_y y^T A' y = 0", 0.0)]
     else:
-        cert1 = certify._inf_to_one_from_swap_parts(halves, degs, m, negate,
-                                                    mode, z)
-        b1 = cert1.final_bound
-        steps = [dict(s, name=(prefix or "main_") + s["name"])
-                 for s in cert1.steps]
+        q = math.isqrt(degs.size)
+        blocks = certify._fill_blocks(np.zeros((ll.shape[0] + q,) * 2),
+                                      ll, lh, degs, False)
+        # A'[lo,hi] is dead once the blocks are formed
+        del ll, lh
+        step = certify._diagonal_witness(blocks, mode, entry_err)
+        b1 = step["value"]
+        steps = [dict(step, name=(prefix or "main_") + step["name"])]
     steps.append(_step(f"{prefix}residual_bound",
-                       "norm_inf_to_one(A'') <= sum of |entries| of A''", b2))
+                       "max_y y^T A'' y <= sum of |entries| of A''", b2))
     return steps, math.sqrt(I.n * (b1 + b2))
 
 
@@ -249,14 +274,15 @@ def refute_xor(I, mode="gelfand", z=16):
     """Certified upper bound on the optimum of a k-XOR instance (k odd).
 
     Returns a Certificate of kind xor_refutation whose final bound U
-    satisfies opt(I) <= U, with U < 1 flagged as informative. mode and z are
-    passed through to the spectral certificates; mode "eig" marks the
-    certificate unsound.
+    satisfies opt(I) <= U, with U < 1 flagged as informative. The chain's
+    one spectral step is the Cholesky-verified diagonal witness; mode "eig"
+    runs the same route but marks the certificate unsound. z, the power
+    count of the CSP pipeline's spectral-norm bounds, is only recorded.
     """
     _require_odd_arity(I.k)
     if I.m == 0:
         raise ValueError("no clauses to refute")
-    steps, poly = _xor_chain(I, mode, z, "")
+    steps, poly = _xor_chain(I, mode, "")
     steps.append(_step("polynomial_bound",
                        "max_x <T, x^(k)> <= sqrt(n * (bound(A') + "
                        "bound(A''))) over sign assignments", poly))
@@ -389,7 +415,7 @@ def refute_csp(I, mode="gelfand", z=16):
                                "the resulting bound", W))
             tilde = {key: w / W for key, w in supp_w.items()}
             chain, poly = _xor_chain(instances.XorInstance(n, k, tilde),
-                                     mode, z, "degree_k_")
+                                     mode, "degree_k_")
             steps += chain
             bound_k = W * poly / math.factorial(k)
             steps.append(_step("degree_k_bound", "the non-degenerate "

@@ -201,6 +201,18 @@ def test_malformed_file_is_exit_2(tmp_path, capsys, command, target, field):
     assert stderr.startswith("error: malformed")
 
 
+@pytest.mark.parametrize("value", ["abc", True])
+def test_audit_non_numeric_step_value_is_exit_2(tmp_path, capsys, value):
+    inst, cert = _xor_files(tmp_path, capsys)
+    d = json.loads(cert.read_text())
+    d["steps"][0]["value"] = value
+    cert.write_text(json.dumps(d))
+    code, _, stderr = run(capsys, "audit", "--in", str(inst),
+                          "--cert", str(cert))
+    assert code == 2
+    assert "is not a number" in stderr
+
+
 def _console(*argv):
     # a fresh interpreter under a timeout, so an argument that makes the
     # command loop forever fails the test instead of hanging the suite

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -376,12 +377,11 @@ def test_audit_rejects_unknown_kind():
 
 
 def _dense_parts(I):
-    """The dense reference for everything _swap_parts returns: the split
-    of flatten(I), its degrees, edge count and leading sign, and b2."""
+    """The dense reference for what _swap_parts returns: the split of
+    flatten(I), its degrees, and b2."""
     main, residual = refute.split(refute.flatten(I))
-    dense, _, degs, m = certify._prep(main.base)
-    return dense, degs, m, certify._leads_negative(dense), \
-        refute.residual_bound(residual)
+    dense, _, degs, _ = certify._prep(main.base)
+    return dense, degs, refute.residual_bound(residual)
 
 
 def _degree_k_instance(J):
@@ -416,15 +416,17 @@ def _builder_cases():
                          ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
 def test_swap_parts_match_dense_split(monkeypatch, I, slab_bytes):
     monkeypatch.setattr(refute, "SLAB_BYTES", slab_bytes)
-    dense, degs, m, negate, b2 = _dense_parts(I)
-    ll, lh, parts_degs, parts_m, parts_negate, parts_b2 = \
-        refute._swap_parts(I)
+    dense, degs, b2 = _dense_parts(I)
+    ll, lh, parts_degs, parts_b2, entry_err = refute._swap_parts(I)
     np.testing.assert_array_equal(parts_degs, degs)
-    assert (parts_m, parts_negate, parts_b2) == (m, negate, b2)
+    assert parts_b2 == b2
+    # +-1 weights give integer entries, summed exactly
+    assert (entry_err == 0.0) == all(abs(w) == 1.0
+                                     for w in I.clauses.values())
     q = I.n ** ((I.k - 1) // 2)
     mine = certify._fill_blocks(np.zeros((ll.shape[0] + q,) * 2), ll, lh,
-                                parts_degs, parts_negate)
-    ref = certify._swap_blocks(dense, degs, negate)
+                                parts_degs, False)
+    ref = certify._swap_blocks(dense, degs)
     assert len(ref) == len(mine) == 2
     for (a, d), (b, e) in zip(mine, ref):
         np.testing.assert_array_equal(a, b)
@@ -437,23 +439,34 @@ def test_swap_parts_rescaled_weights_are_not_signs():
     assert weights - {1.0}
 
 
-def _dense_xor_steps(I, mode, z):
-    """refute_xor's steps recomputed from flatten, split,
-    inf_to_one_certificate and residual_bound."""
-    main, residual = refute.split(refute.flatten(I))
-    if np.count_nonzero(main.base) == 0:
+def _dense_witness(I, mode):
+    """A', its degrees and the witness step certify._diagonal_witness
+    makes on the swap blocks of the dense split of flatten(I) (None when
+    the split keeps nothing)."""
+    main, _ = refute.split(refute.flatten(I))
+    dense, _, degs, _ = certify._prep(main.base)
+    if not degs.any():
+        return dense, degs, None
+    step = certify._diagonal_witness(certify._swap_blocks(dense, degs), mode)
+    return dense, degs, step
+
+
+def _dense_xor_steps(I, mode):
+    """refute_xor's steps recomputed from flatten, split, the diagonal
+    witness on the dense split's swap blocks, and residual_bound."""
+    _, _, step = _dense_witness(I, mode)
+    if step is None:
         b1 = 0.0
         steps = [{"name": "main_empty",
                   "claim": "the split kept no entries, so "
-                           "norm_inf_to_one(A') = 0",
+                           "max_y y^T A' y = 0",
                   "value": 0.0, "method": "exact"}]
     else:
-        cert = certify.inf_to_one_certificate(main.base, mode=mode, z=z)
-        b1 = cert.final_bound
-        steps = [dict(s, name="main_" + s["name"]) for s in cert.steps]
-    b2 = refute.residual_bound(residual)
+        b1 = step["value"]
+        steps = [dict(step, name="main_" + step["name"])]
+    b2 = refute.residual_bound(refute.split(refute.flatten(I))[1])
     steps.append({"name": "residual_bound",
-                  "claim": "norm_inf_to_one(A'') <= sum of |entries| of A''",
+                  "claim": "max_y y^T A'' y <= sum of |entries| of A''",
                   "value": b2, "method": "exact"})
     poly = math.sqrt(I.n * (b1 + b2))
     steps.append({"name": "polynomial_bound",
@@ -471,14 +484,15 @@ def _dense_xor_steps(I, mode, z):
 @pytest.mark.parametrize("edge_cap", [certify.EDGE_ROUTE_CAP, 0])
 @pytest.mark.parametrize("mode", ["gelfand", "eig"])
 def test_refute_xor_matches_dense_chain(monkeypatch, edge_cap, mode):
-    # the edge cap 0 sends every certificate down the companion route
+    # the chain goes through no lambda route, so the edge cap that splits
+    # them changes nothing
     monkeypatch.setattr(certify, "EDGE_ROUTE_CAP", edge_cap)
     # (30, 0.002, 0) is sparse: 8 clauses touch 52 of A''s 900 vertices
     for n, p, seed in ((4, 0.5, 0), (9, 0.4, 1), (12, 0.3, 2), (13, 0.2, 3),
                        (30, 0.002, 0)):
         I = instances.sample_kxor(n, 3, p, seed=seed)
         got = refute.refute_xor(I, mode=mode, z=6).to_json_dict()
-        want = _dense_xor_steps(I, mode, 6)
+        want = _dense_xor_steps(I, mode)
         assert json.dumps(got["steps"]) == json.dumps(want)
         assert got["final_bound"] == want[-1]["value"]
 
@@ -498,7 +512,101 @@ def test_edge_route_reads_only_touched_vertices(monkeypatch):
     certify.inf_to_one_certificate(main.base, z=6)
     touched = np.count_nonzero(np.abs(main.base).sum(axis=1))
     assert touched < main.dim
-    assert seen == [touched, touched]
+    # the refutation chain no longer goes through lambda at all
+    assert seen == [touched]
+
+
+def _witness_matrix(step, degs):
+    """W of an emitted witness step: a + b deg_u on rows of nonzero
+    degree, 0 elsewhere."""
+    w = step["witness"]
+    return np.diag(np.where(degs > 0, w["a"] + w["b"] * degs, 0.0))
+
+
+@pytest.mark.parametrize("n, p, seed", [(9, 0.5, 0), (12, 0.3, 1),
+                                        (14, 0.2, 2), (14, 0.5, 3)])
+def test_diagonal_witness_is_psd(n, p, seed):
+    I = instances.sample_kxor(n, 3, p, seed=seed)
+    main, degs, step = _dense_witness(I, "gelfand")
+    keep = degs > 0
+    gap = (_witness_matrix(step, degs) - main)[np.ix_(keep, keep)]
+    assert np.linalg.eigvalsh(gap).min() >= 0.0
+    # tr W is what the step claims, rounded up
+    trace = math.fsum(np.diag(_witness_matrix(step, degs)).tolist())
+    assert trace <= step["value"] <= math.nextafter(trace, math.inf)
+
+
+def test_diagonal_witness_check_is_not_vacuous():
+    # the verified scale sits within the first margin of the least
+    # feasible one: 1% below it the factorization fails
+    I = instances.sample_kxor(14, 3, 0.5, seed=3)
+    main, degs, step = _dense_witness(I, "gelfand")
+    w = step["witness"]
+    assert w["cholesky_probes"] == 2
+    blocks = [certify._kept_rows(-a, d)
+              for a, d in certify._swap_blocks(main, degs)]
+
+    def factorizes(sigma):
+        a_w, b_w = sigma * w["theta"], sigma * (1.0 - w["theta"])
+        return all(certify._factorizes(
+            neg, np.zeros(d.size), a_w + b_w * d,
+            certify._cholesky_shift(a_w + b_w * d, np.zeros(d.size), 0.0))
+            for neg, d in blocks)
+
+    assert factorizes(w["scale"])
+    assert not factorizes(w["scale"] * (1.0 - 1e-2))
+
+
+def test_diagonal_witness_falls_back_to_gershgorin(monkeypatch):
+    # one Lanczos step is a Rayleigh quotient of the random start, far
+    # below the least feasible scale, so every guided rung fails and the
+    # Gershgorin point ends the ladder
+    monkeypatch.setattr(certify, "LANCZOS_STEPS", 1)
+    I = instances.sample_kxor(12, 3, 0.5, seed=2)
+    cert = refute.refute_xor(I, z=6)
+    w = next(s for s in cert.steps if "witness" in s)["witness"]
+    assert w["cholesky_probes"] > len(certify.WITNESS_MARGINS)
+    assert w["b"] == pytest.approx(1.0 + certify.WITNESS_MARGINS[-1])
+    assert cert.final_bound >= instances.brute_opt(I) - 1e-12
+
+
+def _witness_dominance_cases():
+    cases = [instances.sample_kxor(n, 3, p, seed=seed)
+             for n in (9, 12, 14) for p in (0.2, 0.5) for seed in range(15)]
+    cases += [instances.sample_csp(instances.predicate_table(name, 3), 12, 3,
+                                   p, seed=seed)
+              for name in ("3sat", "parity") for p, seed in ((0.02, 0),
+                                                             (0.05, 1))]
+    return cases
+
+
+def test_witness_chain_dominates_brute_force():
+    informative = 0
+    for I in _witness_dominance_cases():
+        if hasattr(I, "clauses"):
+            cert, opt = refute.refute_xor(I, z=6), instances.brute_opt(I)
+        else:
+            cert, opt = refute.refute_csp(I, z=6), instances.csp_brute_opt(I)
+        assert cert.sound
+        assert cert.final_bound >= opt - 1e-12, (I.n, I.m, cert.final_bound,
+                                                 opt)
+        informative += cert.informative
+    assert informative > 0
+
+
+def _digest(cert):
+    return hashlib.sha256(json.dumps(cert.to_json_dict(), sort_keys=True)
+                          .encode()).hexdigest()
+
+
+def test_refutations_rerun_byte_identical():
+    I = instances.sample_kxor(30, 3, 0.02, seed=4)
+    J = instances.sample_csp(instances.predicate_table("3sat"), 16, 3, 0.02,
+                             seed=5)
+    for refute_fn, inst in ((refute.refute_xor, I), (refute.refute_csp, J)):
+        first, second = refute_fn(inst, z=6), refute_fn(inst, z=6)
+        assert _digest(first) == _digest(second)
+        assert any("witness" in s for s in first.steps)
 
 
 def _no_dense(*args, **kwargs):
