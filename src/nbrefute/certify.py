@@ -25,46 +25,34 @@ bound ||M^z||_F^(1/z) of its operator M:
 The +-1 eigenvalues sit below the lambda floor of 1, so both routes certify
 the same inequality; the route is chosen by edge count and is deterministic.
 
-Swap blocks. When the dimension is q^2 and A is exactly invariant under the
-index transpose (i, j) -> (j, i) on the q x q grid (every flattened k = 3
-and k >= 5 matrix is), the companion route runs on two diagonal blocks
-instead of the full matrix. With lo/hi the grid positions (i, j), i < j, and
-their transposes and dg the positions (i, i), the orthonormal basis
-(e_lo + e_hi)/sqrt2, e_dg, (e_lo - e_hi)/sqrt2 turns A into
-
-  symmetric block      [[A[lo,lo] + A[lo,hi], sqrt2 A[lo,dg]],
-                        [sqrt2 A[dg,lo],      A[dg,dg]     ]]   q(q+1)/2
-  antisymmetric block  A[lo,lo] - A[lo,hi]                      q(q-1)/2
-
-and leaves D - Id diagonal (degrees are swap-invariant too). The change of
-basis is orthogonal, so the companion matrix is orthogonally similar to the
-direct sum of the two block companions: the spectra agree, and the
-Frobenius norm of a power is the root of the blocks' summed squares. Each
-block product costs 1/8 of a full one. Any other input is a single block.
-
 For lambda and the norm certificates, mode="gelfand" (power norms,
 rigorous up to floating point) is the default; mode="eig" uses an
 uncertified dense eigensolve, is inflated by (1 + 1e-6), and marks the
 certificate sound=False.
 
 Diagonal witness (the refutation chains). The chains need only the
-one-sided quadratic form max_y y^T A y over sign vectors y, and any
-diagonal W with W - A PSD bounds it by tr W = sum_u w_u. _diagonal_witness
-searches the cone w_u = a + b deg_u (a, b >= 0, rows of zero degree get
-w_u = 0), which holds the paper's lambda + (deg_u - 1)/lambda as the point
-a = lambda - 1/lambda, b = 1/lambda. W is swap-invariant, so W - A is PSD
-exactly when both swap blocks of it are. An uncertified Lanczos estimate
-picks the direction and scale; only a Cholesky factorization counts. If
-floating-point Cholesky of H = fl(W_b - A_b - c Id) runs to completion,
-W_b - A_b is PSD in exact arithmetic for the shift c of _cholesky_shift.
-That is the test of Rump, "Verification of positive definiteness", BIT 46
-(2006), Thm 2.3; the shift here is derived from the backward error of
-Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, which
-gives R^T R = H + dH with |dH| <= gamma_{N+1} |R^T| |R|, so
-||dH||_2 <= gamma_{N+1} ||R||_F^2 <= gamma_{N+1}/(1 - gamma_{N+1}) tr H,
-and it also covers the rounding made forming H and, for non-integer
-weights, the entries of A_b, each with a margin. Such a step is sound with
-rounding included.
+one-sided quadratic form y^T A y at y = x^(k-1) for sign vectors x, and
+that y is unchanged by the swap (alpha, beta) -> (beta, alpha) of its row
+pairs. With lo the pair rows alpha < beta, hi their swaps, and A zero on
+the rows (alpha, alpha) and invariant under the swap (the split main part
+of a flattened matrix is both), y^T A y = 2 y_lo^T A_sym y_lo for the
+pairs x pairs matrix A_sym = A[lo,lo] + A[lo,hi]. Any w with diag(w) -
+A_sym PSD therefore bounds the form by tr W = 2 sum_u w_u, W the
+swap-invariant diagonal that copies w onto both lo and hi.
+_diagonal_witness searches the cone w_u = a + b deg_u (a, b >= 0, rows of
+zero degree get w_u = 0), which holds the paper's lambda + (deg_u -
+1)/lambda as the point a = lambda - 1/lambda, b = 1/lambda. An uncertified
+Lanczos estimate picks the direction and scale; only a Cholesky
+factorization counts. If floating-point Cholesky of
+H = fl(diag(w) - A_sym - c Id) runs to completion, diag(w) - A_sym is PSD
+in exact arithmetic for the shift c of _cholesky_shift. That is the test
+of Rump, "Verification of positive definiteness", BIT 46 (2006), Thm 2.3;
+the shift here is derived from the backward error of Higham, Accuracy and
+Stability of Numerical Algorithms, Thm 10.3, which gives R^T R = H + dH
+with |dH| <= gamma_{N+1} |R^T| |R|, so ||dH||_2 <= gamma_{N+1} ||R||_F^2
+<= gamma_{N+1}/(1 - gamma_{N+1}) tr H, and it also covers the rounding
+made forming H and, for non-integer weights, the entries of A_sym, each
+with a margin. Such a step is sound with rounding included.
 """
 
 import math
@@ -178,46 +166,6 @@ def _leads_negative(dense):
     return bool(flat[np.argmax(flat != 0)] < 0)
 
 
-def _swap_index(q):
-    """Row ids of the q x q grid positions lo = (i, j) with i < j, their
-    transposes hi = (j, i) and the diagonal dg = (i, i)."""
-    a, b = np.triu_indices(q, 1)
-    return a * q + b, b * q + a, np.arange(q) * (q + 1)
-
-
-def _swap_blocks(dense, degs, negate=False):
-    """Diagonal blocks [(A_b, degs_b)] of dense (negated when asked) in the
-    swap basis of the module docstring: two blocks when the dimension is
-    q^2 and dense is exactly transpose-invariant on the q x q grid, else
-    one block holding dense itself."""
-    dim = dense.shape[0]
-    q = math.isqrt(dim)
-    grid = dense.reshape(q, q, q, q) if q >= 2 and q * q == dim else None
-    if grid is None or not np.array_equal(grid, grid.transpose(1, 0, 3, 2)):
-        return [(-dense if negate else dense, degs)]
-    lo, hi, dg = _swap_index(q)
-    pairs = lo.size
-    sym = np.empty((pairs + q, pairs + q))
-    sym[:pairs, pairs:] = math.sqrt(2.0) * dense[np.ix_(lo, dg)]
-    sym[pairs:, :pairs] = math.sqrt(2.0) * dense[np.ix_(dg, lo)]
-    sym[pairs:, pairs:] = dense[np.ix_(dg, dg)]
-    return _fill_blocks(sym, dense[np.ix_(lo, lo)], dense[np.ix_(lo, hi)],
-                        degs, negate)
-
-
-def _fill_blocks(sym, ll, lh, degs, negate):
-    """Swap blocks from ll = A[lo,lo], lh = A[lo,hi]: ll + lh into the top
-    left of sym (its dg part set by the caller), ll - lh over ll."""
-    pairs = ll.shape[0]
-    lo, _, dg = _swap_index(sym.shape[0] - pairs)
-    np.add(ll, lh, out=sym[:pairs, :pairs])
-    anti = np.subtract(ll, lh, out=ll)
-    if negate:
-        np.negative(sym, out=sym)
-        np.negative(anti, out=anti)
-    return [(sym, degs[np.concatenate([lo, dg])]), (anti, degs[lo])]
-
-
 def companion_matrix(dense, degs):
     """The 2n x 2n block companion [[A, -(D-Id)], [Id, 0]] whose spectrum is
     the root set of det(x^2 Id - xA + (D - Id))."""
@@ -234,8 +182,8 @@ def _max_abs_real_eig(M):
     return max(vals) if vals else 0.0
 
 
-def _lambda_edge_route(A_sym, mode, z):
-    G = nonbacktracking.build(A_sym)
+def _lambda_edge_route(A, mode, z):
+    G = nonbacktracking.build(A)
     M = G.B + G.L
     M -= G.J
     # the bundle's own 2m x 2m matrices are dead past this point
@@ -245,25 +193,18 @@ def _lambda_edge_route(A_sym, mode, z):
     return linalg.spectral_radius_upper(M, z)
 
 
-def _lambda_companion_route(blocks, mode, z):
-    """Spectral bound for the companion of the direct sum of the diagonal
-    blocks [(A_b, degs_b)]: the max over block companions in eig mode, else
-    ||C^z||_F^(1/z) with the per-block norms combined in the log domain."""
+def _lambda_companion_route(dense, degs, mode, z):
+    """Spectral bound for the companion matrix of (dense, degs): its
+    largest absolute real eigenvalue in eig mode, else ||C^z||_F^(1/z)."""
     if mode == "eig":
-        return max(_max_abs_real_eig(companion_matrix(a, d))
-                   for a, d in blocks)
-    logs = np.array([_log_companion_power_norm(a, d, z) for a, d in blocks])
-    top = logs.max()
-    if top == -np.inf:
-        return 0.0
-    top += 0.5 * np.log(np.exp(2.0 * (logs - top)).sum())
-    return float(np.exp(top / z))
+        return _max_abs_real_eig(companion_matrix(dense, degs))
+    return _companion_power_bound(dense, degs, z)
 
 
 def _companion_power_bound(dense, degs, z):
-    """||C^z||_F^(1/z) for the companion matrix C of (dense, degs), run on
-    its swap blocks."""
-    return _lambda_companion_route(_swap_blocks(dense, degs), "gelfand", z)
+    """||C^z||_F^(1/z) for the companion matrix C of (dense, degs)."""
+    log = _log_companion_power_norm(dense, degs, z)
+    return 0.0 if log == -np.inf else float(np.exp(log / z))
 
 
 def _log_companion_power_norm(dense, degs, z):
@@ -304,7 +245,7 @@ def _dense_lambda(A, mode, z):
     """(lambda, degrees) of A, validated and normalized by _prep, computed
     for the sign of A whose first nonzero entry is positive: the edge route
     on A restricted to its vertices of nonzero degree when 2m <=
-    EDGE_ROUTE_CAP, else the companion route on its swap blocks."""
+    EDGE_ROUTE_CAP, else the companion route on A."""
     dense, _, degs, m = _prep(A)
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
@@ -315,11 +256,10 @@ def _dense_lambda(A, mode, z):
     negate = _leads_negative(dense)
     if 2 * m <= EDGE_ROUTE_CAP:
         keep = np.flatnonzero(degs)
-        A_sym = linalg.as_sym_matrix(dense[np.ix_(keep, keep)])
-        raw = _lambda_edge_route(A_sym.negated() if negate else A_sym,
-                                 mode, z)
+        sub = dense[np.ix_(keep, keep)]
+        raw = _lambda_edge_route(-sub if negate else sub, mode, z)
     else:
-        raw = _lambda_companion_route(_swap_blocks(dense, degs, negate),
+        raw = _lambda_companion_route(-dense if negate else dense, degs,
                                       mode, z)
     if mode == "eig":
         raw = raw * (1.0 + EIG_MARGIN)
@@ -387,25 +327,28 @@ def gamma(k):
     return k * UNIT_ROUNDOFF / (1.0 - k * UNIT_ROUNDOFF)
 
 
+def round_up(x):
+    """The next float above x: at least the exact value of the one
+    round-to-nearest operation that produced x."""
+    return math.nextafter(x, math.inf)
+
+
 def _kept_rows(a, d):
-    """(A_b, degs_b) restricted to the rows of nonzero degree: a view when
-    they are a leading range (the symmetric block of a flattened matrix
-    whose lo rows all have edges), else a copy."""
+    """(a, d) restricted to the rows of nonzero degree: a view when they
+    are a leading range (every pair row of a dense instance has edges),
+    else a copy."""
     keep = np.flatnonzero(d)
     if keep[-1] == keep.size - 1:
         return a[:keep.size, :keep.size], d[:keep.size]
     return a[np.ix_(keep, keep)], d[keep]
 
 
-def _lanczos_top(blocks, thetas):
-    """Top Ritz value of W^(-1/2) A W^(-1/2), A the direct sum of the
-    blocks [(A_b, degs_b)] and W = diag(theta + (1 - theta) degs), for
-    every theta at once, after LANCZOS_STEPS steps from a fixed start: a
-    lower estimate of the largest eigenvalue over all blocks, never
-    certified. One Lanczos vector per row: each A_b is symmetric, and v A_b
-    streams it faster than A_b v^T does."""
-    d = np.concatenate([d for _, d in blocks])
-    ends = np.cumsum([0] + [d.size for _, d in blocks])
+def _lanczos_top(a, d, thetas):
+    """Top Ritz value of W^(-1/2) a W^(-1/2), W = diag(theta + (1 - theta)
+    d), for every theta at once, after LANCZOS_STEPS steps from a fixed
+    start: a lower estimate of the largest eigenvalue, never certified.
+    One Lanczos vector per row: a is symmetric, and v a streams it faster
+    than a v^T does."""
     steps = min(LANCZOS_STEPS, d.size)
     scale = 1.0 / np.sqrt(thetas[:, None] + np.outer(1.0 - thetas, d))
     v = np.random.default_rng(0).standard_normal(scale.shape)
@@ -414,10 +357,7 @@ def _lanczos_top(blocks, thetas):
     alphas = np.zeros((steps, thetas.size, 1))
     betas = np.zeros((steps, thetas.size, 1))
     for j in range(steps):
-        u = scale * v
-        x = np.empty_like(v)
-        for (a, _), lo, hi in zip(blocks, ends, ends[1:]):
-            x[:, lo:hi] = u[:, lo:hi] @ a
+        x = (scale * v) @ a
         x *= scale
         alphas[j] = np.einsum("ij,ij->i", v, x)[:, None]
         x -= alphas[j] * v
@@ -438,13 +378,13 @@ def _lanczos_top(blocks, thetas):
 
 
 def _cholesky_shift(w, diag, entry_err):
-    """The shift c for verifying diag(w) - A_b, whose diagonal is w - diag,
-    by Cholesky of fl(diag(w) - A_b - c Id) (module docstring): the
+    """The shift c for verifying diag(w) - A_sym, whose diagonal is w -
+    diag, by Cholesky of fl(diag(w) - A_sym - c Id) (module docstring): the
     backward error gamma/(1 - gamma) tr H with gamma_{N+2} in place of
     gamma_{N+1} (LAPACK's blocked potrf may divide through a reciprocal,
     one rounding more) and a factor 2 for the rounding of tr H itself; 3u
     max |H_uu| for forming the diagonal; entry_err, a bound on the spectral
-    norm of the error in A_b's entries; and an underflow allowance with the
+    norm of the error in A_sym's entries; and an underflow allowance with the
     smallest normal number, far above every subnormal error."""
     big = w + np.abs(diag)
     top = float(big.max())
@@ -455,8 +395,8 @@ def _cholesky_shift(w, diag, entry_err):
 
 
 def _factorizes(neg, diag, w, c):
-    """Whether Cholesky of diag(w) - A_b - c Id runs to completion; neg
-    holds -A_b off its diagonal, which is overwritten."""
+    """Whether Cholesky of diag(w) - A_sym - c Id runs to completion; neg
+    holds -A_sym off its diagonal, which is overwritten."""
     idx = np.arange(w.size)
     neg[idx, idx] = (w - c) - diag
     try:
@@ -466,26 +406,26 @@ def _factorizes(neg, diag, w, c):
     return True
 
 
-def _diagonal_witness(blocks, mode, entry_err=0.0):
-    """Step bounding max_y y^T A y over sign vectors y by tr W for a
-    diagonal W = diag(a + b deg_u) (0 on rows of zero degree) with W - A
-    PSD, verified by one Cholesky per block (module docstring). blocks are
-    the swap blocks [(A_b, degs_b)] of A, overwritten; entry_err bounds the
-    spectral norm of the rounding error in their entries.
+def _diagonal_witness(sym, degs, mode, entry_err=0.0):
+    """Step bounding max_y y^T A y over swap-invariant sign vectors y by
+    tr W = 2 sum_u w_u for w_u = a + b deg_u (0 on rows of zero degree)
+    with diag(w) - A_sym PSD, verified by one Cholesky (module docstring).
+    sym is A_sym = A[lo,lo] + A[lo,hi], overwritten; degs are the degrees
+    of A's lo rows; entry_err bounds the spectral norm of the rounding
+    error in sym's entries.
 
     Guide: along each direction theta of WITNESS_THETAS, Lanczos estimates
-    the least scale s with s W_theta - A PSD, W_theta = diag(theta + (1 -
-    theta) deg); the direction minimising s tr W_theta wins. Verify: s (1 +
-    delta) W_theta for delta in WITNESS_MARGINS, then the Gershgorin point,
-    until every block factorizes. mode "eig" labels the step eigensolve
-    (unsound) and is otherwise the same route."""
+    the least scale s with s W_theta - A_sym PSD, W_theta = diag(theta +
+    (1 - theta) deg); the direction minimising s tr W_theta wins. Verify:
+    s (1 + delta) W_theta for delta in WITNESS_MARGINS, then the Gershgorin
+    point, until the Cholesky runs through. mode "eig" labels the step
+    eigensolve (unsound) and is otherwise the same route."""
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
-    dims = [d.size for _, d in blocks]
-    blocks = [_kept_rows(a, d) for a, d in blocks]
+    dim = degs.size
+    neg, degs = _kept_rows(sym, degs)
     thetas = np.array(WITNESS_THETAS)
-    s = _lanczos_top(blocks, thetas)
-    degs = np.concatenate([d for _, d in blocks])
+    s = _lanczos_top(neg, degs, thetas)
     traces = thetas * degs.size + (1.0 - thetas) * degs.sum()
     best = int(np.argmin(s * traces))
     estimate = float(s[best])
@@ -497,38 +437,29 @@ def _diagonal_witness(blocks, mode, entry_err=0.0):
     extra = WITNESS_MARGINS[-1] * float(degs.mean())
     ladder.append((extra / (extra + 1.0 + WITNESS_MARGINS[-1]),
                    extra + 1.0 + WITNESS_MARGINS[-1]))
-    diags = [a.diagonal().copy() for a, _ in blocks]
-    for a, _ in blocks:
-        np.negative(a, out=a)
-    probes = 0
-    for theta, sigma in ladder:
+    diag = neg.diagonal().copy()
+    np.negative(neg, out=neg)
+    for probes, (theta, sigma) in enumerate(ladder, 1):
         a_w, b_w = sigma * theta, sigma * (1.0 - theta)
-        shifts = []
-        for (neg, d), diag in zip(blocks, diags):
-            w = a_w + b_w * d
-            shifts.append(_cholesky_shift(w, diag, entry_err))
-            probes += 1
-            if not _factorizes(neg, diag, w, shifts[-1]):
-                break
-        else:
+        w = a_w + b_w * degs
+        shift = _cholesky_shift(w, diag, entry_err)
+        if _factorizes(neg, diag, w, shift):
             break
     else:
         raise np.linalg.LinAlgError(
             "no diagonal witness factorized, not even the Gershgorin point")
-    weights = np.concatenate([a_w + b_w * d for _, d in blocks])
-    bound = math.nextafter(math.fsum(weights.tolist()), math.inf)
+    bound = round_up(2.0 * math.fsum(w.tolist()))
     return {"name": "trace_bound",
-            "claim": "max_y y^T A' y <= tr W over sign vectors y, for the "
-                     "diagonal W = diag(a + b deg_u) on rows of nonzero "
-                     "degree; W - A' PSD verified by Cholesky of "
-                     "W - A' - c Id on each swap block",
+            "claim": "max_y y^T A' y <= tr W over sign vectors y = "
+                     "x^(k-1), for the swap-invariant diagonal W = diag(a "
+                     "+ b deg_u) on rows of nonzero degree; W - A' PSD on "
+                     "swap-symmetric vectors, verified by Cholesky of "
+                     "W_sym - A'_sym - c Id",
             "value": bound,
             "method": "eigensolve" if mode == "eig" else "cholesky",
             "witness": {"a": a_w, "b": b_w, "theta": theta, "scale": sigma,
-                        "estimate": estimate, "shift": shifts,
-                        "block_dims": dims,
-                        "rows": [d.size for _, d in blocks],
-                        "cholesky_probes": probes}}
+                        "estimate": estimate, "shift": shift, "dim": dim,
+                        "rows": degs.size, "cholesky_probes": probes}}
 
 
 def audit(A, cert):

@@ -187,7 +187,8 @@ def build_parser():
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--mode", choices=("sound", "estimate"), default="sound")
     p.add_argument("--z", type=int, default=16,
-                   help="power used by the z-th-root spectral bound")
+                   help="power count of the CSP degree-d spectral-norm "
+                        "bounds (XOR refutations only record it)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refute)
 

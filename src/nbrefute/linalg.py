@@ -88,10 +88,6 @@ class SymWeightedMatrix:
     def edge_count(self):
         return len(self.entries)
 
-    def negated(self):
-        return SymWeightedMatrix(
-            self.n, {k: -w for k, w in self.entries.items()})
-
 
 def _square(M):
     """M as a float64 ndarray; raises unless it is a square matrix."""

@@ -9,8 +9,8 @@ The k-XOR chain (k odd) is
     A', A'' = split(A)                A' keeps entries whose two tensor-factor
                                       index groups barely overlap; A'' is the
                                       rest, so A = A' + A'' exactly
-    b1  = tr W, W - A' PSD            diagonal witness on A''s two swap
-                                      blocks, verified by Cholesky
+    b1  = tr W, W - A' PSD on         diagonal witness on A''s swap-
+          swap-symmetric vectors      symmetric block, verified by Cholesky
     b2  = sum of |entries| of A''
     N   = sqrt(n * (b1 + b2))         bound on max_x <T, x^(k)>
     U   = 1/2 + N / (2 m k!)          clamped to 1
@@ -18,12 +18,28 @@ The k-XOR chain (k odd) is
 and opt(I) <= U for every assignment. By Cauchy-Schwarz over the middle
 index, <T, x^(k)>^2 <= n y^T A y for y = x^(k-1), a sign vector, and
 y^T A y = y^T A' y + y^T A'' y <= b1 + b2: the chain needs only the
-one-sided quadratic form of A', which any diagonal W >= A' bounds by its
-trace (certify._diagonal_witness). In the default mode the certificate is
-sound with floating-point rounding included in that step. The pipelines
-never hold A, as row slabs of V V^T go straight into A''s swap blocks, its
-degrees and b2. The
-CSP(P) chain decomposes P into its multilinear expansion, bounds each
+one-sided quadratic form of A' at y, which any diagonal W >= A' bounds by
+its trace (certify._diagonal_witness).
+
+Swap-symmetric block. Rows of A are pairs (alpha, beta) of (k-1)/2-tuples,
+and y = x^(k-1) is unchanged by the swap (alpha, beta) -> (beta, alpha),
+as are A and A'. The split drops every entry of a row (alpha, alpha), as
+its index multisets {alpha, alpha'} and {alpha, beta'} share all (k-1)/2
+indices of alpha. So with lo the rows alpha < beta
+and hi their swaps, y^T A' y = 2 y_lo^T (A'[lo,lo] + A'[lo,hi]) y_lo, and
+W - A' need only be PSD on swap-symmetric vectors: diag(w) - A'_sym PSD on
+the pairs x pairs block A'_sym = A'[lo,lo] + A'[lo,hi] gives tr W =
+2 sum_lo w_u, each pair row standing for both (alpha, beta) and (beta,
+alpha). The pipelines never hold A, as row slabs of V V^T go straight into
+A'_sym, its degrees and b2.
+
+In the default mode the chain is sound with floating-point rounding
+included: the witness step by its Cholesky shift, and the closed-form
+steps after it (b2, N, U, and the CSP chain's degree-k bound and total)
+by rounding every operation up by one ulp. The degree-k rescale w / W and
+the CSP degree-d terms are rounded to nearest.
+
+The CSP(P) chain decomposes P into its multilinear expansion, bounds each
 degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
 scaled by n^(d/2), and routes the degree-k part through the XOR chain after
 aggregating constraints by support into a rescaled weighted XOR instance.
@@ -39,10 +55,13 @@ from . import instances
 from . import linalg
 
 FLATTEN_DIM_CAP = 6561
-# Largest swap block q(q+1)/2 the pipelines certify: k = 3 at n = 120.
+# Cap on q(q+1)/2, the swap-symmetric dimension with the pair-diagonal
+# rows counted: k = 3 at n = 120.
 BLOCK_DIM_CAP = 7260
 # Bytes of one row slab of the unfolding product V V^T.
 SLAB_BYTES = 1 << 25
+
+_up = certify.round_up
 
 
 class FlattenedMatrix:
@@ -128,6 +147,13 @@ def _overlap_at_least(left, right, h, n):
     return sum(member[:, column] for column in right.T) >= h
 
 
+def _swap_index(q):
+    """Row ids of the q x q grid positions lo = (i, j) with i < j and their
+    swaps hi = (j, i)."""
+    a, b = np.triu_indices(q, 1)
+    return a * q + b, b * q + a
+
+
 def _swap_middle(x, q):
     """Rows of V V^T over (alpha, alpha') x (beta, beta') rearranged as the
     rows of A over (alpha, beta) x (alpha', beta'), as a new array."""
@@ -183,11 +209,11 @@ def split(F):
 
 def _swap_parts(I):
     """What the XOR chain reads of the split flatten(I) = A' + A'', built
-    from row slabs of V V^T without the dense matrix: A'[lo,lo] and
-    A'[lo,hi] in certify's swap-block layout, the degrees of A' in row
-    order, b2 = sum |A''|, and a bound on the rounding error of the swap
-    blocks (_entry_error). On a slab the split condition reads: the row's
-    and the column's fragments share at least (k-1)/2 indices."""
+    from row slabs of V V^T without the dense matrix: A'_sym = A'[lo,lo] +
+    A'[lo,hi] (module docstring), the degrees of A''s lo rows, b2 = sum
+    |A''| and a bound on the rounding error of A'_sym (_entry_error). On a
+    slab the split condition reads: the row's and the column's fragments
+    share at least (k-1)/2 indices."""
     n, h = I.n, (I.k - 1) // 2
     q = n ** h
     if q * (q + 1) // 2 > BLOCK_DIM_CAP:
@@ -195,10 +221,9 @@ def _swap_parts(I):
             f"refutation infeasible: swap block dimension {q * (q + 1) // 2} "
             f"exceeds cap {BLOCK_DIM_CAP}")
     digits = _digits(n, I.k)
-    lo, hi, _ = certify._swap_index(q)
-    ll = np.zeros((lo.size, lo.size))
-    lh = np.zeros((lo.size, lo.size))
-    degs = np.zeros(q * q)
+    lo, hi = _swap_index(q)
+    sym = np.zeros((lo.size, lo.size))
+    degs = np.zeros(lo.size)
     residual = [np.zeros(0)]
     V = _unfolding(I)
     for a0, a1, slab in _slabs(V, q):
@@ -208,18 +233,17 @@ def _swap_parts(I):
         residual.append(flat[drop])
         flat[drop] = 0.0
         rows = _swap_middle(slab, q)
-        degs[a0 * q:a1 * q] = np.abs(rows, out=slab).sum(axis=1)
         i0, i1 = np.searchsorted(lo // q, [a0, a1])
         local = lo[i0:i1] - a0 * q
-        ll[i0:i1] = rows[np.ix_(local, lo)]
-        lh[i0:i1] = rows[np.ix_(local, hi)]
-    return (ll, lh, degs, _abs_fsum(np.concatenate(residual)),
-            _entry_error(V, q))
+        sym[i0:i1] = rows[np.ix_(local, lo)]
+        sym[i0:i1] += rows[np.ix_(local, hi)]
+        degs[i0:i1] = np.abs(rows, out=slab).sum(axis=1)[local]
+    return sym, degs, _abs_fsum(np.concatenate(residual)), _entry_error(V, q)
 
 
 def _entry_error(V, q):
-    """Bound on the spectral norm of the rounding error in the swap blocks
-    A'[lo,lo] +- A'[lo,hi] built from V V^T: 0 when V holds integers small
+    """Bound on the spectral norm of the rounding error in A'_sym =
+    A'[lo,lo] + A'[lo,hi] built from V V^T: 0 when V holds integers small
     enough for every sum to be exact (the +-1 XOR weights), else
     gamma_{n+1} times the largest absolute row sum of the swapped
     |V| |V|^T, doubled for the rounding of that bound itself. Row
@@ -249,25 +273,22 @@ def _step(name, claim, value, method="exact"):
 
 
 def _xor_chain(I, mode, prefix):
-    """The XOR chain's steps through b2 and sqrt(n (b1 + b2)). Step names
-    start with prefix; A''s witness step with prefix or "main_"."""
-    ll, lh, degs, b2, entry_err = _swap_parts(I)
+    """The XOR chain's steps through b2 and sqrt(n (b1 + b2)), rounded up.
+    Step names start with prefix; A''s witness step with prefix or
+    "main_"."""
+    sym, degs, b2, entry_err = _swap_parts(I)
+    b2 = _up(b2)
     if not degs.any():
         b1 = 0.0
         steps = [_step(f"{prefix}main_empty", "the split kept no entries, "
                        "so max_y y^T A' y = 0", 0.0)]
     else:
-        q = math.isqrt(degs.size)
-        blocks = certify._fill_blocks(np.zeros((ll.shape[0] + q,) * 2),
-                                      ll, lh, degs, False)
-        # A'[lo,hi] is dead once the blocks are formed
-        del ll, lh
-        step = certify._diagonal_witness(blocks, mode, entry_err)
+        step = certify._diagonal_witness(sym, degs, mode, entry_err)
         b1 = step["value"]
         steps = [dict(step, name=(prefix or "main_") + step["name"])]
     steps.append(_step(f"{prefix}residual_bound",
                        "max_y y^T A'' y <= sum of |entries| of A''", b2))
-    return steps, math.sqrt(I.n * (b1 + b2))
+    return steps, _up(math.sqrt(_up(I.n * _up(b1 + b2))))
 
 
 def refute_xor(I, mode="gelfand", z=16):
@@ -288,7 +309,7 @@ def refute_xor(I, mode="gelfand", z=16):
                        "bound(A''))) over sign assignments", poly))
     return _refutation(
         "xor_refutation", I, steps,
-        0.5 + poly / (2.0 * I.m * math.factorial(I.k)),
+        _up(0.5 + _up(poly / (2.0 * I.m * math.factorial(I.k)))),
         "opt(I) <= 1/2 + polynomial_bound / (2 m k!), clamped to 1",
         mode, z, split_condition=("entry kept when the two tensor-factor "
                                   "index multisets share at most (k-3)/2 "
@@ -417,18 +438,18 @@ def refute_csp(I, mode="gelfand", z=16):
             chain, poly = _xor_chain(instances.XorInstance(n, k, tilde),
                                      mode, "degree_k_")
             steps += chain
-            bound_k = W * poly / math.factorial(k)
+            bound_k = _up(_up(W * poly) / math.factorial(k))
             steps.append(_step("degree_k_bound", "the non-degenerate "
                                "degree-k contribution is at most W * "
                                "sqrt(n (b1 + b2)) / k!", bound_k))
         if degenerate:
-            extra = abs(chat_k) * degenerate
-            bound_k += extra
+            extra = _up(abs(chat_k) * degenerate)
+            bound_k = _up(bound_k + extra)
             steps.append(_step("degree_k_degenerate", "each constraint whose "
                                "scope repeats an index contributes at most "
                                "|chat_k|", extra))
     return _refutation("csp_refutation", I, steps,
-                       p0 + (total + bound_k) / I.m,
+                       _up(p0 + _up(_up(total + bound_k) / I.m)),
                        "opt(I) <= chat_empty + (sum of degree bounds) / m, "
                        "clamped to 1", mode, z)
 

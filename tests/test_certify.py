@@ -204,52 +204,19 @@ def _swap_invariant_cases():
     # flattened matrix at k = 5 (q = 25, nonzero pair-diagonal rows)
     main, _ = refute.split(refute.flatten(instances.sample_kxor(8, 3, 0.5, 0)))
     k5 = refute.flatten(instances.XorInstance(5, 5, {(0, 1, 2, 3, 4): -0.7}))
-    return [(main.base, 8), (k5.base, 25)]
-
-
-def _one_block(dense, degs, mode, z):
-    return certify._lambda_companion_route([(dense, degs)], mode, z)
-
-
-def test_swap_blocks_have_half_dimensions():
-    for dense, q in _swap_invariant_cases():
-        degs = np.abs(dense).sum(axis=1)
-        blocks = certify._swap_blocks(dense, degs)
-        assert [a.shape for a, _ in blocks] == [
-            (q * (q + 1) // 2,) * 2, (q * (q - 1) // 2,) * 2]
-        assert [d.shape for _, d in blocks] == [
-            (q * (q + 1) // 2,), (q * (q - 1) // 2,)]
-
-
-def test_swap_block_lambda_matches_one_block():
-    for dense, _ in _swap_invariant_cases():
-        degs = np.abs(dense).sum(axis=1)
-        for z in (3, 6, 16):
-            for sign in (1.0, -1.0):
-                two = certify._lambda_companion_route(
-                    certify._swap_blocks(dense, degs, sign < 0), "gelfand",
-                    z)
-                one = _one_block(sign * dense, degs, "gelfand", z)
-                np.testing.assert_allclose(two, one, rtol=1e-12)
-
-
-def test_swap_block_eig_matches_full_companion():
-    for dense, _ in _swap_invariant_cases():
-        degs = np.abs(dense).sum(axis=1)
-        for sign in (1.0, -1.0):
-            two = certify._lambda_companion_route(
-                certify._swap_blocks(dense, degs, sign < 0), "eig", 16)
-            full = certify._max_abs_real_eig(
-                certify.companion_matrix(sign * dense, degs))
-            np.testing.assert_allclose(two, full, rtol=1e-12)
+    return [main.base, k5.base]
 
 
 def test_swap_block_route_through_lambda_certificate():
-    # force the companion route; both signs take the two-block path, agree
-    # exactly and match the one-block route on +A
-    for dense, _ in _swap_invariant_cases():
+    # force the companion route on swap-invariant matrices: both signs
+    # agree exactly, gelfand mode matches the direct power of the
+    # companion matrix and eig mode its inflated eigenvalue bound
+    for dense in _swap_invariant_cases():
         degs = np.abs(dense).sum(axis=1)
-        for mode, margin in (("gelfand", 1.0), ("eig", 1.0 + 1e-6)):
+        C = certify.companion_matrix(dense, degs)
+        direct = np.linalg.norm(np.linalg.matrix_power(C, 6)) ** (1.0 / 6)
+        eig = (1.0 + 1e-6) * certify._max_abs_real_eig(C)
+        for mode, want in (("gelfand", direct), ("eig", eig)):
             old = certify.EDGE_ROUTE_CAP
             try:
                 certify.EDGE_ROUTE_CAP = 0
@@ -258,36 +225,16 @@ def test_swap_block_route_through_lambda_certificate():
             finally:
                 certify.EDGE_ROUTE_CAP = old
             assert plus == minus
-            np.testing.assert_allclose(
-                plus, max(1.0, margin * _one_block(dense, degs, mode, 6)),
-                rtol=1e-12)
+            np.testing.assert_allclose(plus, max(1.0, want), rtol=1e-10)
 
 
 def test_swap_block_power_bound_survives_rescale():
-    # heavy weights at z = 200 rescale inside each block by different
-    # amounts; the log-domain combination must stay finite, agree with the
-    # one-block recurrence and dominate the spectral radius
-    main = _swap_invariant_cases()[0][0] * 10.0
+    # heavy weights at z = 200 rescale the recurrence on a flattened
+    # matrix; the bound must stay finite and dominate the spectral radius
+    main = _swap_invariant_cases()[0] * 10.0
     degs = np.abs(main).sum(axis=1)
     val = certify._companion_power_bound(main, degs, 200)
     assert np.isfinite(val)
-    np.testing.assert_allclose(val, _one_block(main, degs, "gelfand", 200),
-                               rtol=1e-12)
     rho = np.max(np.abs(np.linalg.eigvals(
         certify.companion_matrix(main, degs))))
     assert val >= rho - 1e-6
-
-
-def test_swap_broken_matrix_takes_one_block():
-    main = _swap_invariant_cases()[0][0].copy()
-    i, j = np.argwhere(main != 0)[0]
-    main[i, j] = main[j, i] = main[i, j] + 0.5
-    degs = np.abs(main).sum(axis=1)
-    blocks = certify._swap_blocks(main, degs)
-    assert len(blocks) == 1 and blocks[0][0] is main
-    for z in (3, 7):
-        val = certify._companion_power_bound(main, degs, z)
-        assert val == _one_block(main, degs, "gelfand", z)
-        P = np.linalg.matrix_power(certify.companion_matrix(main, degs), z)
-        np.testing.assert_allclose(val, np.linalg.norm(P) ** (1.0 / z),
-                                   rtol=1e-10)

@@ -40,11 +40,6 @@ def test_degrees_are_weighted():
     np.testing.assert_allclose(A.degrees(), [2.0, 3.5, 1.5])
 
 
-def test_negated_flips_weights():
-    A = linalg.SymWeightedMatrix(3, {(0, 1): 2.0})
-    np.testing.assert_array_equal(A.negated().to_dense(), -A.to_dense())
-
-
 def test_brute_inf_to_one_single_edge():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
     assert linalg.brute_inf_to_one(M) == 2.0

@@ -377,11 +377,14 @@ def test_audit_rejects_unknown_kind():
 
 
 def _dense_parts(I):
-    """The dense reference for what _swap_parts returns: the split of
-    flatten(I), its degrees, and b2."""
+    """The dense reference for what _swap_parts returns: A'_sym =
+    A'[lo,lo] + A'[lo,hi] of the split of flatten(I), the degrees of A''s
+    lo rows, and b2."""
     main, residual = refute.split(refute.flatten(I))
     dense, _, degs, _ = certify._prep(main.base)
-    return dense, degs, refute.residual_bound(residual)
+    lo, hi = refute._swap_index(main.n ** main.half)
+    return (dense[np.ix_(lo, lo)] + dense[np.ix_(lo, hi)], degs[lo],
+            refute.residual_bound(residual))
 
 
 def _degree_k_instance(J):
@@ -416,21 +419,14 @@ def _builder_cases():
                          ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
 def test_swap_parts_match_dense_split(monkeypatch, I, slab_bytes):
     monkeypatch.setattr(refute, "SLAB_BYTES", slab_bytes)
-    dense, degs, b2 = _dense_parts(I)
-    ll, lh, parts_degs, parts_b2, entry_err = refute._swap_parts(I)
+    sym, degs, b2 = _dense_parts(I)
+    parts_sym, parts_degs, parts_b2, entry_err = refute._swap_parts(I)
+    np.testing.assert_array_equal(parts_sym, sym)
     np.testing.assert_array_equal(parts_degs, degs)
     assert parts_b2 == b2
     # +-1 weights give integer entries, summed exactly
     assert (entry_err == 0.0) == all(abs(w) == 1.0
                                      for w in I.clauses.values())
-    q = I.n ** ((I.k - 1) // 2)
-    mine = certify._fill_blocks(np.zeros((ll.shape[0] + q,) * 2), ll, lh,
-                                parts_degs, False)
-    ref = certify._swap_blocks(dense, degs)
-    assert len(ref) == len(mine) == 2
-    for (a, d), (b, e) in zip(mine, ref):
-        np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(d, e)
 
 
 def test_swap_parts_rescaled_weights_are_not_signs():
@@ -440,20 +436,24 @@ def test_swap_parts_rescaled_weights_are_not_signs():
 
 
 def _dense_witness(I, mode):
-    """A', its degrees and the witness step certify._diagonal_witness
-    makes on the swap blocks of the dense split of flatten(I) (None when
-    the split keeps nothing)."""
-    main, _ = refute.split(refute.flatten(I))
-    dense, _, degs, _ = certify._prep(main.base)
+    """A'_sym, the lo degrees and the witness step
+    certify._diagonal_witness makes on them, from the dense split of
+    flatten(I) (None when the split keeps nothing)."""
+    sym, degs, _ = _dense_parts(I)
     if not degs.any():
-        return dense, degs, None
-    step = certify._diagonal_witness(certify._swap_blocks(dense, degs), mode)
-    return dense, degs, step
+        return sym, degs, None
+    step = certify._diagonal_witness(sym.copy(), degs, mode)
+    return sym, degs, step
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
 
 
 def _dense_xor_steps(I, mode):
     """refute_xor's steps recomputed from flatten, split, the diagonal
-    witness on the dense split's swap blocks, and residual_bound."""
+    witness on the dense split's symmetric block, and residual_bound, each
+    closed-form operation after the witness rounded up."""
     _, _, step = _dense_witness(I, mode)
     if step is None:
         b1 = 0.0
@@ -464,16 +464,17 @@ def _dense_xor_steps(I, mode):
     else:
         b1 = step["value"]
         steps = [dict(step, name="main_" + step["name"])]
-    b2 = refute.residual_bound(refute.split(refute.flatten(I))[1])
+    b2 = _up(refute.residual_bound(refute.split(refute.flatten(I))[1]))
     steps.append({"name": "residual_bound",
                   "claim": "max_y y^T A'' y <= sum of |entries| of A''",
                   "value": b2, "method": "exact"})
-    poly = math.sqrt(I.n * (b1 + b2))
+    poly = _up(math.sqrt(_up(I.n * _up(b1 + b2))))
     steps.append({"name": "polynomial_bound",
                   "claim": "max_x <T, x^(k)> <= sqrt(n * (bound(A') + "
                            "bound(A''))) over sign assignments",
                   "value": poly, "method": "exact"})
-    bound = min(1.0, 0.5 + poly / (2.0 * I.m * math.factorial(I.k)))
+    bound = min(1.0, _up(0.5 + _up(poly / (2.0 * I.m
+                                          * math.factorial(I.k)))))
     steps.append({"name": "opt_bound",
                   "claim": "opt(I) <= 1/2 + polynomial_bound / (2 m k!), "
                            "clamped to 1",
@@ -501,9 +502,9 @@ def test_edge_route_reads_only_touched_vertices(monkeypatch):
     seen = []
     route = certify._lambda_edge_route
 
-    def spy(A_sym, *args):
-        seen.append(A_sym.n)
-        return route(A_sym, *args)
+    def spy(A, *args):
+        seen.append(len(A))
+        return route(A, *args)
 
     monkeypatch.setattr(certify, "_lambda_edge_route", spy)
     I = instances.sample_kxor(30, 3, 0.002, seed=0)
@@ -516,23 +517,24 @@ def test_edge_route_reads_only_touched_vertices(monkeypatch):
     assert seen == [touched]
 
 
-def _witness_matrix(step, degs):
-    """W of an emitted witness step: a + b deg_u on rows of nonzero
+def _witness_weights(step, degs):
+    """w of an emitted witness step: a + b deg_u on rows of nonzero
     degree, 0 elsewhere."""
     w = step["witness"]
-    return np.diag(np.where(degs > 0, w["a"] + w["b"] * degs, 0.0))
+    return np.where(degs > 0, w["a"] + w["b"] * degs, 0.0)
 
 
 @pytest.mark.parametrize("n, p, seed", [(9, 0.5, 0), (12, 0.3, 1),
                                         (14, 0.2, 2), (14, 0.5, 3)])
 def test_diagonal_witness_is_psd(n, p, seed):
     I = instances.sample_kxor(n, 3, p, seed=seed)
-    main, degs, step = _dense_witness(I, "gelfand")
+    sym, degs, step = _dense_witness(I, "gelfand")
+    w = _witness_weights(step, degs)
     keep = degs > 0
-    gap = (_witness_matrix(step, degs) - main)[np.ix_(keep, keep)]
+    gap = (np.diag(w) - sym)[np.ix_(keep, keep)]
     assert np.linalg.eigvalsh(gap).min() >= 0.0
-    # tr W is what the step claims, rounded up
-    trace = math.fsum(np.diag(_witness_matrix(step, degs)).tolist())
+    # tr W = 2 sum_lo w_u is what the step claims, rounded up
+    trace = 2.0 * math.fsum(w.tolist())
     assert trace <= step["value"] <= math.nextafter(trace, math.inf)
 
 
@@ -540,21 +542,57 @@ def test_diagonal_witness_check_is_not_vacuous():
     # the verified scale sits within the first margin of the least
     # feasible one: 1% below it the factorization fails
     I = instances.sample_kxor(14, 3, 0.5, seed=3)
-    main, degs, step = _dense_witness(I, "gelfand")
+    sym, degs, step = _dense_witness(I, "gelfand")
     w = step["witness"]
-    assert w["cholesky_probes"] == 2
-    blocks = [certify._kept_rows(-a, d)
-              for a, d in certify._swap_blocks(main, degs)]
+    assert w["cholesky_probes"] == 1
+    neg, d = certify._kept_rows(-sym, degs)
 
     def factorizes(sigma):
         a_w, b_w = sigma * w["theta"], sigma * (1.0 - w["theta"])
-        return all(certify._factorizes(
-            neg, np.zeros(d.size), a_w + b_w * d,
-            certify._cholesky_shift(a_w + b_w * d, np.zeros(d.size), 0.0))
-            for neg, d in blocks)
+        weights = a_w + b_w * d
+        return certify._factorizes(
+            neg, np.zeros(d.size), weights,
+            certify._cholesky_shift(weights, np.zeros(d.size), 0.0))
 
     assert factorizes(w["scale"])
     assert not factorizes(w["scale"] * (1.0 - 1e-2))
+
+
+def _swap_symmetric_max(I):
+    """max over x in {+-1}^n of y^T A' y for y = x^(k-1), by brute force
+    on the dense split of flatten(I), after checking the premises of the
+    symmetric-block argument: A' is invariant under the pair swap and zero
+    on the rows (alpha, alpha)."""
+    main, _ = refute.split(refute.flatten(I))
+    q = I.n ** main.half
+    grid = main.base.reshape(q, q, q, q)
+    assert np.array_equal(grid, grid.transpose(1, 0, 3, 2))
+    assert not main.base[np.arange(q) * (q + 1)].any()
+    x = np.array(list(itertools.product([-1.0, 1.0], repeat=I.n)))
+    y = x
+    for _ in range(I.k - 2):
+        y = (y[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+    return float(np.einsum("ij,ij->i", y @ main.base, y).max())
+
+
+@pytest.mark.parametrize("I", [
+    instances.sample_kxor(6, 3, 0.6, seed=0),
+    instances.sample_kxor(8, 3, 0.4, seed=1),
+    instances.sample_kxor(10, 3, 0.3, seed=2),
+    instances.sample_kxor(7, 5, 0.5, seed=2),
+    instances.sample_kxor(8, 5, 0.2, seed=3),
+], ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
+def test_witness_bounds_swap_symmetric_form(I):
+    # the witness is verified on swap-symmetric vectors only; the chain
+    # evaluates A' only at y = x^(k-1), which is one
+    top = _swap_symmetric_max(I)
+    step = refute.refute_xor(I, z=6).steps[0]
+    assert step["value"] >= top
+    if I.k == 5 and I.n == 7:
+        # a kept k = 5 entry spans 8 indices: nothing survives the split
+        assert step["name"] == "main_empty" and top == 0.0
+    else:
+        assert step["name"] == "main_trace_bound" and top > 0.0
 
 
 def test_diagonal_witness_falls_back_to_gershgorin(monkeypatch):
