@@ -30,14 +30,18 @@ and hi their swaps, y^T A' y = 2 y_lo^T (A'[lo,lo] + A'[lo,hi]) y_lo, and
 W - A' need only be PSD on swap-symmetric vectors: diag(w) - A'_sym PSD on
 the pairs x pairs block A'_sym = A'[lo,lo] + A'[lo,hi] gives tr W =
 2 sum_lo w_u, each pair row standing for both (alpha, beta) and (beta,
-alpha). The pipelines never hold A, as row slabs of V V^T go straight into
-A'_sym, its degrees and b2.
+alpha). The pipelines never hold A. Its row (alpha, beta), as a q x q
+matrix over (alpha', beta'), q = n^((k-1)/2), is V_alpha V_beta^T for
+V_alpha the q rows of V with first half-index alpha, so V_alpha
+V_{>alpha}^T gives the lo rows; A''s hi rows (their transposes) and rows
+(alpha, alpha) (the blocks V_alpha V_alpha^T) enter only b2 (_swap_parts).
 
 In the default mode the chain is sound with floating-point rounding
-included: the witness step by its Cholesky shift, and the closed-form
-steps after it (b2, N, U, and the CSP chain's degree-k bound and total)
-by rounding every operation up by one ulp. The degree-k rescale w / W and
-the CSP degree-d terms are rounded to nearest.
+included: the witness step by its Cholesky shift, b2 and the degree-k
+bound by allowances for the rounding of A''s entries and of the rescale
+w / W (0 when exact), and the closed-form steps (b2, N, U, and the CSP
+chain's degree-k bound and total) by rounding every operation up by one
+ulp. The CSP degree-d terms are rounded to nearest.
 
 The CSP(P) chain decomposes P into its multilinear expansion, bounds each
 degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
@@ -58,8 +62,6 @@ FLATTEN_DIM_CAP = 6561
 # Cap on q(q+1)/2, the swap-symmetric dimension with the pair-diagonal
 # rows counted: k = 3 at n = 120.
 BLOCK_DIM_CAP = 7260
-# Bytes of one row slab of the unfolding product V V^T.
-SLAB_BYTES = 1 << 25
 
 _up = certify.round_up
 
@@ -154,22 +156,15 @@ def _swap_index(q):
     return a * q + b, b * q + a
 
 
-def _swap_middle(x, q):
-    """Rows of V V^T over (alpha, alpha') x (beta, beta') rearranged as the
-    rows of A over (alpha, beta) x (alpha', beta'), as a new array."""
-    return x.reshape(-1, q, q, q).transpose(0, 2, 1, 3).reshape(x.shape)
-
-
-def _slabs(V, q):
-    """Row slabs of V V^T, one BLAS product per chunk of first half-indices
-    alpha, each at most SLAB_BYTES: yields (a0, a1, rows a0*q .. a1*q-1),
-    skipping slabs whose rows of V are all zero (so are the slab's)."""
-    step = max(1, SLAB_BYTES // (8 * q * len(V)))
-    for a0 in range(0, q, step):
-        a1 = min(q, a0 + step)
-        rows = V[a0 * q:a1 * q]
+def _gram_blocks(V, q):
+    """The upper block triangle of V V^T (module docstring): yields (alpha,
+    V_alpha V_alpha^T, V_alpha V_{>alpha}^T) for every alpha whose rows
+    V_alpha of V are not all zero (else so are the blocks). Column block
+    beta - alpha - 1 of the strip V_alpha V_{>alpha}^T is V_alpha V_beta^T."""
+    for a in range(q):
+        rows = V[a * q:(a + 1) * q]
         if rows.any():
-            yield a0, a1, rows @ V.T
+            yield a, rows @ rows.T, rows @ V[(a + 1) * q:].T
 
 
 def flatten(I):
@@ -178,7 +173,8 @@ def flatten(I):
     for k = 3, and the analogous split over middle indices for larger odd k:
     the unfolding product V V^T with its two middle half-indices swapped,
     symmetric with zero diagonal. The reference definition: the pipelines
-    build only what they read of it (_swap_parts)."""
+    build only what they read of it (_swap_parts), from the same blocks
+    (_gram_blocks), so the two agree entry for entry."""
     n, k = I.n, I.k
     _require_odd_arity(k)
     dim = n ** (k - 1)
@@ -188,8 +184,12 @@ def flatten(I):
             f"{FLATTEN_DIM_CAP}")
     q = n ** ((k - 1) // 2)
     base = np.zeros((dim, dim))
-    for a0, a1, slab in _slabs(_unfolding(I), q):
-        base[a0 * q:a1 * q] = _swap_middle(slab, q)
+    grid = base.reshape(q, q, q, q)
+    for a, diagonal, strip in _gram_blocks(_unfolding(I), q):
+        blocks = strip.reshape(q, q - a - 1, q).transpose(1, 0, 2)
+        grid[a, a] = diagonal
+        grid[a, a + 1:] = blocks
+        grid[a + 1:, a] = blocks.transpose(0, 2, 1)
     return FlattenedMatrix(base, n, k)
 
 
@@ -200,20 +200,22 @@ def split(F):
     most (k-3)/2 indices. A' + A'' = A exactly.
     """
     digits = _digits(F.n, F.k)
-    drop = _swap_middle(_overlap_at_least(digits, digits, F.half, F.n),
-                        F.n ** F.half)
+    q = F.n ** F.half
+    drop = _overlap_at_least(digits, digits, F.half, F.n).reshape(
+        q, q, q, q).transpose(0, 2, 1, 3).reshape(F.base.shape)
     main = np.where(drop, 0.0, F.base)
     return (FlattenedMatrix(main, F.n, F.k),
             FlattenedMatrix(F.base - main, F.n, F.k))
 
 
 def _swap_parts(I):
-    """What the XOR chain reads of the split flatten(I) = A' + A'', built
-    from row slabs of V V^T without the dense matrix: A'_sym = A'[lo,lo] +
-    A'[lo,hi] (module docstring), the degrees of A''s lo rows, b2 = sum
-    |A''| and a bound on the rounding error of A'_sym (_entry_error). On a
-    slab the split condition reads: the row's and the column's fragments
-    share at least (k-1)/2 indices."""
+    """What the XOR chain reads of the split flatten(I) = A' + A'', from
+    the blocks of _gram_blocks (module docstring): A'_sym = A'[lo,lo] +
+    A'[lo,hi], whose row (alpha, beta) is the strict upper triangle of G'
+    + G'^T for the block G = V_alpha V_beta^T split where the row's and the
+    column's fragments of V share at least (k-1)/2 indices; the degrees of
+    A''s lo rows; b2 = sum |A''| (the strips' residuals twice, the diagonal
+    blocks once) plus its rounding allowance; and entry_err (_entry_errors)."""
     n, h = I.n, (I.k - 1) // 2
     q = n ** h
     if q * (q + 1) // 2 > BLOCK_DIM_CAP:
@@ -224,48 +226,59 @@ def _swap_parts(I):
     lo, hi = _swap_index(q)
     sym = np.zeros((lo.size, lo.size))
     degs = np.zeros(lo.size)
-    residual = [np.zeros(0)]
+    strips, diagonals = [], []
     V = _unfolding(I)
-    for a0, a1, slab in _slabs(V, q):
-        drop = np.flatnonzero(
-            _overlap_at_least(digits[a0 * q:a1 * q], digits, h, n))
-        flat = slab.reshape(-1)
-        residual.append(flat[drop])
-        flat[drop] = 0.0
-        rows = _swap_middle(slab, q)
-        i0, i1 = np.searchsorted(lo // q, [a0, a1])
-        local = lo[i0:i1] - a0 * q
-        sym[i0:i1] = rows[np.ix_(local, lo)]
-        sym[i0:i1] += rows[np.ix_(local, hi)]
-        degs[i0:i1] = np.abs(rows, out=slab).sum(axis=1)[local]
-    return sym, degs, _abs_fsum(np.concatenate(residual)), _entry_error(V, q)
+    for a, diagonal, strip in _gram_blocks(V, q):
+        drop = _overlap_at_least(digits[a * q:(a + 1) * q],
+                                 digits[(a + 1) * q:], h, n)
+        strips += _abs_values(strip[drop])
+        strip[drop] = 0.0
+        # a contiguous row of q^2 entries per lo row (a, beta), so the
+        # degrees sum in the order of the dense matrix's rows
+        blocks = strip.reshape(q, q - a - 1, q).transpose(1, 0, 2).reshape(
+            -1, q * q)
+        i0 = a * q - a * (a + 1) // 2
+        rows = sym[i0:i0 + len(blocks)]
+        # "clip" writes into rows directly; the default mode buffers a copy
+        np.take(blocks, lo, axis=1, out=rows, mode="clip")
+        rows += np.take(blocks, hi, axis=1)
+        degs[i0:i0 + len(blocks)] = np.abs(blocks, out=blocks).sum(axis=1)
+        diagonals += _abs_values(diagonal)
+        # freed before the next product: two alphas' arrays alive at once
+        # grow the heap, and it stays resident through the witness
+        del strip, blocks, drop
+    entry_err, residual_err = _entry_errors(V, q)
+    b2 = math.fsum(itertools.chain(strips, strips, diagonals, [residual_err]))
+    return sym, degs, b2, entry_err
 
 
-def _entry_error(V, q):
-    """Bound on the spectral norm of the rounding error in A'_sym =
-    A'[lo,lo] + A'[lo,hi] built from V V^T: 0 when V holds integers small
-    enough for every sum to be exact (the +-1 XOR weights), else
-    gamma_{n+1} times the largest absolute row sum of the swapped
-    |V| |V|^T, doubled for the rounding of that bound itself. Row
-    (alpha, beta) of it sums to (P P^T)[alpha, beta] with P[alpha, l] =
-    sum_alpha' |V[(alpha, alpha'), l]|."""
+def _entry_errors(V, q):
+    """Bounds on the rounding error in A'_sym's spectral norm and in sum
+    |A''|, each entry of V V^T being within gamma_n (|V| |V|^T)_ij of exact:
+    both 0 when V holds integers small enough for every sum to be exact
+    (the +-1 XOR weights), else gamma_{n+1} times the largest row sum of
+    the swapped |V| |V|^T, (P P^T)[alpha, beta] with P[alpha, l] =
+    sum_alpha' |V[(alpha, alpha'), l]|, and times its entry sum, sum_l
+    (sum_r |V_rl|)^2, rounded up; each doubled for its own rounding."""
     n = V.shape[1]
     absV = np.abs(V)
     if (np.array_equal(V, np.round(V))
             and 2 * n * float(absV.max()) ** 2 < 2.0 ** 53):
-        return 0.0
+        return 0.0, 0.0
     P = absV.reshape(q, q, n).sum(axis=1)
-    return 2.0 * certify.gamma(n + 1) * float((P @ P.T).max())
+    g = 2.0 * certify.gamma(n + 1)
+    return (g * float((P @ P.T).max()),
+            _up(g * float(np.square(P.sum(axis=0)).sum())))
 
 
-def _abs_fsum(values):
-    """Correctly rounded sum of |values|: independent of order and slabs."""
-    return math.fsum(np.abs(values[values != 0]).tolist())
+def _abs_values(values):
+    """|values| of the nonzero entries, as a list for math.fsum."""
+    return np.abs(values[values != 0]).tolist()
 
 
 def residual_bound(F):
     """Entrywise bound sum |A''_ij| (correctly rounded) on ||A''||_inf->1."""
-    return _abs_fsum(F.base)
+    return math.fsum(_abs_values(F.base))
 
 
 def _step(name, claim, value, method="exact"):
@@ -439,9 +452,15 @@ def refute_csp(I, mode="gelfand", z=16):
                                      mode, "degree_k_")
             steps += chain
             bound_k = _up(_up(W * poly) / math.factorial(k))
+            # w / W is exact for W a power of two, else within u |w| / W
+            # (w sums chat_k, so no quotient underflows)
+            if math.frexp(W)[0] != 0.5:
+                bound_k = _up(bound_k + _up(certify.UNIT_ROUNDOFF * math.fsum(
+                    map(abs, supp_w.values()))))
             steps.append(_step("degree_k_bound", "the non-degenerate "
                                "degree-k contribution is at most W * "
-                               "sqrt(n (b1 + b2)) / k!", bound_k))
+                               "sqrt(n (b1 + b2)) / k! + u sum |w_S| (0 "
+                               "for W a power of two)", bound_k))
         if degenerate:
             extra = _up(abs(chat_k) * degenerate)
             bound_k = _up(bound_k + extra)

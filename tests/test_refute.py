@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -379,24 +380,34 @@ def test_audit_rejects_unknown_kind():
 def _dense_parts(I):
     """The dense reference for what _swap_parts returns: A'_sym =
     A'[lo,lo] + A'[lo,hi] of the split of flatten(I), the degrees of A''s
-    lo rows, and b2."""
+    lo rows, and b2, the correctly rounded sum of |A''| and the rounding
+    allowance."""
     main, residual = refute.split(refute.flatten(I))
     dense, _, degs, _ = certify._prep(main.base)
-    lo, hi = refute._swap_index(main.n ** main.half)
-    return (dense[np.ix_(lo, lo)] + dense[np.ix_(lo, hi)], degs[lo],
-            refute.residual_bound(residual))
+    q = main.n ** main.half
+    lo, hi = refute._swap_index(q)
+    _, allowance = refute._entry_errors(refute._unfolding(I), q)
+    b2 = math.fsum(np.append(np.abs(residual.base), allowance).tolist())
+    return dense[np.ix_(lo, lo)] + dense[np.ix_(lo, hi)], degs[lo], b2
 
 
-def _degree_k_instance(J):
-    """The rescaled weighted XOR instance refute_csp hands to the XOR chain
-    for the degree-k part of J."""
+def _degree_k_chain(J):
+    """refute_csp(J)'s certificate, the rescaled weighted XOR instance it
+    hands to the XOR chain for the degree-k part of J, and that chain's
+    polynomial bound."""
     seen = []
     real = refute._xor_chain
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(refute, "_xor_chain",
-                   lambda I, *args: seen.append(I) or real(I, *args))
-        refute.refute_csp(J)
-    return seen[0]
+                   lambda I, *args: seen.append((I, real(I, *args)))
+                   or seen[-1][1])
+        cert = refute.refute_csp(J)
+    I, (_, poly) = seen[0]
+    return cert, I, poly
+
+
+def _degree_k_instance(J):
+    return _degree_k_chain(J)[1]
 
 
 def _builder_cases():
@@ -410,15 +421,23 @@ def _builder_cases():
     cases += [instances.sample_kxor(n, 5, p, seed=seed)
               for n, p, seed in ((5, 1.0, 0), (6, 0.8, 1), (7, 0.5, 2),
                                  (8, 0.2, 3))]
+    # variables 0-2 (k = 3) and most pairs (k = 5) are in no clause, so
+    # their blocks of V are all zero; the last alpha of k = 3 has a strip
+    # with no columns
+    cases += [instances.XorInstance(9, 3, {(4, 7, 8): 1.0, (5, 6, 8): -1.0,
+                                           (4, 5, 6): 1.0, (3, 6, 7): -1.0}),
+              instances.XorInstance(9, 3, {(4, 7, 8): 0.3, (5, 6, 8): -0.7,
+                                           (4, 5, 6): 0.9, (3, 6, 7): -0.45,
+                                           (3, 5, 8): 0.6}),
+              instances.XorInstance(8, 5, {(3, 4, 5, 6, 7): -0.6,
+                                           (2, 4, 5, 6, 7): 1.0,
+                                           (2, 3, 5, 6, 7): 0.8})]
     return cases
 
 
-@pytest.mark.parametrize("slab_bytes", [refute.SLAB_BYTES, 1],
-                         ids=["one-slab", "slab-per-index"])
 @pytest.mark.parametrize("I", _builder_cases(),
                          ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
-def test_swap_parts_match_dense_split(monkeypatch, I, slab_bytes):
-    monkeypatch.setattr(refute, "SLAB_BYTES", slab_bytes)
+def test_swap_parts_match_dense_split(I):
     sym, degs, b2 = _dense_parts(I)
     parts_sym, parts_degs, parts_b2, entry_err = refute._swap_parts(I)
     np.testing.assert_array_equal(parts_sym, sym)
@@ -433,6 +452,79 @@ def test_swap_parts_rescaled_weights_are_not_signs():
     # the CSP cases above exercise weights other than +-1
     weights = {abs(w) for I in _builder_cases() for w in I.clauses.values()}
     assert weights - {1.0}
+
+
+def _weighted(I, seed):
+    """I with each weight's magnitude redrawn from [0.1, 1]."""
+    rng = np.random.default_rng(seed)
+    return instances.XorInstance(I.n, I.k, {
+        tup: w * float(rng.uniform(0.1, 1.0)) for tup, w in I.clauses.items()})
+
+
+@pytest.mark.parametrize("I", [
+    instances.sample_kxor(10, 3, 0.3, seed=1),
+    instances.sample_kxor(7, 5, 0.5, seed=2),
+    _weighted(instances.sample_kxor(20, 3, 0.1, seed=3), 3),
+    _weighted(instances.sample_kxor(8, 5, 0.3, seed=4), 4),
+], ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
+def test_flatten_is_swap_invariant_and_symmetric(I):
+    F = refute.flatten(I)
+    q = I.n ** F.half
+    grid = F.base.reshape(q, q, q, q)
+    # the blocks below the block diagonal are the strips' transposes
+    np.testing.assert_array_equal(grid, grid.transpose(1, 0, 3, 2))
+    if all(abs(w) == 1.0 for w in I.clauses.values()):
+        np.testing.assert_array_equal(F.base, F.base.T)
+        return
+    # A[u, v] and A[v, u] pair the same two rows of V in different
+    # products, each within gamma_n (|V| |V|^T)_ij of the symmetric exact
+    # value
+    absV = np.abs(refute._unfolding(I))
+    error = (absV @ absV.T).reshape(q, q, q, q).transpose(0, 2, 1, 3)
+    assert np.all(np.abs(F.base - F.base.T)
+                  <= 2.0 * certify.gamma(I.n) * error.reshape(F.base.shape))
+
+
+def test_residual_bound_covers_entry_rounding():
+    # b2 bounds the exact sum |A''| of the instance the chain is handed,
+    # not only the sum of its rounded entries
+    J = instances.sample_csp(instances.predicate_table("3sat"), 10, 3, 0.05,
+                             seed=0)
+    I = _degree_k_instance(J)
+    V = refute._unfolding(I)
+    assert refute._entry_errors(V, I.n)[1] > 0
+    digits = refute._digits(I.n, I.k)
+    exact = Fraction(0)
+    # A'' is V V^T at the pairs of rows sharing an index, middle-swapped
+    for i, j in zip(*np.nonzero(refute._overlap_at_least(
+            digits, digits, (I.k - 1) // 2, I.n))):
+        exact += abs(sum(Fraction(a) * Fraction(b)
+                         for a, b in zip(V[i], V[j]) if a and b))
+    b2 = next(s["value"] for s in refute.refute_xor(I, z=6).steps
+              if s["name"] == "residual_bound")
+    assert exact <= Fraction(b2)
+
+
+def test_degree_k_bound_covers_rescale_rounding():
+    J = instances.sample_csp(instances.predicate_table("3sat"), 10, 3, 0.05,
+                             seed=0)
+    chat = Fraction(instances.fourier_decompose(J.truth_table).coefficient(
+        (0, 1, 2)))
+    w = {}
+    for alpha, c in J.constraints:
+        if len(set(alpha)) == 3:
+            key = tuple(sorted(alpha))
+            w[key] = w.get(key, 0) + chat * math.prod(c)
+    cert, I, poly = _degree_k_chain(J)
+    values = {s["name"]: s["value"] for s in cert.steps}
+    W = Fraction(values["degree_k_rescale"])
+    # the chain bounds the rescaled instance as rounded: sum_S w_S x_S <=
+    # W sum_S tilde_S x_S + sum_S |w_S - W tilde_S|
+    rounding = sum(abs(v - W * Fraction(I.clauses[key]))
+                   for key, v in w.items() if v)
+    assert rounding > 0
+    assert (W * Fraction(poly) / math.factorial(3) + rounding
+            <= Fraction(values["degree_k_bound"]))
 
 
 def _dense_witness(I, mode):
