@@ -435,9 +435,28 @@ def _builder_cases():
     return cases
 
 
+def _gram_blocks_per_index(V, q):
+    """_gram_blocks with each strip multiplied out one product V_alpha
+    V_beta^T per second half-index beta > alpha and concatenated."""
+    for a in range(q):
+        rows = V[a * q:(a + 1) * q]
+        if rows.any():
+            strip = [rows @ V[b * q:(b + 1) * q].T for b in range(a + 1, q)]
+            yield a, rows @ rows.T, np.concatenate(
+                strip or [np.zeros((q, 0))], axis=1)
+
+
+# "one-slab": each strip V_alpha V_{>alpha}^T in one product, as
+# _gram_blocks forms it; "slab-per-index": one product per beta, so the
+# pipeline and the reference must read the strip's column blocks by the
+# helper's layout alone, whatever call shape produced them
+@pytest.mark.parametrize("blocks", [None, _gram_blocks_per_index],
+                         ids=["one-slab", "slab-per-index"])
 @pytest.mark.parametrize("I", _builder_cases(),
                          ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
-def test_swap_parts_match_dense_split(I):
+def test_swap_parts_match_dense_split(monkeypatch, I, blocks):
+    if blocks is not None:
+        monkeypatch.setattr(refute, "_gram_blocks", blocks)
     sym, degs, b2 = _dense_parts(I)
     parts_sym, parts_degs, parts_b2, entry_err = refute._swap_parts(I)
     np.testing.assert_array_equal(parts_sym, sym)
