@@ -18,6 +18,8 @@ Conventions used throughout:
     scope-major (alpha, then sign pattern) for CSP). A draw u yields weight
     +1 when u < p/2 and -1 when p/2 <= u < p, so presence has probability
     exactly p with equiprobable signs from a single uniform.
+  * CSP constraints are two read-only (m, k) int64 arrays, scopes and
+    signs, built and validated with the instance and read as arrays.
   * The brute-force optima are exact Walsh-Hadamard evaluations over all
     2^n assignments. Both values are multilinear polynomials in x, so the
     instance's Fourier coefficients, indexed by monomial bitmask, go into a
@@ -50,29 +52,33 @@ class XorInstance:
             raise ValueError(f"arity must be at least 2, got {k}")
         if k > n:
             raise ValueError(f"arity k={k} exceeds variable count n={n}")
-        cleaned = {}
-        for tup, w in clauses.items():
-            tup = tuple(int(i) for i in tup)
-            if len(tup) != k:
-                raise ValueError(f"clause {tup} does not have arity {k}")
-            if list(tup) != sorted(set(tup)):
+        tups = _int_rows(list(clauses), k, lambda t: None if len(t) == k
+                         else f"clause {_ints(t)} does not have arity {k}")
+        weights = np.array(list(clauses.values()), dtype=float)
+        unsorted = (tups[:, 1:] <= tups[:, :-1]).any(axis=1)
+        # a sorted tuple is in range when its ends are
+        out = (tups[:, 0] < 0) | (tups[:, -1] >= n)
+        bad = np.flatnonzero(unsorted | out | (weights == 0.0))
+        if bad.size:
+            i = bad[0]
+            tup = _ints(tups[i])
+            if unsorted[i]:
                 raise ValueError(
                     f"clause {tup} is not a strictly increasing index tuple")
-            if not (0 <= tup[0] and tup[-1] < n):
+            if out[i]:
                 raise ValueError(f"clause {tup} out of range for n={n}")
-            w = float(w)
-            if w == 0.0:
-                raise ValueError(f"clause {tup} has zero weight")
-            cleaned[tup] = w
-        mags = [abs(w) for w in cleaned.values()]
+            raise ValueError(f"clause {tup} has zero weight")
+        mags = np.abs(weights)
         if min_weight is None:
-            min_weight = min(mags) if mags else 1.0
-        if mags and (min(mags) < min_weight - 1e-12 or max(mags) > 1.0 + 1e-12):
+            min_weight = mags.min() if mags.size else 1.0
+        if mags.size and (mags.min() < min_weight - 1e-12
+                          or mags.max() > 1.0 + 1e-12):
             raise ValueError(
                 f"clause weights must satisfy {min_weight} <= |w| <= 1")
         self.n = n
         self.k = k
-        self.clauses = cleaned
+        self.clauses = dict(zip(map(tuple, tups.tolist()),
+                                weights.tolist()))
         self.p = p
         self.seed = seed
         self.min_weight = float(min_weight)
@@ -111,6 +117,7 @@ class CspInstance:
     Scopes are tuples in [n]^k and may repeat indices; constraints may
     repeat. The negation pattern c is a tuple in {-1,+1}^k; constraint
     (alpha, c) evaluates P at (c_1 x_{alpha_1}, ..., c_k x_{alpha_k}).
+    constraints is a sequence of such pairs or an (m, 2, k) integer array.
     """
 
     def __init__(self, n, k, truth_table, constraints, p=None, seed=None):
@@ -123,28 +130,36 @@ class CspInstance:
                 f"got shape {table.shape}")
         if not np.all((table == 0.0) | (table == 1.0)):
             raise ValueError("truth table values must be 0 or 1")
-        cleaned = []
-        for alpha, c in constraints:
-            alpha = tuple(int(i) for i in alpha)
-            c = tuple(int(s) for s in c)
-            if len(alpha) != k or len(c) != k:
+        rows = _int_rows(constraints, 2 * k, lambda pair: None if all(
+            len(part) == k for part in pair) else f"constraint ("
+            f"{_ints(pair[0])}, {_ints(pair[1])}) does not have arity {k}")
+        scopes, signs = rows[:, :k], rows[:, k:]
+        out = ((scopes < 0) | (scopes >= n)).any(axis=1)
+        bad = np.flatnonzero(out | (np.abs(signs) != 1).any(axis=1))
+        if bad.size:
+            i = bad[0]
+            if out[i]:
                 raise ValueError(
-                    f"constraint ({alpha}, {c}) does not have arity {k}")
-            if any(not (0 <= i < n) for i in alpha):
-                raise ValueError(f"scope {alpha} out of range for n={n}")
-            if any(s not in (-1, 1) for s in c):
-                raise ValueError(f"negation pattern {c} must be +-1")
-            cleaned.append((alpha, c))
+                    f"scope {_ints(scopes[i])} out of range for n={n}")
+            raise ValueError(f"negation pattern {_ints(signs[i])} must be +-1")
         self.n = n
         self.k = k
         self.truth_table = table
-        self.constraints = cleaned
+        self.scopes = np.ascontiguousarray(scopes)
+        self.signs = np.ascontiguousarray(signs)
+        self.scopes.flags.writeable = self.signs.flags.writeable = False
         self.p = p
         self.seed = seed
 
     @property
+    def constraints(self):
+        """The (scope, negation) pairs as tuples, a new list per access."""
+        return list(zip(map(tuple, self.scopes.tolist()),
+                        map(tuple, self.signs.tolist())))
+
+    @property
     def m(self):
-        return len(self.constraints)
+        return len(self.scopes)
 
     def to_json_dict(self):
         meta = {}
@@ -158,8 +173,8 @@ class CspInstance:
             "n": self.n,
             "k": self.k,
             "truth_table": [int(v) for v in self.truth_table],
-            "constraints": [{"vars": list(a), "neg": list(c)}
-                            for a, c in self.constraints],
+            "constraints": [{"vars": a, "neg": c} for a, c in
+                            zip(self.scopes.tolist(), self.signs.tolist())],
             "meta": meta,
         }
 
@@ -209,6 +224,24 @@ class FourierExpansion:
         return out
 
 
+def _int_rows(items, width, arity_error):
+    """items, integer sequences or an array, as a new (len(items), width)
+    int64 array. When they do not fit, the first item for which
+    arity_error gives a message is named in the ValueError."""
+    try:
+        return np.array(items, dtype=np.int64).reshape(len(items), width)
+    except ValueError:
+        for message in map(arity_error, items):
+            if message:
+                raise ValueError(message) from None
+        raise
+
+
+def _ints(seq):
+    """seq as a tuple of Python ints, for messages."""
+    return tuple(int(i) for i in seq)
+
+
 def assignment_from_index(idx, k):
     """The {-1,+1}^k point at row idx of the truth-table order."""
     return tuple(1 if (idx >> (k - 1 - j)) & 1 else -1 for j in range(k))
@@ -234,14 +267,11 @@ def sample_kxor(n, k, p, seed):
         raise ValueError(f"arity k={k} exceeds variable count n={n}")
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability p must be in [0,1], got {p}")
-    rng = np.random.default_rng(seed)
-    draws = rng.random(math.comb(n, k))
-    clauses = {}
-    for rank, combo in enumerate(itertools.combinations(range(n), k)):
-        u = draws[rank]
-        if u < p:
-            clauses[combo] = 1.0 if u < p / 2.0 else -1.0
-    return XorInstance(n, k, clauses, p=p, seed=seed)
+    draws = np.random.default_rng(seed).random(math.comb(n, k))
+    hit = draws < p
+    combos = itertools.compress(itertools.combinations(range(n), k), hit)
+    signs = np.where(draws[hit] < p / 2.0, 1.0, -1.0).tolist()
+    return XorInstance(n, k, dict(zip(combos, signs)), p=p, seed=seed)
 
 
 def tensor_entry(I, alpha):
@@ -320,7 +350,8 @@ def sample_csp(truth_table, n, k, p, seed):
     """Sample a CSP(P) instance: every (scope, negation) pair in
     [n]^k x {-1,+1}^k independently present with probability p, from one
     uniform per pair in scope-major rank order, drawn CSP_DRAW_CHUNK at a
-    time."""
+    time. A hit's rank is alpha's base-n rank times 2^k plus c's row in
+    the truth table, decoded for all hits at once by divmod and digits."""
     n = int(n)
     k = int(k)
     p = float(p)
@@ -332,23 +363,17 @@ def sample_csp(truth_table, n, k, p, seed):
             f"truth table must have length 2^{k}={2 ** k}")
     rng = np.random.default_rng(seed)
     total = (n ** k) * (2 ** k)
-    hits = []
+    hits = [np.zeros(0, dtype=np.int64)]
     # chunked draws continue one stream, so they equal a single call's
     for start in range(0, total, CSP_DRAW_CHUNK):
         draws = rng.random(min(CSP_DRAW_CHUNK, total - start))
-        hits.extend((start + np.flatnonzero(draws < p)).tolist())
-    constraints = []
-    for rank in hits:
-        alpha_rank, c_rank = divmod(int(rank), 2 ** k)
-        alpha = []
-        rem = alpha_rank
-        for _ in range(k):
-            rem, digit = divmod(rem, n)
-            alpha.append(digit)
-        alpha.reverse()
-        c = assignment_from_index(c_rank, k)
-        constraints.append((tuple(alpha), c))
-    return CspInstance(n, k, table, constraints, p=p, seed=seed)
+        hits.append(start + np.flatnonzero(draws < p))
+    alpha_rank, c_rank = np.divmod(np.concatenate(hits), 2 ** k)
+    place = np.arange(k - 1, -1, -1)
+    scopes = alpha_rank[:, None] // n ** place % n
+    signs = 2 * (c_rank[:, None] >> place & 1) - 1
+    return CspInstance(n, k, table, np.stack((scopes, signs), axis=1),
+                       p=p, seed=seed)
 
 
 def csp_value(I, x):
@@ -356,12 +381,9 @@ def csp_value(I, x):
     if I.m == 0:
         raise ValueError("no constraints to evaluate")
     x = np.asarray(x, dtype=float)
-    k = I.k
-    total = 0.0
-    for alpha, c in I.constraints:
-        z = tuple(int(c[j] * x[alpha[j]]) for j in range(k))
-        total += I.truth_table[index_from_assignment(z)]
-    return total / I.m
+    # one truth-table row per constraint; the sum of 0/1 values is exact
+    rows = (I.signs * x[I.scopes] > 0) @ (1 << np.arange(I.k - 1, -1, -1))
+    return I.truth_table[rows].sum() / I.m
 
 
 def csp_brute_opt(I):
@@ -374,14 +396,12 @@ def csp_brute_opt(I):
     if I.m == 0:
         raise ValueError("no constraints to evaluate")
     _require_cube(I.n)
-    alphas = np.array([a for a, _ in I.constraints], dtype=np.int64)
-    signs = np.array([c for _, c in I.constraints], dtype=float)
-    bits = np.left_shift(1, alphas)
+    bits = np.left_shift(1, I.scopes)
     masks, weights = [], []
     for S, chat in fourier_decompose(I.truth_table).coefficients.items():
         S = list(S)
         masks.append(np.bitwise_xor.reduce(bits[:, S], axis=1))
-        weights.append(chat * np.prod(signs[:, S], axis=1))
+        weights.append(chat * np.prod(I.signs[:, S], axis=1))
     best = _cube_max(np.concatenate(masks), np.concatenate(weights), I.n)
     return float(best / I.m)
 
@@ -399,18 +419,11 @@ def fourier_decompose(truth_table):
     if size != 2 ** k or table.ndim != 1:
         raise ValueError(
             f"truth table length must be a power of two, got {table.shape}")
-    coeffs = {}
-    points = [assignment_from_index(i, k) for i in range(size)]
-    for d in range(k + 1):
-        for S in itertools.combinations(range(k), d):
-            acc = 0.0
-            for i, z in enumerate(points):
-                term = table[i]
-                for j in S:
-                    term *= z[j]
-                acc += term
-            coeffs[S] = acc / size
-    return FourierExpansion(k, coeffs)
+    points = np.array([assignment_from_index(i, k) for i in range(size)])
+    # every term is 0 or +-1, so the sums are exact in any order
+    return FourierExpansion(k, {
+        S: (table * points[:, list(S)].prod(axis=1)).sum() / size
+        for d in range(k + 1) for S in itertools.combinations(range(k), d)})
 
 
 def predicate_table(name, k=3):
@@ -427,9 +440,6 @@ def predicate_table(name, k=3):
         table[0] = 0.0
         return table
     if name == "parity":
-        table = np.zeros(2 ** k)
-        for idx in range(2 ** k):
-            z = assignment_from_index(idx, k)
-            table[idx] = (1 + int(np.prod(z))) // 2
-        return table
+        return np.array([(1 + math.prod(assignment_from_index(i, k))) // 2
+                         for i in range(2 ** k)], dtype=float)
     raise ValueError(f"unknown predicate {name!r}; use '3sat' or 'parity'")

@@ -47,6 +47,8 @@ The CSP(P) chain decomposes P into its multilinear expansion, bounds each
 degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
 scaled by n^(d/2), and routes the degree-k part through the XOR chain after
 aggregating constraints by support into a rescaled weighted XOR instance.
+Both read the instance's arrays and add in constraint order (bincount), as
+a loop over the constraints would.
 """
 
 import itertools
@@ -95,19 +97,12 @@ class FlattenedMatrix:
         for i in tup:
             if not (0 <= i < self.n):
                 raise ValueError(f"index {i} out of range for n={self.n}")
-        return _tuple_rank(tup, self.n)
+        return int(np.ravel_multi_index(tup, (self.n,) * len(tup)))
 
     def pair_of(self, row):
         digits = tuple(int(d) for d in np.unravel_index(
             int(row), (self.n,) * (self.k - 1)))
         return digits[:self.half], digits[self.half:]
-
-
-def _tuple_rank(tup, n):
-    rank = 0
-    for i in tup:
-        rank = rank * n + int(i)
-    return rank
 
 
 def _require_odd_arity(k):
@@ -140,13 +135,15 @@ def _digits(n, k):
     return np.arange(n ** (k - 1))[:, None] // place % n
 
 
-def _overlap_at_least(left, right, h, n):
-    """Boolean matrix: digit row i of left and digit row j of right share at
-    least h indices. Rows of V that hold a clause fragment have distinct
-    digits, and there the count of digits of j found in i is the overlap."""
+def _overlap_at_least(left, start, h, n):
+    """Boolean matrix: digit row i of left and row (beta, beta'), beta >=
+    start, of V share at least h indices. Rows of V that hold a clause
+    fragment have distinct digits, and there the overlap is the count of
+    the digits of (beta, beta') found in i: c[i, beta] + c[i, beta']."""
     member = np.zeros((len(left), n), dtype=np.int8)
     member[np.arange(len(left))[:, None], left] = 1
-    return sum(member[:, column] for column in right.T) >= h
+    c = member[:, _digits(n, h + 1)].sum(axis=2, dtype=np.int8)
+    return (c[:, start:, None] + c[:, None, :] >= h).reshape(len(left), -1)
 
 
 def _swap_index(q):
@@ -201,7 +198,7 @@ def split(F):
     """
     digits = _digits(F.n, F.k)
     q = F.n ** F.half
-    drop = _overlap_at_least(digits, digits, F.half, F.n).reshape(
+    drop = _overlap_at_least(digits, 0, F.half, F.n).reshape(
         q, q, q, q).transpose(0, 2, 1, 3).reshape(F.base.shape)
     main = np.where(drop, 0.0, F.base)
     return (FlattenedMatrix(main, F.n, F.k),
@@ -229,8 +226,7 @@ def _swap_parts(I):
     strips, diagonals = [], []
     V = _unfolding(I)
     for a, diagonal, strip in _gram_blocks(V, q):
-        drop = _overlap_at_least(digits[a * q:(a + 1) * q],
-                                 digits[(a + 1) * q:], h, n)
+        drop = _overlap_at_least(digits[a * q:(a + 1) * q], a + 1, h, n)
         strips += _abs_values(strip[drop])
         strip[drop] = 0.0
         # a contiguous row of q^2 entries per lo row (a, beta), so the
@@ -344,33 +340,24 @@ def flatten_degree_d(I, d, fourier=None):
     n^ceil(d/2) matrix M with, for every constraint (alpha, c) and every
     size-d index set S, the value chat_S prod_{i in S} c_i added at the row
     of alpha's first floor(d/2) sorted-S positions and the column of the
-    rest."""
+    rest, whose flat index is the base-n rank of alpha's S-positions. One
+    bincount over constraints, then sorted sets, adds in a loop's order."""
     k = I.k
     if not (1 <= d < k):
         raise ValueError(f"degree d must satisfy 1 <= d < k, got {d}")
     if fourier is None:
         fourier = instances.fourier_decompose(I.truth_table)
-    part = fourier.degree_part(d)
     a = d // 2
-    b = d - a
-    rows = I.n ** a
-    cols = I.n ** b
-    M = np.zeros((rows, cols))
-    if not part:
-        return M
-    items = sorted(part.items())
-    for alpha, c in I.constraints:
-        for S, chat in items:
-            if chat == 0.0:
-                continue
-            coef = chat
-            for i in S:
-                coef *= c[i]
-            positions = [alpha[i] for i in S]
-            r = _tuple_rank(positions[:a], I.n)
-            q = _tuple_rank(positions[a:], I.n)
-            M[r, q] += coef
-    return M
+    rows, cols = I.n ** a, I.n ** (d - a)
+    items = sorted((S, v) for S, v in fourier.degree_part(d).items()
+                   if v != 0.0)
+    if not items:
+        return np.zeros((rows, cols))
+    sets, chats = map(np.array, zip(*items))
+    flat = I.scopes[:, sets] @ I.n ** np.arange(d - 1, -1, -1)
+    coef = chats * np.prod(I.signs[:, sets], axis=2)
+    return np.bincount(flat.ravel(), weights=coef.ravel(),
+                       minlength=rows * cols).reshape(rows, cols)
 
 
 def specnorm_upper(M, z=16):
@@ -431,23 +418,26 @@ def refute_csp(I, mode="gelfand", z=16):
                            "nothing", 0.0))
         bound_k = 0.0
     else:
-        supp_w = {}
-        degenerate = 0
-        for alpha, c in I.constraints:
-            if len(set(alpha)) != k:
-                degenerate += 1
-                continue
-            key = tuple(sorted(alpha))
-            supp_w[key] = supp_w.get(key, 0.0) + chat_k * math.prod(c)
-        supp_w = {key: w for key, w in supp_w.items() if w != 0.0}
+        # repeats sit side by side once sorted; bincount sums each
+        # support's weights in constraint order
+        scopes = np.sort(I.scopes, axis=1)
+        repeats = (scopes[:, 1:] == scopes[:, :-1]).any(axis=1)
+        degenerate = int(repeats.sum())
+        place = n ** np.arange(k - 1, -1, -1)
+        ranks, inverse = np.unique(scopes[~repeats] @ place,
+                                   return_inverse=True)
+        w = np.bincount(inverse.reshape(-1), minlength=len(ranks),
+                        weights=chat_k * np.prod(I.signs[~repeats], axis=1))
+        ranks, w = ranks[w != 0.0], w[w != 0.0]
         bound_k = 0.0
-        if supp_w:
-            W = max(abs(w) for w in supp_w.values())
+        if w.size:
+            W = float(np.abs(w).max())
             steps.append(_step("degree_k_rescale", "aggregated support "
                                "weights are divided by their max magnitude "
                                "before flattening; the factor multiplies "
                                "the resulting bound", W))
-            tilde = {key: w / W for key, w in supp_w.items()}
+            supports = (ranks[:, None] // place % n).tolist()
+            tilde = dict(zip(map(tuple, supports), (w / W).tolist()))
             chain, poly = _xor_chain(instances.XorInstance(n, k, tilde),
                                      mode, "degree_k_")
             steps += chain
@@ -456,7 +446,7 @@ def refute_csp(I, mode="gelfand", z=16):
             # (w sums chat_k, so no quotient underflows)
             if math.frexp(W)[0] != 0.5:
                 bound_k = _up(bound_k + _up(certify.UNIT_ROUNDOFF * math.fsum(
-                    map(abs, supp_w.values()))))
+                    np.abs(w).tolist())))
             steps.append(_step("degree_k_bound", "the non-degenerate "
                                "degree-k contribution is at most W * "
                                "sqrt(n (b1 + b2)) / k! + u sum |w_S| (0 "

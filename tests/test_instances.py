@@ -43,14 +43,27 @@ def test_sample_kxor_rejects_bad_arity():
 
 
 def test_xor_instance_validates_clauses():
-    with pytest.raises(ValueError, match="strictly increasing"):
+    with pytest.raises(ValueError, match=r"^clause \(2, 1, 0\) is not a "
+                                         "strictly increasing index tuple$"):
         instances.XorInstance(5, 3, {(2, 1, 0): 1.0})
-    with pytest.raises(ValueError, match="out of range"):
+    with pytest.raises(ValueError,
+                       match=r"^clause \(0, 1, 5\) out of range for n=3$"):
         instances.XorInstance(3, 3, {(0, 1, 5): 1.0})
-    with pytest.raises(ValueError, match="zero weight"):
+    with pytest.raises(ValueError,
+                       match=r"^clause \(0, 1, 2\) has zero weight$"):
         instances.XorInstance(4, 3, {(0, 1, 2): 0.0})
-    with pytest.raises(ValueError, match="arity"):
+    with pytest.raises(ValueError,
+                       match=r"^clause \(0, 1\) does not have arity 3$"):
         instances.XorInstance(5, 3, {(0, 1): 1.0})
+    # the first offending clause is named, whichever check it fails
+    with pytest.raises(ValueError, match=r"^clause \(1, 2, 7\) out of"):
+        instances.XorInstance(5, 3, {(0, 1, 2): 1.0, (1, 2, 7): 1.0,
+                                     (2, 2, 3): 1.0, (0, 1, 4): 0.0})
+    with pytest.raises(ValueError, match=r"^clause \(0, 1, 4\) has zero"):
+        instances.XorInstance(5, 3, {(0, 1, 4): 0.0, (1, 2, 7): 1.0})
+    with pytest.raises(ValueError, match=r"^clause \(3, 4\) does not"):
+        instances.XorInstance(5, 3, {(0, 1, 2): 1.0, (3, 4): 1.0,
+                                     (0, 1, 2, 3): 1.0})
 
 
 def test_tensor_entry_symmetric_and_zero_on_repeats():
@@ -214,6 +227,39 @@ def test_csp_instance_validation():
         instances.CspInstance(4, 3, table, [((0, 1, 9), (1, 1, 1))])
     with pytest.raises(ValueError, match="must be \\+-1"):
         instances.CspInstance(4, 3, table, [((0, 1, 2), (1, 0, 1))])
+    with pytest.raises(ValueError, match=r"constraint \(\(0, 1\), \(1, 1\)\) "
+                                         "does not have arity 3"):
+        instances.CspInstance(4, 3, table, [((0, 1, 2), (1, 1, 1)),
+                                            ((0, 1), (1, 1))])
+    with pytest.raises(ValueError, match="does not have arity 3"):
+        instances.CspInstance(4, 3, table, [((0, 1, 2), (1, 1))])
+    with pytest.raises(ValueError, match="does not have arity 3"):
+        instances.CspInstance(4, 3, table, [((0, 1), (1, 1))] * 3)
+    # the first offending constraint is named, whichever check it fails
+    with pytest.raises(ValueError, match=r"scope \(0, 1, 9\)"):
+        instances.CspInstance(4, 3, table, [((0, 1, 2), (1, 1, 1)),
+                                            ((0, 1, 9), (1, 1, 1)),
+                                            ((0, 1, 2), (1, 0, 1))])
+    with pytest.raises(ValueError, match=r"pattern \(1, 0, 1\)"):
+        instances.CspInstance(4, 3, table, [((0, 1, 2), (1, 0, 1)),
+                                            ((0, 1, 9), (1, 1, 1))])
+
+
+def test_csp_instance_accepts_no_constraints():
+    J = instances.CspInstance(4, 3, instances.predicate_table("3sat"), [])
+    assert J.m == 0 and J.constraints == []
+    assert J.scopes.shape == J.signs.shape == (0, 3)
+
+
+def test_csp_instance_arrays_are_read_only_copies():
+    pairs = np.array([[[0, 1, 2], [1, -1, 1]], [[3, 3, 0], [-1, -1, 1]]])
+    J = instances.CspInstance(4, 3, instances.predicate_table("3sat"), pairs)
+    pairs[0, 0, 0] = 3
+    assert J.constraints == [((0, 1, 2), (1, -1, 1)), ((3, 3, 0), (-1, -1, 1))]
+    with pytest.raises(ValueError, match="read-only"):
+        J.scopes[0, 0] = 1
+    J.constraints.clear()
+    assert J.m == 2
 
 
 def test_csp_value_3sat_hand_example():
@@ -232,6 +278,23 @@ def test_csp_value_requires_constraints():
     J = instances.CspInstance(3, 3, instances.predicate_table("3sat"), [])
     with pytest.raises(ValueError, match="no constraints"):
         instances.csp_value(J, [1, 1, 1])
+
+
+def csp_value_loop(J, x):
+    """The per-constraint reference for csp_value."""
+    total = 0.0
+    for alpha, c in J.constraints:
+        z = tuple(int(c[j] * x[alpha[j]]) for j in range(J.k))
+        total += J.truth_table[instances.index_from_assignment(z)]
+    return total / J.m
+
+
+@pytest.mark.parametrize("k,n,p", [(3, 6, 0.05), (5, 5, 0.01)])
+def test_csp_value_matches_loop(k, n, p):
+    rng = np.random.default_rng(k)
+    J = instances.sample_csp(rng.integers(0, 2, size=2 ** k), n, k, p, 1)
+    for x in rng.choice([-1.0, 1.0], size=(8, n)):
+        assert instances.csp_value(J, x) == csp_value_loop(J, x)
 
 
 def test_csp_scopes_may_repeat_indices():
@@ -256,6 +319,34 @@ def test_sample_csp_rank_indexed_draws():
                     (alpha, instances.assignment_from_index(c_rank, k)))
             rank += 1
     assert J.constraints == expect
+
+
+def sample_csp_loop(n, k, p, seed):
+    """The per-hit reference for sample_csp's decoding: each hit's rank
+    divided into alpha's base-n digits and the truth-table index of c."""
+    draws = np.random.default_rng(seed).random((n ** k) * (2 ** k))
+    constraints = []
+    for rank in np.flatnonzero(draws < p).tolist():
+        alpha_rank, c_rank = divmod(rank, 2 ** k)
+        alpha = []
+        for _ in range(k):
+            alpha_rank, digit = divmod(alpha_rank, n)
+            alpha.append(digit)
+        constraints.append((tuple(reversed(alpha)),
+                            instances.assignment_from_index(c_rank, k)))
+    return constraints
+
+
+@pytest.mark.parametrize("n,k,p", [(4, 5, 0.01), (5, 5, 0.002), (3, 5, 0.0),
+                                   (2, 5, 1.0), (3, 3, 1.0), (6, 3, 0.0)])
+def test_sample_csp_matches_loop(n, k, p):
+    J = instances.sample_csp(np.ones(2 ** k), n, k, p, seed=n + k)
+    assert J.constraints == sample_csp_loop(n, k, p, seed=n + k)
+    assert J.scopes.shape == J.signs.shape == (J.m, k)
+    if p == 0.0:
+        assert J.m == 0
+    if p == 1.0:
+        assert J.m == (n ** k) * (2 ** k)
 
 
 @pytest.mark.parametrize("n,k,p,seed", [(4, 2, 0.3, 11), (7, 3, 0.05, 2),

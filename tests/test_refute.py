@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -247,6 +248,65 @@ def test_flatten_degree_d_parity_is_zero():
         assert np.count_nonzero(refute.flatten_degree_d(J, d)) == 0
 
 
+def flatten_degree_d_loop(J, d, fourier):
+    """The per-constraint reference for flatten_degree_d: for every
+    constraint and then every nonzero degree-d coefficient in sorted
+    order, add chat_S prod_{i in S} c_i at the entry of alpha's
+    S-positions."""
+    a = d // 2
+    M = np.zeros((J.n ** a, J.n ** (d - a)))
+    items = sorted(fourier.degree_part(d).items())
+    for alpha, c in J.constraints:
+        for S, chat in items:
+            if chat == 0.0:
+                continue
+            coef = chat
+            for i in S:
+                coef *= c[i]
+            rank = 0
+            for i in S:
+                rank = rank * J.n + alpha[i]
+            M[divmod(rank, M.shape[1])] += coef
+    return M
+
+
+def _random_table(k, seed):
+    return np.random.default_rng(seed).integers(0, 2, size=2 ** k)
+
+
+def _flatten_cases():
+    sat = instances.predicate_table("3sat")
+    rng = np.random.default_rng(31)
+    # every scope repeats an index, and every constraint appears twice
+    repeated = [((i, i, j), tuple(int(s) for s in rng.choice((-1, 1), 3)))
+                for i, j in rng.integers(0, 6, size=(10, 2))]
+    return [
+        instances.sample_csp(sat, 9, 3, 0.05, seed=1),
+        instances.sample_csp(_random_table(3, 2), 8, 3, 0.1, seed=2),
+        instances.sample_csp(_random_table(5, 3), 6, 5, 0.005, seed=3),
+        instances.sample_csp(_random_table(5, 4), 5, 5, 0.02, seed=4),
+        instances.CspInstance(6, 3, sat, repeated + repeated),
+        instances.sample_csp(instances.predicate_table("parity"), 7, 3,
+                             0.05, seed=5),
+    ]
+
+
+@pytest.mark.parametrize("J", _flatten_cases(),
+                         ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
+def test_flatten_degree_d_matches_loop(J):
+    fourier = instances.fourier_decompose(J.truth_table)
+    parity = np.array_equal(J.truth_table,
+                            instances.predicate_table("parity", J.k))
+    for d in range(1, J.k):
+        M = refute.flatten_degree_d(J, d, fourier)
+        want = flatten_degree_d_loop(J, d, fourier)
+        np.testing.assert_array_equal(M, want)
+        # bit for bit, the signs of zeros included
+        assert M.tobytes() == want.tobytes()
+        # parity has no degree-d part
+        assert np.any(M) != parity
+
+
 def test_flatten_degree_d_range_errors():
     table = instances.predicate_table("3sat")
     J = instances.CspInstance(4, 3, table, [((0, 1, 2), (1, 1, 1))])
@@ -406,6 +466,43 @@ def _degree_k_chain(J):
     return cert, I, poly
 
 
+def degree_k_loop(J):
+    """The per-constraint reference for refute_csp's degree-k part: the
+    support weights sum_alpha chat_k prod(c) in constraint order, zero sums
+    dropped, and the count of scopes that repeat an index."""
+    chat = instances.fourier_decompose(J.truth_table).coefficient(
+        tuple(range(J.k)))
+    weights, degenerate = {}, 0
+    for alpha, c in J.constraints:
+        if len(set(alpha)) != J.k:
+            degenerate += 1
+            continue
+        key = tuple(sorted(alpha))
+        weights[key] = weights.get(key, 0.0) + chat * math.prod(c)
+    return {key: w for key, w in weights.items() if w != 0.0}, degenerate
+
+
+@pytest.mark.parametrize("J", [
+    instances.sample_csp(instances.predicate_table("3sat"), 10, 3, 0.05,
+                         seed=0),
+    instances.sample_csp(instances.predicate_table("parity"), 8, 3, 0.2,
+                         seed=1),
+    instances.sample_csp(_random_table(5, 7), 7, 5, 0.01, seed=2),
+], ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
+def test_degree_k_aggregation_matches_loop(J):
+    weights, degenerate = degree_k_loop(J)
+    # in the k = 3 cases the +-chat_k terms of some supports sum to 0
+    assert degenerate > 0 and len(weights) > 1
+    cert, I, _ = _degree_k_chain(J)
+    values = {s["name"]: s["value"] for s in cert.steps}
+    W = max(abs(w) for w in weights.values())
+    assert values["degree_k_rescale"] == W
+    assert I.clauses == {key: w / W for key, w in weights.items()}
+    chat = instances.fourier_decompose(J.truth_table).coefficient(
+        tuple(range(J.k)))
+    assert values["degree_k_degenerate"] == _up(abs(chat) * degenerate)
+
+
 def _degree_k_instance(J):
     return _degree_k_chain(J)[1]
 
@@ -467,6 +564,40 @@ def test_swap_parts_match_dense_split(monkeypatch, I, blocks):
                                      for w in I.clauses.values())
 
 
+def overlap_by_gathers(left, right, h, n):
+    """The mask as k - 1 strip-sized gathers, one per digit of the right
+    rows: whether row i of left shares at least h indices with row j of
+    right, counting the digits of j found in i."""
+    member = np.zeros((len(left), n), dtype=np.int8)
+    member[np.arange(len(left))[:, None], left] = 1
+    return sum(member[:, column] for column in right.T) >= h
+
+
+@pytest.mark.parametrize("n,k", [(4, 3), (7, 3), (4, 5), (5, 5)])
+def test_overlap_mask_matches_multiset_overlap(n, k):
+    h = (k - 1) // 2
+    q = n ** h
+    digits = refute._digits(n, k)
+    full = refute._overlap_at_least(digits, 0, h, n)
+    # split's whole mask and every strip of _swap_parts, bit for bit
+    np.testing.assert_array_equal(
+        full, overlap_by_gathers(digits, digits, h, n))
+    for a in range(q):
+        np.testing.assert_array_equal(
+            refute._overlap_at_least(digits[a * q:(a + 1) * q], a + 1, h, n),
+            overlap_by_gathers(digits[a * q:(a + 1) * q],
+                               digits[(a + 1) * q:], h, n))
+    # on the rows of V that can hold a clause fragment (distinct digits)
+    # the mask is the multiset overlap of the split condition
+    fragments = [i for i, row in enumerate(digits.tolist())
+                 if len(set(row)) == k - 1]
+    for i in fragments:
+        row = Counter(digits[i].tolist())
+        for j in fragments:
+            shared = sum((row & Counter(digits[j].tolist())).values())
+            assert full[i, j] == (shared >= h)
+
+
 def test_swap_parts_rescaled_weights_are_not_signs():
     # the CSP cases above exercise weights other than +-1
     weights = {abs(w) for I in _builder_cases() for w in I.clauses.values()}
@@ -516,7 +647,7 @@ def test_residual_bound_covers_entry_rounding():
     exact = Fraction(0)
     # A'' is V V^T at the pairs of rows sharing an index, middle-swapped
     for i, j in zip(*np.nonzero(refute._overlap_at_least(
-            digits, digits, (I.k - 1) // 2, I.n))):
+            digits, 0, (I.k - 1) // 2, I.n))):
         exact += abs(sum(Fraction(a) * Fraction(b)
                          for a, b in zip(V[i], V[j]) if a and b))
     b2 = next(s["value"] for s in refute.refute_xor(I, z=6).steps
