@@ -154,8 +154,8 @@ class CspInstance:
     @property
     def constraints(self):
         """The (scope, negation) pairs as tuples, a new list per access."""
-        return list(zip(map(tuple, self.scopes.tolist()),
-                        map(tuple, self.signs.tolist())))
+        return list(zip(zip(*self.scopes.T.tolist()),
+                        zip(*self.signs.T.tolist())))
 
     @property
     def m(self):
