@@ -8,27 +8,25 @@ the two values coincide through an exact signed-diagonal similarity) yields
   A  >=  -lambda Id - (1/lambda)(D - Id)       (PSD witness)
   norm_inf_to_one(A)  <=  2 sum_u |lambda + (deg_u - 1)/lambda|
 
-Two interchangeable routes produce lambda, each from the Frobenius power
-bound ||M^z||_F^(1/z) of its operator M:
+lambda bounds the absolute real spectrum of an operator M that shares the
+eigenvalues of B + L - J outside [-1, 1]. The route, chosen by edge count
+and deterministic, only picks M:
 
-  * edge route: build B + L - J explicitly (2m x 2m) and bound its spectrum.
-    It reads only A's vertices of nonzero degree: relabelling them in
+  * edge route (2m <= EDGE_ROUTE_CAP): M = B + L - J itself (2m x 2m),
+    built on A's vertices of nonzero degree only. Relabelling them in
     increasing order keeps the canonical edge order and every sign
-    convention of nonbacktracking.build, so B + L - J is the same matrix.
-  * companion route: the determinant identity shows the spectrum of B + L - J
-    equals the roots of det(x^2 Id - xA + (D - Id)) plus copies of +-1, so
-    the companion matrix [[A, -(D-Id)], [Id, 0]] (2n x 2n) carries the same
-    information. Powers of the companion follow the three-term recurrence
-    P_{j+1} = A P_j - (D-Id) P_{j-1}, which keeps the n=60 pipeline (where
-    2m would be in the millions) inside dense-matrix range.
+    convention of nonbacktracking.build, so M is the same matrix.
+  * companion route (larger graphs): the determinant identity shows the
+    spectrum of B + L - J equals the roots of det(x^2 Id - xA + (D - Id))
+    plus copies of +-1, so M is the companion matrix [[A, -(D-Id)], [Id,
+    0]] (2n x 2n).
 
-The +-1 eigenvalues sit below the lambda floor of 1, so both routes certify
-the same inequality; the route is chosen by edge count and is deterministic.
-
-For lambda and the norm certificates, mode="gelfand" (power norms,
-rigorous up to floating point) is the default; mode="eig" uses an
-uncertified dense eigensolve, is inflated by (1 + 1e-6), and marks the
-certificate sound=False.
+The +-1 eigenvalues sit below the lambda floor of 1, so both operators
+certify the same inequality. mode="gelfand" (the default) bounds M by the
+Frobenius power bound ||M^z||_F^(1/z) of linalg.spectral_radius_upper,
+rigorous up to floating point; mode="eig" reads M's largest absolute real
+eigenvalue from an uncertified dense eigensolve, inflates it by
+(1 + EIG_MARGIN) and marks the certificate sound=False.
 
 Diagonal witness (the refutation chains). The chains need only the
 one-sided quadratic form y^T A y at y = x^(k-1) for sign vectors x, and
@@ -66,7 +64,7 @@ from . import nonbacktracking
 EIG_MARGIN = 1e-6
 # Maximum oriented-edge count (2m) for the explicit edge-space route.
 EDGE_ROUTE_CAP = 2048
-VALID_METHODS = ("exact", "eigensolve", "gelfand", "brute", "cholesky")
+VALID_METHODS = ("exact", "eigensolve", "gelfand", "cholesky")
 # Directions w = theta + (1 - theta) deg the witness search compares (the
 # bound is nearly flat in theta below 0.95 on random 3-XOR instances), and
 # the Lanczos steps that estimate the scale along each.
@@ -142,9 +140,17 @@ class Certificate:
     def from_json_dict(cls, d):
         # Deliberately lenient: stored final_bound/sound are kept as-is so a
         # tampered certificate can be loaded and then failed by an audit.
+        # Flags must be JSON booleans: bool() would read "false" as True.
+        sound, informative = d["sound"], d.get("informative")
+        if not isinstance(sound, bool):
+            raise ValueError(f"certificate field 'sound' is not a boolean: "
+                             f"{sound!r}")
+        if informative is not None and not isinstance(informative, bool):
+            raise ValueError(f"certificate field 'informative' is not a "
+                             f"boolean: {informative!r}")
         return cls(d["kind"], d["n"], d["steps"],
-                   final_bound=d["final_bound"], sound=d["sound"],
-                   meta=d.get("meta"), informative=d.get("informative"))
+                   final_bound=d["final_bound"], sound=sound,
+                   meta=d.get("meta"), informative=informative)
 
 
 def _prep(A):
@@ -176,76 +182,23 @@ def companion_matrix(dense, degs):
 
 
 def _max_abs_real_eig(M):
-    lo = linalg.min_real_eigenvalue(M)
-    hi = linalg.min_real_eigenvalue(-M)
-    vals = [abs(v) for v in (lo, hi) if v is not None]
-    return max(vals) if vals else 0.0
+    real = linalg.real_eigenvalues(M)
+    return float(np.abs(real).max()) if real.size else 0.0
 
 
-def _lambda_edge_route(A, mode, z):
-    G = nonbacktracking.build(A)
+def _edge_operator(dense):
+    """B + L - J of the graph with weights dense (2m x 2m)."""
+    G = nonbacktracking.build(dense)
     M = G.B + G.L
     M -= G.J
-    # the bundle's own 2m x 2m matrices are dead past this point
-    del G
-    if mode == "eig":
-        return _max_abs_real_eig(M)
-    return linalg.spectral_radius_upper(M, z)
-
-
-def _lambda_companion_route(dense, degs, mode, z):
-    """Spectral bound for the companion matrix of (dense, degs): its
-    largest absolute real eigenvalue in eig mode, else ||C^z||_F^(1/z)."""
-    if mode == "eig":
-        return _max_abs_real_eig(companion_matrix(dense, degs))
-    return _companion_power_bound(dense, degs, z)
-
-
-def _companion_power_bound(dense, degs, z):
-    """||C^z||_F^(1/z) for the companion matrix C of (dense, degs)."""
-    log = _log_companion_power_norm(dense, degs, z)
-    return 0.0 if log == -np.inf else float(np.exp(log / z))
-
-
-def _log_companion_power_norm(dense, degs, z):
-    """log ||C^z||_F (-inf when it is 0) for the companion matrix C, via the
-    recurrence P_{j+1} = A P_j - (D-Id) P_{j-1} with C^z = [[P_z, -P_{z-1}
-    E], [P_{z-1}, -P_{z-2} E]] (E = D - Id). Rescales to avoid overflow.
-    dense is only read, never written (P_{z-1} or P_{z-2} may be dense
-    itself); the elementwise temporaries go into one scratch block."""
-    n = dense.shape[0]
-    E = degs - 1.0
-    work = np.empty((n, n))
-    p_prev2 = np.zeros((n, n))   # P_{z-2}
-    p_prev = np.eye(n)           # P_{z-1}
-    p_cur = dense                # P_z
-    log_scale = 0.0
-    for _ in range(int(z) - 1):
-        s = max(np.abs(p_cur, out=work).max(), np.abs(p_prev, out=work).max())
-        if s > linalg._RESCALE_ABOVE or 0.0 < s < linalg._RESCALE_BELOW:
-            p_cur = p_cur / s
-            p_prev = p_prev / s
-            p_prev2 = p_prev2 / s
-            log_scale += np.log(s)
-        nxt = dense @ p_cur
-        nxt -= np.multiply(E[:, None], p_prev, out=work)
-        p_prev2, p_prev, p_cur = p_prev, p_cur, nxt
-
-    def sq_sum(x):
-        return np.multiply(x, x, out=work).sum()
-
-    v = np.sqrt(sq_sum(p_cur) + sq_sum(np.multiply(p_prev, E, out=work))
-                + sq_sum(p_prev) + sq_sum(np.multiply(p_prev2, E, out=work)))
-    if v == 0.0:
-        return -np.inf
-    return np.log(v) + log_scale
+    return M
 
 
 def _dense_lambda(A, mode, z):
     """(lambda, degrees) of A, validated and normalized by _prep, computed
-    for the sign of A whose first nonzero entry is positive: the edge route
-    on A restricted to its vertices of nonzero degree when 2m <=
-    EDGE_ROUTE_CAP, else the companion route on A."""
+    for the sign of A whose first nonzero entry is positive: M is B + L - J
+    on A's vertices of nonzero degree when 2m <= EDGE_ROUTE_CAP, else the
+    companion matrix of A, bounded per mode (module docstring)."""
     dense, _, degs, m = _prep(A)
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
@@ -253,16 +206,17 @@ def _dense_lambda(A, mode, z):
         raise ValueError(f"power count must be >= 1, got {z}")
     if m == 0:
         raise ValueError("empty graph: no edges to certify")
-    negate = _leads_negative(dense)
+    if _leads_negative(dense):
+        dense = -dense
     if 2 * m <= EDGE_ROUTE_CAP:
         keep = np.flatnonzero(degs)
-        sub = dense[np.ix_(keep, keep)]
-        raw = _lambda_edge_route(-sub if negate else sub, mode, z)
+        M = _edge_operator(dense[np.ix_(keep, keep)])
     else:
-        raw = _lambda_companion_route(-dense if negate else dense, degs,
-                                      mode, z)
+        M = companion_matrix(dense, degs)
     if mode == "eig":
-        raw = raw * (1.0 + EIG_MARGIN)
+        raw = _max_abs_real_eig(M) * (1.0 + EIG_MARGIN)
+    else:
+        raw = linalg.spectral_radius_upper(M, z)
     return max(1.0, float(raw)), degs
 
 
@@ -406,7 +360,7 @@ def _factorizes(neg, diag, w, c):
     return True
 
 
-def _diagonal_witness(sym, degs, mode, entry_err=0.0):
+def _diagonal_witness(sym, degs, entry_err=0.0):
     """Step bounding max_y y^T A y over swap-invariant sign vectors y by
     tr W = 2 sum_u w_u for w_u = a + b deg_u (0 on rows of zero degree)
     with diag(w) - A_sym PSD, verified by one Cholesky (module docstring).
@@ -418,10 +372,7 @@ def _diagonal_witness(sym, degs, mode, entry_err=0.0):
     the least scale s with s W_theta - A_sym PSD, W_theta = diag(theta +
     (1 - theta) deg); the direction minimising s tr W_theta wins. Verify:
     s (1 + delta) W_theta for delta in WITNESS_MARGINS, then the Gershgorin
-    point, until the Cholesky runs through. mode "eig" labels the step
-    eigensolve (unsound) and is otherwise the same route."""
-    if mode not in ("eig", "gelfand"):
-        raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
+    point, until the Cholesky runs through."""
     dim = degs.size
     neg, degs = _kept_rows(sym, degs)
     thetas = np.array(WITNESS_THETAS)
@@ -456,7 +407,7 @@ def _diagonal_witness(sym, degs, mode, entry_err=0.0):
                      "swap-symmetric vectors, verified by Cholesky of "
                      "W_sym - A'_sym - c Id",
             "value": bound,
-            "method": "eigensolve" if mode == "eig" else "cholesky",
+            "method": "cholesky",
             "witness": {"a": a_w, "b": b_w, "theta": theta, "scale": sigma,
                         "estimate": estimate, "shift": shift, "dim": dim,
                         "rows": degs.size, "cholesky_probes": probes}}

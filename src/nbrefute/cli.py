@@ -89,11 +89,10 @@ def cmd_gen(args):
 
 def cmd_refute(args):
     inst = _load_instance(args.infile)
-    mode = {"sound": "gelfand", "estimate": "eig"}[args.mode]
     if isinstance(inst, instances.XorInstance):
-        cert = refute.refute_xor(inst, mode=mode, z=args.z)
+        cert = refute.refute_xor(inst, z=args.z)
     else:
-        cert = refute.refute_csp(inst, mode=mode, z=args.z)
+        cert = refute.refute_csp(inst, z=args.z)
     d = cert.to_json_dict()
     d.setdefault("meta", {})["timestamp"] = (
         datetime.now(timezone.utc).isoformat())
@@ -185,7 +184,6 @@ def build_parser():
 
     p = sub.add_parser("refute", help="produce a refutation certificate")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--mode", choices=("sound", "estimate"), default="sound")
     p.add_argument("--z", type=int, default=16,
                    help="power count of the CSP degree-d spectral-norm "
                         "bounds (XOR refutations only record it)")

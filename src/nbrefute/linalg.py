@@ -7,7 +7,7 @@ reduces to the handful of primitives in this module:
   * symmetric_degrees   validates a dense symmetric zero-diagonal matrix
   * brute_inf_to_one    exact infinity-to-one norm by sign enumeration
   * spectral_radius_upper   Frobenius power bound ||M^z||_F^(1/z)
-  * min_real_eigenvalue     smallest real eigenvalue of a square matrix
+  * real_eigenvalues / min_real_eigenvalue   real spectrum of a square matrix
   * det_shift / frobenius / min_eig_symmetric
 
 All functions are pure, operate on float64 numpy arrays, and are safe to call
@@ -219,27 +219,31 @@ def _rescaled(P, log_scale):
     return P, log_scale
 
 
-def min_real_eigenvalue(M, max_dim=EIG_DIM_CAP):
-    """Smallest real eigenvalue of a square matrix, or None.
-
-    An eigenvalue counts as real when |imag| <= DEFAULT_IM_TOL. Returns None
-    when no eigenvalue is real within tolerance (e.g. a rotation matrix).
-    """
+def real_eigenvalues(M, max_dim=EIG_DIM_CAP):
+    """Real parts of the eigenvalues of a square matrix with |imag| <=
+    DEFAULT_IM_TOL, from one dense eigensolve (empty when there are none)."""
     M = _square(M)
     dim = M.shape[0]
     if dim > max_dim:
         raise ValueError(
             f"eigensolve infeasible: dimension {dim} exceeds cap {max_dim}")
     if dim == 0:
-        return None
+        return np.zeros(0)
     try:
         w = np.linalg.eigvals(M)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigensolver failed to converge: {exc}") from exc
-    real = w.real[np.abs(w.imag) <= DEFAULT_IM_TOL]
-    if real.size == 0:
-        return None
-    return float(real.min())
+    return w.real[np.abs(w.imag) <= DEFAULT_IM_TOL]
+
+
+def min_real_eigenvalue(M, max_dim=EIG_DIM_CAP):
+    """Smallest real eigenvalue of a square matrix, or None.
+
+    An eigenvalue counts as real when |imag| <= DEFAULT_IM_TOL. Returns None
+    when no eigenvalue is real within tolerance (e.g. a rotation matrix).
+    """
+    real = real_eigenvalues(M, max_dim)
+    return float(real.min()) if real.size else None
 
 
 def det_shift(M):

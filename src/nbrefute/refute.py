@@ -36,12 +36,12 @@ V_alpha the q rows of V with first half-index alpha, so V_alpha
 V_{>alpha}^T gives the lo rows; A''s hi rows (their transposes) and rows
 (alpha, alpha) (the blocks V_alpha V_alpha^T) enter only b2 (_swap_parts).
 
-In the default mode the chain is sound with floating-point rounding
-included: the witness step by its Cholesky shift, b2 and the degree-k
-bound by allowances for the rounding of A''s entries and of the rescale
-w / W (0 when exact), and the closed-form steps (b2, N, U, and the CSP
-chain's degree-k bound and total) by rounding every operation up by one
-ulp. The CSP degree-d terms are rounded to nearest.
+The chain is sound with floating-point rounding included: the witness
+step by its Cholesky shift, b2 and the degree-k bound by allowances for
+the rounding of A''s entries and of the rescale w / W (0 when exact),
+and the closed-form steps (b2, N, U, and the CSP chain's degree-k bound
+and total) by rounding every operation up by one ulp. The CSP degree-d
+terms are rounded to nearest.
 
 The CSP(P) chain decomposes P into its multilinear expansion, bounds each
 degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
@@ -109,6 +109,12 @@ def _require_odd_arity(k):
     if k % 2 == 0:
         raise ValueError(
             f"even arity k={k} is unsupported: flattening needs odd k")
+
+
+def _require_gelfand(mode):
+    if mode != "gelfand":
+        raise ValueError(f"unknown refutation mode {mode!r}; the only mode "
+                         f"is 'gelfand'")
 
 
 def _unfolding(I):
@@ -281,7 +287,7 @@ def _step(name, claim, value, method="exact"):
     return {"name": name, "claim": claim, "value": value, "method": method}
 
 
-def _xor_chain(I, mode, prefix):
+def _xor_chain(I, prefix):
     """The XOR chain's steps through b2 and sqrt(n (b1 + b2)), rounded up.
     Step names start with prefix; A''s witness step with prefix or
     "main_"."""
@@ -292,7 +298,7 @@ def _xor_chain(I, mode, prefix):
         steps = [_step(f"{prefix}main_empty", "the split kept no entries, "
                        "so max_y y^T A' y = 0", 0.0)]
     else:
-        step = certify._diagonal_witness(sym, degs, mode, entry_err)
+        step = certify._diagonal_witness(sym, degs, entry_err)
         b1 = step["value"]
         steps = [dict(step, name=(prefix or "main_") + step["name"])]
     steps.append(_step(f"{prefix}residual_bound",
@@ -305,14 +311,16 @@ def refute_xor(I, mode="gelfand", z=16):
 
     Returns a Certificate of kind xor_refutation whose final bound U
     satisfies opt(I) <= U, with U < 1 flagged as informative. The chain's
-    one spectral step is the Cholesky-verified diagonal witness; mode "eig"
-    runs the same route but marks the certificate unsound. z, the power
-    count of the CSP pipeline's spectral-norm bounds, is only recorded.
+    one spectral step is the Cholesky-verified diagonal witness, sound with
+    rounding included. mode must be "gelfand", the only refutation mode;
+    z, the power count of the CSP pipeline's spectral-norm bounds, is only
+    recorded.
     """
+    _require_gelfand(mode)
     _require_odd_arity(I.k)
     if I.m == 0:
         raise ValueError("no clauses to refute")
-    steps, poly = _xor_chain(I, mode, "")
+    steps, poly = _xor_chain(I, "")
     steps.append(_step("polynomial_bound",
                        "max_x <T, x^(k)> <= sqrt(n * (bound(A') + "
                        "bound(A''))) over sign assignments", poly))
@@ -320,16 +328,15 @@ def refute_xor(I, mode="gelfand", z=16):
         "xor_refutation", I, steps,
         _up(0.5 + _up(poly / (2.0 * I.m * math.factorial(I.k)))),
         "opt(I) <= 1/2 + polynomial_bound / (2 m k!), clamped to 1",
-        mode, z, split_condition=("entry kept when the two tensor-factor "
-                                  "index multisets share at most (k-3)/2 "
-                                  "indices"))
+        z, split_condition=("entry kept when the two tensor-factor index "
+                            "multisets share at most (k-3)/2 indices"))
 
 
-def _refutation(kind, I, steps, raw, claim, mode, z, **extra_meta):
+def _refutation(kind, I, steps, raw, claim, z, **extra_meta):
     """Certificate of I: steps, then opt_bound = min(1, raw) with claim."""
     bound = min(1.0, raw)
     steps.append(_step("opt_bound", claim, bound))
-    meta = dict(mode=mode, z=z, n=I.n, k=I.k, m=I.m,
+    meta = dict(mode="gelfand", z=z, n=I.n, k=I.k, m=I.m,
                 clamped=bool(raw > 1.0), **extra_meta)
     return certify.Certificate(kind, I.n, steps, meta=meta,
                                informative=bool(bound < 1.0))
@@ -388,7 +395,9 @@ def refute_csp(I, mode="gelfand", z=16):
     support into a weighted XOR instance (rescaled so |weights| <= 1, the
     rescale factor carried as a step), runs the XOR polynomial bound on it,
     and adds |chat_k| for each constraint whose scope repeats an index.
+    mode must be "gelfand", as for refute_xor.
     """
+    _require_gelfand(mode)
     _require_odd_arity(I.k)
     if I.m == 0:
         raise ValueError("no constraints to refute")
@@ -439,7 +448,7 @@ def refute_csp(I, mode="gelfand", z=16):
             supports = (ranks[:, None] // place % n).tolist()
             tilde = dict(zip(map(tuple, supports), (w / W).tolist()))
             chain, poly = _xor_chain(instances.XorInstance(n, k, tilde),
-                                     mode, "degree_k_")
+                                     "degree_k_")
             steps += chain
             bound_k = _up(_up(W * poly) / math.factorial(k))
             # w / W is exact for W a power of two, else within u |w| / W
@@ -460,7 +469,7 @@ def refute_csp(I, mode="gelfand", z=16):
     return _refutation("csp_refutation", I, steps,
                        _up(p0 + _up(_up(total + bound_k) / I.m)),
                        "opt(I) <= chat_empty + (sum of degree bounds) / m, "
-                       "clamped to 1", mode, z)
+                       "clamped to 1", z)
 
 
 def audit_refutation(I, cert):

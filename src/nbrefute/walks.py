@@ -410,7 +410,8 @@ def sample_gamma_graph(n, d, seed):
 
 def rho_B_experiment(n, d, seeds, z=16):
     """Spectral radius of the oriented-edge operator on signed sparse
-    graphs, against sqrt(d) and against the z-th-root power bound.
+    graphs, against sqrt(d) and against the z-th-root power bound of
+    the companion matrix (linalg.spectral_radius_upper).
 
     For +-1 weights the operator's spectrum is the quadratic-pencil root
     set padded with +-1 when edges outnumber vertices, so the radius comes
@@ -423,8 +424,9 @@ def rho_B_experiment(n, d, seeds, z=16):
         dense = A.to_dense()
         degs = A.degrees()
         m = A.edge_count()
+        C = certify.companion_matrix(dense, degs)
         if m >= A.n:
-            roots = np.linalg.eigvals(certify.companion_matrix(dense, degs))
+            roots = np.linalg.eigvals(C)
             rho = float(np.max(np.abs(roots)))
             if m > A.n:
                 rho = max(rho, 1.0)
@@ -433,10 +435,7 @@ def rho_B_experiment(n, d, seeds, z=16):
             rho = float(np.max(np.abs(np.linalg.eigvals(G.B))))
         else:
             rho = 0.0
-        if m > 0:
-            gel = certify._companion_power_bound(dense, degs, z)
-        else:
-            gel = 0.0
+        gel = linalg.spectral_radius_upper(C, z) if m > 0 else 0.0
         records.append({
             "n": n,
             "d": d,

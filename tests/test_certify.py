@@ -52,8 +52,8 @@ def test_lambda_rejects_bad_z():
 
 
 def test_companion_power_bound_matches_direct_power():
-    # oracle for the three-term recurrence: build the companion matrix and
-    # power it directly
+    # the companion route's bound is the Frobenius power bound of the
+    # companion matrix; oracle: power it directly
     rng = np.random.default_rng(1)
     for _ in range(8):
         dense = nonempty_weighted_graph(rng, 6, density=0.7)
@@ -62,19 +62,19 @@ def test_companion_power_bound_matches_direct_power():
         for z in (3, 7, 12):
             P = np.linalg.matrix_power(C, z)
             direct_fro = np.linalg.norm(P) ** (1.0 / z)
-            mine = certify._companion_power_bound(dense, degs, z)
+            mine = linalg.spectral_radius_upper(C, z)
             np.testing.assert_allclose(mine, direct_fro, rtol=1e-10)
 
 
 def test_companion_power_bound_survives_rescale():
-    # heavy weights overflow naive powering at large z; the log-scaled
-    # recurrence must agree with smaller powers' trend and stay finite
+    # heavy weights overflow naive powering at large z; the rescaled
+    # power bound of the companion matrix must stay finite
     dense = complete_graph(5) * 10.0
     degs = np.abs(dense).sum(axis=1)
-    val = certify._companion_power_bound(dense, degs, 200)
+    C = certify.companion_matrix(dense, degs)
+    val = linalg.spectral_radius_upper(C, 200)
     assert np.isfinite(val)
-    rho = np.max(np.abs(np.linalg.eigvals(
-        certify.companion_matrix(dense, degs))))
+    rho = np.max(np.abs(np.linalg.eigvals(C)))
     assert val >= rho - 1e-6
 
 
@@ -198,6 +198,23 @@ def test_dual_route_agreement_on_threshold():
     assert lam_comp >= target - 1e-8
 
 
+def test_companion_route_at_natural_size():
+    # a graph past the edge cap takes the companion route unforced: the
+    # power bound of the companion matrix of the sign whose first nonzero
+    # entry is positive, above its largest absolute real eigenvalue, and
+    # the same for +A and -A
+    rng = np.random.default_rng(9)
+    dense = nonempty_weighted_graph(rng, 60, density=0.8)
+    assert 2 * np.count_nonzero(np.triu(dense, 1)) > certify.EDGE_ROUTE_CAP
+    degs = np.abs(dense).sum(axis=1)
+    lead = dense.ravel()[np.flatnonzero(dense)[0]]
+    C = certify.companion_matrix(np.sign(lead) * dense, degs)
+    lam = certify.lambda_certificate(dense, mode="gelfand", z=16)
+    assert lam == max(1.0, linalg.spectral_radius_upper(C, 16))
+    assert lam >= certify._max_abs_real_eig(C)
+    assert certify.lambda_certificate(-dense, mode="gelfand", z=16) == lam
+
+
 def _swap_invariant_cases():
     # flattened matrices are exactly invariant under the pair swap: the split
     # main part A' at k = 3 (its pair-diagonal rows are zero) and the full
@@ -229,12 +246,13 @@ def test_swap_block_route_through_lambda_certificate():
 
 
 def test_swap_block_power_bound_survives_rescale():
-    # heavy weights at z = 200 rescale the recurrence on a flattened
-    # matrix; the bound must stay finite and dominate the spectral radius
+    # heavy weights at z = 200 rescale the companion matrix's powers on a
+    # flattened matrix; the bound must stay finite and dominate the
+    # spectral radius
     main = _swap_invariant_cases()[0] * 10.0
     degs = np.abs(main).sum(axis=1)
-    val = certify._companion_power_bound(main, degs, 200)
+    C = certify.companion_matrix(main, degs)
+    val = linalg.spectral_radius_upper(C, 200)
     assert np.isfinite(val)
-    rho = np.max(np.abs(np.linalg.eigvals(
-        certify.companion_matrix(main, degs))))
+    rho = np.max(np.abs(np.linalg.eigvals(C)))
     assert val >= rho - 1e-6

@@ -76,17 +76,14 @@ def test_refute_sound_mode(tmp_path, capsys):
     assert d["meta"]["mode"] == "gelfand"
 
 
-def test_refute_estimate_mode_is_unsound(tmp_path, capsys):
+def test_refute_has_no_mode_option(tmp_path, capsys):
     inst = tmp_path / "inst.json"
-    cert = tmp_path / "cert.json"
     run(capsys, "gen", "--kind", "xor", "--n", "12", "--p", "0.3",
         "--seed", "1", "--out", str(inst))
-    code, _, _ = run(capsys, "refute", "--in", str(inst),
-                     "--mode", "estimate", "--out", str(cert))
-    assert code == 0
-    d = json.loads(cert.read_text())
-    assert d["sound"] is False
-    assert d["meta"]["mode"] == "eig"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["refute", "--in", str(inst), "--mode", "estimate",
+                  "--out", str(tmp_path / "cert.json")])
+    assert exc.value.code == 2
 
 
 def test_refute_rerun_identical_up_to_timestamp(tmp_path, capsys):
@@ -199,6 +196,23 @@ def test_malformed_file_is_exit_2(tmp_path, capsys, command, target, field):
     code, _, stderr = run(capsys, *argv)
     assert code == 2
     assert stderr.startswith("error: malformed")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("sound", "false"), ("sound", "no"), ("sound", 0), ("sound", None),
+    ("informative", "yes"), ("informative", 1)])
+def test_audit_non_boolean_flag_is_exit_2(tmp_path, capsys, field, value):
+    # bool("false") is True: a flag that is not a JSON boolean must not
+    # load as one
+    inst, cert = _xor_files(tmp_path, capsys)
+    d = json.loads(cert.read_text())
+    d[field] = value
+    cert.write_text(json.dumps(d))
+    code, stdout, stderr = run(capsys, "audit", "--in", str(inst),
+                               "--cert", str(cert))
+    assert code == 2
+    assert stdout == ""
+    assert f"certificate field '{field}' is not a boolean" in stderr
 
 
 @pytest.mark.parametrize("value", ["abc", True])

@@ -184,14 +184,25 @@ def test_refute_xor_single_clause_clamps():
 
 
 def test_refute_xor_dominates_brute_force():
-    for seed, mode in [(0, "gelfand"), (1, "gelfand"), (2, "eig")]:
+    for seed in range(3):
         I = instances.sample_kxor(11, 3, 0.3, seed=seed)
-        cert = refute.refute_xor(I, mode=mode)
+        cert = refute.refute_xor(I)
         opt = instances.brute_opt(I)
         assert cert.final_bound >= opt - 1e-12
-        assert cert.sound is (mode == "gelfand")
+        assert cert.sound is True
         assert cert.meta["m"] == I.m
         cert.validate()
+
+
+def test_refutations_reject_other_modes():
+    I = instances.sample_kxor(9, 3, 0.3, seed=0)
+    J = instances.sample_csp(instances.predicate_table("3sat", 3), 9, 3,
+                             0.05, 0)
+    for mode in ("eig", "estimate"):
+        with pytest.raises(ValueError, match=repr(mode)):
+            refute.refute_xor(I, mode=mode)
+        with pytest.raises(ValueError, match=repr(mode)):
+            refute.refute_csp(J, mode=mode)
 
 
 def test_refute_xor_requires_clauses():
@@ -353,10 +364,7 @@ def test_refute_csp_parity_matches_xor_route():
         clauses[scope] = float(np.prod(c))
     J = instances.CspInstance(10, 3, table, constraints)
     I = instances.XorInstance(10, 3, clauses)
-    for mode in ("gelfand", "eig"):
-        u_csp = refute.refute_csp(J, mode=mode).final_bound
-        u_xor = refute.refute_xor(I, mode=mode).final_bound
-        assert u_csp == u_xor
+    assert refute.refute_csp(J).final_bound == refute.refute_xor(I).final_bound
 
 
 def test_refute_csp_handles_degenerate_scopes():
@@ -677,14 +685,14 @@ def test_degree_k_bound_covers_rescale_rounding():
             <= Fraction(values["degree_k_bound"]))
 
 
-def _dense_witness(I, mode):
+def _dense_witness(I):
     """A'_sym, the lo degrees and the witness step
     certify._diagonal_witness makes on them, from the dense split of
     flatten(I) (None when the split keeps nothing)."""
     sym, degs, _ = _dense_parts(I)
     if not degs.any():
         return sym, degs, None
-    step = certify._diagonal_witness(sym.copy(), degs, mode)
+    step = certify._diagonal_witness(sym.copy(), degs)
     return sym, degs, step
 
 
@@ -692,11 +700,11 @@ def _up(x):
     return math.nextafter(x, math.inf)
 
 
-def _dense_xor_steps(I, mode):
+def _dense_xor_steps(I):
     """refute_xor's steps recomputed from flatten, split, the diagonal
     witness on the dense split's symmetric block, and residual_bound, each
     closed-form operation after the witness rounded up."""
-    _, _, step = _dense_witness(I, mode)
+    _, _, step = _dense_witness(I)
     if step is None:
         b1 = 0.0
         steps = [{"name": "main_empty",
@@ -724,31 +732,26 @@ def _dense_xor_steps(I, mode):
     return steps
 
 
-@pytest.mark.parametrize("edge_cap", [certify.EDGE_ROUTE_CAP, 0])
-@pytest.mark.parametrize("mode", ["gelfand", "eig"])
-def test_refute_xor_matches_dense_chain(monkeypatch, edge_cap, mode):
-    # the chain goes through no lambda route, so the edge cap that splits
-    # them changes nothing
-    monkeypatch.setattr(certify, "EDGE_ROUTE_CAP", edge_cap)
+def test_refute_xor_matches_dense_chain():
     # (30, 0.002, 0) is sparse: 8 clauses touch 52 of A''s 900 vertices
     for n, p, seed in ((4, 0.5, 0), (9, 0.4, 1), (12, 0.3, 2), (13, 0.2, 3),
                        (30, 0.002, 0)):
         I = instances.sample_kxor(n, 3, p, seed=seed)
-        got = refute.refute_xor(I, mode=mode, z=6).to_json_dict()
-        want = _dense_xor_steps(I, mode)
+        got = refute.refute_xor(I, z=6).to_json_dict()
+        want = _dense_xor_steps(I)
         assert json.dumps(got["steps"]) == json.dumps(want)
         assert got["final_bound"] == want[-1]["value"]
 
 
 def test_edge_route_reads_only_touched_vertices(monkeypatch):
     seen = []
-    route = certify._lambda_edge_route
+    build = certify._edge_operator
 
-    def spy(A, *args):
+    def spy(A):
         seen.append(len(A))
-        return route(A, *args)
+        return build(A)
 
-    monkeypatch.setattr(certify, "_lambda_edge_route", spy)
+    monkeypatch.setattr(certify, "_edge_operator", spy)
     I = instances.sample_kxor(30, 3, 0.002, seed=0)
     refute.refute_xor(I, z=6)
     main, _ = refute.split(refute.flatten(I))
@@ -770,7 +773,7 @@ def _witness_weights(step, degs):
                                         (14, 0.2, 2), (14, 0.5, 3)])
 def test_diagonal_witness_is_psd(n, p, seed):
     I = instances.sample_kxor(n, 3, p, seed=seed)
-    sym, degs, step = _dense_witness(I, "gelfand")
+    sym, degs, step = _dense_witness(I)
     w = _witness_weights(step, degs)
     keep = degs > 0
     gap = (np.diag(w) - sym)[np.ix_(keep, keep)]
@@ -784,7 +787,7 @@ def test_diagonal_witness_check_is_not_vacuous():
     # the verified scale sits within the first margin of the least
     # feasible one: 1% below it the factorization fails
     I = instances.sample_kxor(14, 3, 0.5, seed=3)
-    sym, degs, step = _dense_witness(I, "gelfand")
+    sym, degs, step = _dense_witness(I)
     w = step["witness"]
     assert w["cholesky_probes"] == 1
     neg, d = certify._kept_rows(-sym, degs)
