@@ -2,13 +2,18 @@
 instances, built on non-backtracking edge operators of weighted graphs.
 
 Submodules:
-  linalg          dense kernels, norms, exact brute-force oracles
-  nonbacktracking oriented-edge matrix bundle and determinant identity checks
-  certify         PSD witnesses and infinity-to-one norm certificates
-  instances       k-XOR / CSP instance sampling, evaluation, Fourier transforms
-  refute          tensor flattening and the end-to-end refutation pipelines
-  walks           walk enumeration, trace identities, canonical-count bounds
-  cli             command-line front end (gen / refute / audit / ...)
+  linalg          dense kernels, the matrix validator, the power bound and
+                  exact brute-force oracles
+  nonbacktracking oriented-edge matrix bundle and the determinant identity
+  certify         lambda and infinity-to-one norm certificates, and the
+                  Cholesky-verified diagonal witness
+  instances       k-XOR / CSP instance sampling, evaluation, Fourier
+                  transforms and brute-force optima
+  refute          the XOR and CSP refutation chains and their audit
+  walks           walk enumeration, trace identities, the canonical-walk
+                  census and its ceiling, the rho(B) experiment
+  cli             command-line front end (gen / refute / audit /
+                  check-identity / walks)
 """
 
 __version__ = "0.1.0"

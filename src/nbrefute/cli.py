@@ -116,6 +116,8 @@ def cmd_audit(args):
 def cmd_check_identity(args):
     if args.n < 2:
         raise ValueError(f"--n must be at least 2, got {args.n}")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for _ in range(args.trials):
@@ -234,9 +236,6 @@ def main(argv=None):
         message = str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 4 if "infeasible" in message else 2
-    except np.linalg.LinAlgError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
 
 
 if __name__ == "__main__":

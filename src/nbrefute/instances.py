@@ -58,7 +58,8 @@ class XorInstance:
         unsorted = (tups[:, 1:] <= tups[:, :-1]).any(axis=1)
         # a sorted tuple is in range when its ends are
         out = (tups[:, 0] < 0) | (tups[:, -1] >= n)
-        bad = np.flatnonzero(unsorted | out | (weights == 0.0))
+        infinite = ~np.isfinite(weights)
+        bad = np.flatnonzero(unsorted | out | infinite | (weights == 0.0))
         if bad.size:
             i = bad[0]
             tup = _ints(tups[i])
@@ -67,6 +68,9 @@ class XorInstance:
                     f"clause {tup} is not a strictly increasing index tuple")
             if out[i]:
                 raise ValueError(f"clause {tup} out of range for n={n}")
+            if infinite[i]:
+                raise ValueError(
+                    f"clause {tup} has non-finite weight {weights[i]}")
             raise ValueError(f"clause {tup} has zero weight")
         mags = np.abs(weights)
         if min_weight is None:
@@ -272,19 +276,6 @@ def sample_kxor(n, k, p, seed):
     combos = itertools.compress(itertools.combinations(range(n), k), hit)
     signs = np.where(draws[hit] < p / 2.0, 1.0, -1.0).tolist()
     return XorInstance(n, k, dict(zip(combos, signs)), p=p, seed=seed)
-
-
-def tensor_entry(I, alpha):
-    """Symmetric tensor entry at an ordered index tuple: the stored clause
-    weight when the indices are distinct, 0 otherwise."""
-    alpha = tuple(int(i) for i in alpha)
-    if len(alpha) != I.k:
-        raise ValueError(f"index tuple {alpha} does not have arity {I.k}")
-    if any(not (0 <= i < I.n) for i in alpha):
-        raise ValueError(f"index tuple {alpha} out of range for n={I.n}")
-    if len(set(alpha)) != I.k:
-        return 0.0
-    return I.clauses.get(tuple(sorted(alpha)), 0.0)
 
 
 def value(I, x):

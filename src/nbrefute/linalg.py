@@ -7,13 +7,15 @@ reduces to the handful of primitives in this module:
   * symmetric_degrees   validates a dense symmetric zero-diagonal matrix
   * brute_inf_to_one    exact infinity-to-one norm by sign enumeration
   * spectral_radius_upper   Frobenius power bound ||M^z||_F^(1/z)
-  * real_eigenvalues / min_real_eigenvalue   real spectrum of a square matrix
+  * real_eigenvalues    real spectrum of a square matrix
   * det_shift / frobenius / min_eig_symmetric
 
 All functions are pure, operate on float64 numpy arrays, and are safe to call
 concurrently; reductions run in a fixed order so results do not depend on
 thread count.
 """
+
+import math
 
 import numpy as np
 
@@ -52,6 +54,9 @@ class SymWeightedMatrix:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"index pair ({u},{v}) out of range for n={n}")
             w = float(w)
+            if not math.isfinite(w):
+                raise ValueError(f"non-finite weight {w} at index pair "
+                                 f"({u},{v})")
             if w == 0.0:
                 continue
             key = (u, v) if u < v else (v, u)
@@ -99,18 +104,30 @@ def _square(M):
 
 def symmetric_degrees(M):
     """(M as a float64 ndarray, its weighted degrees sum_v |M_uv|) after
-    checking that M is square, symmetric within SYMMETRY_TOL and zero on the
-    diagonal; raises ValueError naming the first violation. One scratch
-    matrix serves both the asymmetry check and the degrees."""
+    checking that M is square, finite with finite degrees, symmetric within
+    SYMMETRY_TOL and zero on the diagonal; raises ValueError naming the
+    first violation. One scratch matrix serves both the degrees and the
+    asymmetry check."""
     M = _square(M)
-    work = M - M.T
-    asym = np.abs(work, out=work).max() if M.size else 0.0
+    work = np.abs(M)
+    degs = work.sum(axis=1)
+    # a NaN or infinite entry makes its row's degree non-finite
+    bad = np.flatnonzero(~np.isfinite(degs))
+    if bad.size:
+        u = bad[0]
+        v = np.flatnonzero(~np.isfinite(M[u]))
+        if v.size:
+            raise ValueError(
+                f"non-finite entry {M[u, v[0]]} at index ({u}, {v[0]})")
+        raise ValueError(f"weighted degree of row {u} overflows")
+    asym = (np.abs(np.subtract(M, M.T, out=work), out=work).max()
+            if M.size else 0.0)
     if asym > SYMMETRY_TOL:
         raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e}")
     bad = np.flatnonzero(np.diagonal(M))
     if bad.size:
         raise ValueError(f"nonzero diagonal entry at index {bad[0]}")
-    return M, np.abs(M, out=work).sum(axis=1)
+    return M, degs
 
 
 def as_sym_matrix(A):
@@ -219,14 +236,16 @@ def _rescaled(P, log_scale):
     return P, log_scale
 
 
-def real_eigenvalues(M, max_dim=EIG_DIM_CAP):
+def real_eigenvalues(M):
     """Real parts of the eigenvalues of a square matrix with |imag| <=
-    DEFAULT_IM_TOL, from one dense eigensolve (empty when there are none)."""
+    DEFAULT_IM_TOL, from one dense eigensolve (empty when there are none).
+    Raises beyond EIG_DIM_CAP, read at call time."""
     M = _square(M)
     dim = M.shape[0]
-    if dim > max_dim:
+    if dim > EIG_DIM_CAP:
         raise ValueError(
-            f"eigensolve infeasible: dimension {dim} exceeds cap {max_dim}")
+            f"eigensolve infeasible: dimension {dim} exceeds cap "
+            f"{EIG_DIM_CAP}")
     if dim == 0:
         return np.zeros(0)
     try:
@@ -234,16 +253,6 @@ def real_eigenvalues(M, max_dim=EIG_DIM_CAP):
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigensolver failed to converge: {exc}") from exc
     return w.real[np.abs(w.imag) <= DEFAULT_IM_TOL]
-
-
-def min_real_eigenvalue(M, max_dim=EIG_DIM_CAP):
-    """Smallest real eigenvalue of a square matrix, or None.
-
-    An eigenvalue counts as real when |imag| <= DEFAULT_IM_TOL. Returns None
-    when no eigenvalue is real within tolerance (e.g. a rotation matrix).
-    """
-    real = real_eigenvalues(M, max_dim)
-    return float(real.min()) if real.size else None
 
 
 def det_shift(M):

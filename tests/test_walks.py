@@ -47,15 +47,6 @@ def test_block_walk_validation():
         walks.BlockWalk([(0, 1, 2), (2, 1, 3)])
 
 
-def test_tangle_free_classifier():
-    assert walks.is_tangle_free(walks.Walk([0, 1, 2, 3]), 0)
-    cycle = walks.Walk([0, 1, 2, 0])
-    assert not walks.is_tangle_free(cycle, 0)
-    assert walks.is_tangle_free(cycle, 1)
-    W = walks.BlockWalk([(0, 1, 2), (2, 1, 0)])
-    assert walks.is_tangle_free(W, 0)
-
-
 def test_is_canonical():
     assert walks.is_canonical(walks.Walk([0, 1, 2]))
     assert not walks.is_canonical(walks.Walk([0, 2, 1]))
@@ -226,129 +217,3 @@ def test_rho_b_experiment_sparse_fallback():
     assert rec["rho_B"] >= 0.0
     assert rec["rho_B"] <= rec["gelfand_z"] * (1 + 1e-8)
 
-
-def chain_pair():
-    return walks.HyperWalk(
-        alphas=[[(0,), (1,)], [(1,), (0,)]],
-        betas=[[(2,), (3,)], [(3,), (2,)]],
-        ells=[[4], [4]],
-    )
-
-
-def test_hyper_walk_validation():
-    Z = chain_pair()
-    assert Z.q == 1
-    assert Z.z == 1
-    assert Z.k == 3
-    assert Z.hyper_edge(0, 0, "alpha") == (0, 1, 4)
-    assert Z.hyper_edge(0, 0, "beta") == (2, 3, 4)
-    with pytest.raises(ValueError, match="side must be"):
-        Z.hyper_edge(0, 0, "gamma")
-    with pytest.raises(ValueError, match="even number of blocks"):
-        walks.HyperWalk([[(0,), (1,)]], [[(2,), (3,)]], [[4]])
-    with pytest.raises(ValueError, match="track lengths differ"):
-        walks.HyperWalk([[(0,), (1,)], [(1,), (0,)]], [[(2,), (3,)]],
-                        [[4], [4]])
-    with pytest.raises(ValueError, match="half-tuples per track"):
-        walks.HyperWalk([[(0,)], [(1,)]],
-                        [[(2,), (3,)], [(3,), (2,)]], [[4], [4]])
-    with pytest.raises(ValueError, match="arity"):
-        walks.HyperWalk([[(0,), (1, 2)], [(1, 2), (0,)]],
-                        [[(2,), (3,)], [(3,), (2,)]], [[4], [4]])
-    with pytest.raises(ValueError, match="step back"):
-        walks.HyperWalk([[(0,), (1,)], [(0,), (1,)]],
-                        [[(2,), (3,)], [(3,), (2,)]], [[4], [4]])
-    with pytest.raises(ValueError, match="at least one step"):
-        walks.HyperWalk([[(0,)], [(0,)]], [[(1,)], [(1,)]], [[], []])
-
-
-def test_classify_reveals_chain_pair():
-    report = walks.classify_reveals(chain_pair())
-    assert report["index_classes"] == {3: 1, 0: 1}
-    assert report["edge_classes"] == {2: 1, 0: 1}
-    assert report["tangle_sizes"] == [0, 0]
-    first, second = report["reveals"]
-    assert first["new_indices"] == 3 and first["new_edges"] == 2
-    assert second["new_indices"] == 0 and second["new_edges"] == 0
-    assert walks.is_hyper_tangle_free(chain_pair(), 0)
-
-
-def two_block_z3():
-    # two blocks of three steps whose middle reveals are unpaired
-    return walks.HyperWalk(
-        alphas=[[(0,), (1,), (2,), (3,)], [(3,), (2,), (1,), (0,)]],
-        betas=[[(4,), (5,), (6,), (7,)], [(7,), (6,), (5,), (4,)]],
-        ells=[[8, 9, 10], [10, 11, 8]],
-    )
-
-
-def test_classify_reveals_tangle_detection():
-    # revisiting known indices while opening a new hyper-edge is a tangle
-    Z = walks.HyperWalk(
-        alphas=[[(0,), (1,), (2,), (3,)], [(3,), (2,), (1,), (0,)]],
-        betas=[[(4,), (5,), (6,), (7,)], [(7,), (6,), (5,), (4,)]],
-        ells=[[8, 9, 10], [10, 5, 8]],
-    )
-    report = walks.classify_reveals(Z)
-    # block 1 step 1 reuses index 5 yet opens hyper-edges (1,2,5), (5,6)
-    assert report["tangle_sizes"] == [0, 1]
-    assert not walks.is_hyper_tangle_free(Z, 0)
-    assert walks.is_hyper_tangle_free(Z, 1)
-
-
-def test_satisfies_conditions_clean_walk():
-    out = walks.satisfies_conditions(chain_pair(), starred=True)
-    assert out == {
-        "preprocessing": True,
-        "nonbacktracking": True,
-        "block": True,
-        "ell_link": True,
-        "odd_multiplicity": True,
-        "all": True,
-    }
-
-
-def test_satisfies_conditions_shared_index():
-    Z = walks.HyperWalk(
-        alphas=[[(0,), (1,)], [(1,), (0,)]],
-        betas=[[(0,), (2,)], [(2,), (0,)]],
-        ells=[[3], [3]],
-    )
-    out = walks.satisfies_conditions(Z)
-    assert out["preprocessing"] is False
-    assert out["all"] is False
-
-
-def test_satisfies_conditions_backtracking_tracks():
-    Z = walks.HyperWalk(
-        alphas=[[(0,), (1,), (0,)], [(0,), (1,), (0,)]],
-        betas=[[(2,), (3,), (2,)], [(2,), (3,), (2,)]],
-        ells=[[4, 5], [5, 4]],
-    )
-    out = walks.satisfies_conditions(Z)
-    assert out["nonbacktracking"] is False
-    assert out["all"] is False
-
-
-def test_satisfies_conditions_ell_link():
-    Z = walks.HyperWalk(
-        alphas=[[(0,), (1,)], [(1,), (0,)]],
-        betas=[[(2,), (3,)], [(3,), (2,)]],
-        ells=[[4], [5]],
-    )
-    out = walks.satisfies_conditions(Z, starred=True)
-    assert out["preprocessing"] is True
-    assert out["ell_link"] is False
-    assert out["all"] is False
-
-
-def test_satisfies_conditions_odd_multiplicity():
-    # ells[1][1] = 11 leaves the two middle hyper-edges odd; (1,2,9) shares
-    # at most one index with every block-initial hyper-edge
-    Z = two_block_z3()
-    out = walks.satisfies_conditions(Z, starred=True)
-    assert out["preprocessing"] is True
-    assert out["nonbacktracking"] is True
-    assert out["ell_link"] is True
-    assert out["odd_multiplicity"] is False
-    assert out["all"] is False
