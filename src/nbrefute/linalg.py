@@ -7,6 +7,7 @@ reduces to the handful of primitives in this module:
   * symmetric_degrees   validates a dense symmetric zero-diagonal matrix
   * brute_inf_to_one    exact infinity-to-one norm by sign enumeration
   * spectral_radius_upper   Frobenius power bound ||M^z||_F^(1/z)
+  * power_bound         its rescaled binary powering, for any product
   * real_eigenvalues    real spectrum of a square matrix
   * det_shift / frobenius / min_eig_symmetric
 
@@ -192,11 +193,8 @@ def spectral_radius_upper(M, z):
     The Frobenius norm is submultiplicative, so the returned value is
     always >= rho(M) in exact arithmetic. The bound need not improve
     monotonically with z; callers may take a minimum over several z.
-    M^z is formed by binary powering over the bits of z from the top (a
-    squaring per bit, times M for each set bit: 4 products for z = 16, 3
-    for z = 6), holding M, one power and one product at a time; M is never
-    written. The power is rescaled before every product so the computation
-    neither overflows nor silently underflows to zero.
+    M^z is formed by power_bound's schedule, holding M, one power and one
+    product at a time; M is never written.
 
     Args:
       M: square 2d array.
@@ -208,29 +206,45 @@ def spectral_radius_upper(M, z):
         raise ValueError(f"power count must be >= 1, got {z}")
     if M.shape[0] == 0:
         return 0.0
-    # one squaring per bit of z below the leading one, then a product with
-    # M if the bit is set: P * exp(log_scale) = M^e for the bits read so far
-    P = M
+    return power_bound(M, z, np.matmul, lambda P: np.abs(P).max(), frobenius)
+
+
+def power_bound(base, z, multiply, peak, norm):
+    """norm(base^z)^(1/z) for z >= 1, with base^z formed by binary
+    powering over the bits of z from the top: a squaring per bit, times
+    base for each set bit (4 products for z = 16, 3 for z = 6). Before
+    every product and before the norm, a power P whose peak(P), the
+    magnitude of its largest entry or of a proxy for it, lies outside
+    [_RESCALE_BELOW, _RESCALE_ABOVE] and is nonzero is replaced by P / peak(P) with the
+    factor kept as a logarithm, so the computation neither overflows nor
+    silently underflows to zero. multiply(X, Y) is the product X Y, never
+    written into X or Y; powers support division by a scalar. Raises
+    ValueError if the norm is not finite (a product overflowed despite
+    the rescaling), so that NaN never passes for a bound."""
+    P = base
     log_scale = 0.0
     for op in "".join("S" + "M" * int(bit) for bit in bin(z)[3:]):
-        P, log_scale = _rescaled(P, log_scale)
+        P, log_scale = _rescaled(P, log_scale, peak)
         if op == "S":
-            P = P @ P
+            P = multiply(P, P)
             log_scale *= 2.0
         else:
-            P = P @ M
-    P, log_scale = _rescaled(P, log_scale)
-    v = frobenius(P)
+            P = multiply(P, base)
+    P, log_scale = _rescaled(P, log_scale, peak)
+    v = norm(P)
+    if not np.isfinite(v):
+        raise ValueError(f"power bound overflowed: norm of the rescaled "
+                         f"power is {v}")
     if v == 0.0:
         return 0.0
     return float(np.exp((np.log(v) + log_scale) / z))
 
 
-def _rescaled(P, log_scale):
-    """(P / s, log_scale + log s) for s = max |P| when s lies outside
+def _rescaled(P, log_scale, peak):
+    """(P / s, log_scale + log s) for s = peak(P) when s lies outside
     [_RESCALE_BELOW, _RESCALE_ABOVE] and is nonzero; else unchanged. P is
     never written."""
-    s = np.abs(P).max()
+    s = peak(P)
     if s > _RESCALE_ABOVE or 0.0 < s < _RESCALE_BELOW:
         return P / s, log_scale + np.log(s)
     return P, log_scale

@@ -28,6 +28,12 @@ tie edge space to vertex space through the determinant identity
       = (1 - u^2)^(m-n) * det(Id_n - uA + u^2 D - u^2 Id_n),
 
 which ihara_bass_residual evaluates at a given u.
+
+incidence builds S and T alone, in canonical edge order, from the upper
+triangle of a dense matrix the caller has validated, in one vectorized
+pass: the small endpoint of each pair carries the weight's sign on both
+orientations. build assembles the rest of the bundle around them; certify's
+edge route takes S and T from it directly and never forms J, L or B.
 """
 
 import numpy as np
@@ -75,6 +81,28 @@ class GraphMatrices:
         self.D = D
 
 
+def incidence(dense):
+    """(w, S, T) for the graph whose weights are the strict upper triangle
+    of dense, which the caller has validated (square, finite, zero
+    diagonal): w holds the m nonzero weights in canonical pair order and
+    S, T are the n x 2m source and target incidences in canonical edge
+    order. For the p-th pair u < v, with r = sqrt|w_p| and s = sign(w_p),
+    edge 2p = (u, v) has S[u] = s r and T[v] = r, and edge 2p + 1 = (v, u)
+    has S[v] = r and T[u] = s r: the smaller endpoint carries the sign."""
+    us, vs = np.nonzero(np.triu(dense, 1))
+    w = dense[us, vs]
+    root = np.sqrt(np.abs(w))
+    signed = np.where(w > 0, root, -root)
+    even = np.arange(0, 2 * w.size, 2)
+    S = np.zeros((dense.shape[0], 2 * w.size))
+    T = np.zeros_like(S)
+    S[us, even] = signed
+    T[vs, even] = root
+    S[vs, even + 1] = root
+    T[us, even + 1] = signed
+    return w, S, T
+
+
 def build(A):
     """Build the full oriented-edge bundle from a symmetric weight matrix.
 
@@ -85,27 +113,15 @@ def build(A):
       GraphMatrices. Edge ordering is canonical so output is deterministic.
     """
     A = linalg.as_sym_matrix(A)
-    n = A.n
-    pairs = sorted(A.entries.keys())
-    index = OrientedEdgeIndex(pairs)
+    w, S, T = incidence(A.to_dense())
+    index = OrientedEdgeIndex(sorted(A.entries))
     tm = len(index)
-    m = tm // 2
-
-    S = np.zeros((n, tm))
-    T = np.zeros((n, tm))
-    for i, (u, v) in enumerate(index.edges):
-        w = A.entries[(u, v) if u < v else (v, u)]
-        root = np.sqrt(abs(w))
-        sign = 1.0 if w > 0 else -1.0
-        S[u, i] = sign * root if u < v else root
-        T[v, i] = sign * root if v < u else root
 
     J = np.zeros((tm, tm))
     L = np.zeros((tm, tm))
     ids = np.arange(tm)
     J[ids, index.inverse_of] = 1.0
-    L[ids, index.inverse_of] = np.repeat(
-        [abs(A.entries[p]) for p in pairs], 2)
+    L[ids, index.inverse_of] = np.repeat(np.abs(w), 2)
     D = np.diag(A.degrees())
 
     # B + L = T^t S holds exactly entry by entry (each entry is a single

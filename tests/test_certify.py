@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nbrefute import certify, instances, linalg
+from nbrefute import certify, instances, linalg, nonbacktracking
 
 import dense_reference
 from conftest import complete_graph, nonempty_weighted_graph
@@ -272,3 +272,120 @@ def test_swap_block_power_bound_survives_rescale():
     assert np.isfinite(val)
     rho = np.max(np.abs(np.linalg.eigvals(C)))
     assert val >= rho - 1e-6
+
+
+def _explicit_power_bound(dense, z):
+    """||(B + L - J)^z||_F^(1/z) by np.linalg.matrix_power of the built
+    bundle's operator: the reference for the vertex-space route. The
+    operator is first divided by a power of two near its spectral radius,
+    which changes no rounding, so heavy weights at large z stay finite."""
+    G = nonbacktracking.build(dense)
+    M = G.B + G.L - G.J
+    rho = np.abs(np.linalg.eigvals(M)).max()
+    c = 2.0 ** max(0, int(np.log2(rho))) if rho > 0 else 1.0
+    P = np.linalg.matrix_power(M / c, z)
+    return c * np.linalg.norm(P) ** (1.0 / z)
+
+
+def _random_forest(rng, n):
+    """+-1 weights on a random forest: B + L - J = B, nilpotent."""
+    dense = np.zeros((n, n))
+    for v in range(1, n):
+        if rng.random() < 0.8:
+            u = int(rng.integers(0, v))
+            dense[u, v] = dense[v, u] = rng.choice([-1.0, 1.0])
+    return dense
+
+
+def test_vertex_power_bound_matches_explicit_power():
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        n = int(rng.integers(3, 17))
+        dense = nonempty_weighted_graph(rng, n, density=rng.uniform(0.2, 1))
+        for z in (1, 2, 3, 6, 12, 16):
+            np.testing.assert_allclose(
+                max(1.0, certify._vertex_power_bound(dense, z)),
+                max(1.0, _explicit_power_bound(dense, z)), rtol=1e-12)
+        heavy = 1e3 * dense
+        np.testing.assert_allclose(
+            max(1.0, certify._vertex_power_bound(heavy, 200)),
+            max(1.0, _explicit_power_bound(heavy, 200)), rtol=1e-12)
+
+
+def test_vertex_power_bound_is_zero_on_signed_forests():
+    # a +-1 forest on at most 16 vertices has no nonbacktracking walk of
+    # 16 steps: both powers are exactly zero in integer arithmetic
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        dense = _random_forest(rng, int(rng.integers(2, 17)))
+        if not dense.any():
+            continue
+        assert certify._vertex_power_bound(dense, 16) == 0.0
+        assert _explicit_power_bound(dense, 16) == 0.0
+        assert certify.lambda_certificate(dense, z=16) == 1.0
+
+
+def _cap_graph():
+    """1024 edges on 64 vertices: 2m is the edge route's cap, and the
+    route powers in the 128-dimensional vertex space."""
+    n, edges = 64, 1024
+    rng = np.random.default_rng(13)
+    iu, iv = np.triu_indices(n, 1)
+    pick = rng.choice(iu.size, size=edges, replace=False)
+    dense = np.zeros((n, n))
+    dense[iu[pick], iv[pick]] = rng.uniform(-2.0, 2.0, size=edges)
+    return dense + dense.T
+
+
+def test_vertex_power_bound_at_the_edge_cap():
+    dense = _cap_graph()
+    lam = certify.lambda_certificate(dense, z=16)
+    assert lam == max(1.0, certify._vertex_power_bound(dense, 16))
+    np.testing.assert_allclose(
+        lam, max(1.0, _explicit_power_bound(dense, 16)), rtol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-60, 1e100, 1e160])
+def test_vertex_power_bound_survives_extreme_weights(scale):
+    # U is normalized to entries below 1, so neither X G Y nor U Z U^t
+    # overflows at weights where the explicit 2m x 2m power on the same
+    # schedule, the reference here, is still finite (up to about 1e185)
+    dense = scale * _cap_graph()
+    np.testing.assert_allclose(
+        certify._vertex_power_bound(dense, 16),
+        linalg.spectral_radius_upper(certify._edge_operator(dense), 16),
+        rtol=1e-12)
+
+
+def test_edge_operator_equals_built_bundle():
+    # eig mode's operator is B + L - J of nonbacktracking.build, bit for bit
+    rng = np.random.default_rng(14)
+    for _ in range(20):
+        dense = nonempty_weighted_graph(rng, int(rng.integers(2, 11)))
+        G = nonbacktracking.build(dense)
+        np.testing.assert_array_equal(certify._edge_operator(dense),
+                                      G.B + G.L - G.J)
+
+
+def test_lambda_never_builds_the_bundle(monkeypatch):
+    # both modes assemble their operator from nonbacktracking.incidence;
+    # the references, taken before the patch, power and eigensolve the
+    # built bundle of the sign whose first nonzero entry is positive
+    rng = np.random.default_rng(15)
+    graphs = [nonempty_weighted_graph(rng, n) for n in (3, 6, 12, 16)]
+    want = []
+    for A in graphs:
+        A = -A if certify._leads_negative(A) else A
+        G = nonbacktracking.build(A)
+        eig = certify._max_abs_real_eig(G.B + G.L - G.J) * (1.0 + 1e-6)
+        want.append((max(1.0, _explicit_power_bound(A, 8)), max(1.0, eig)))
+
+    def refuse(A):
+        raise AssertionError("nonbacktracking.build called")
+
+    monkeypatch.setattr(nonbacktracking, "build", refuse)
+    for A, (gelfand, eig) in zip(graphs, want):
+        np.testing.assert_allclose(
+            certify.lambda_certificate(A, mode="gelfand", z=8), gelfand,
+            rtol=1e-12)
+        assert certify.lambda_certificate(A, mode="eig") == eig

@@ -135,6 +135,14 @@ def test_spectral_radius_upper_matches_sequential_products():
             _sequential_power_bound(M, z), rtol=1e-12)
 
 
+def test_spectral_radius_upper_rejects_overflow():
+    # the rescaled square is 4 * ones; its product with M overflows, and
+    # the resulting inf must not pass for a bound
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="overflowed"):
+        linalg.spectral_radius_upper(np.full((4, 4), 1e308), 3)
+
+
 def test_spectral_radius_upper_zero_matrix():
     assert linalg.spectral_radius_upper(np.zeros((3, 3)), 5) == 0.0
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nbrefute import certify, instances, refute
+from nbrefute import certify, instances, nonbacktracking, refute
 
 import dense_reference
 
@@ -748,13 +748,13 @@ def test_refute_xor_matches_dense_chain():
 
 def test_edge_route_reads_only_touched_vertices(monkeypatch):
     seen = []
-    build = certify._edge_operator
+    incidence = nonbacktracking.incidence
 
     def spy(A):
         seen.append(len(A))
-        return build(A)
+        return incidence(A)
 
-    monkeypatch.setattr(certify, "_edge_operator", spy)
+    monkeypatch.setattr(nonbacktracking, "incidence", spy)
     I = instances.sample_kxor(30, 3, 0.002, seed=0)
     refute.refute_xor(I, z=6)
     main, _ = dense_reference.split(dense_reference.flatten(I))
