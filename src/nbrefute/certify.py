@@ -182,16 +182,6 @@ class Certificate:
                    meta=d.get("meta"), informative=informative)
 
 
-def _prep(A):
-    """Normalize input to (dense, n, degrees, edge_count), validating that A
-    is square, symmetric, and zero-diagonal."""
-    if isinstance(A, linalg.SymWeightedMatrix):
-        return A.to_dense(), A.n, A.degrees(), A.edge_count()
-    dense, degs = linalg.symmetric_degrees(A)
-    m = int(np.count_nonzero(np.triu(dense, 1)))
-    return dense, dense.shape[0], degs, m
-
-
 def _leads_negative(dense):
     """True when the first nonzero entry (row-major) is negative. The lambda
     value for A and -A is identical mathematically; computing it from the
@@ -271,12 +261,13 @@ def _vertex_power_bound(dense, z):
 
 
 def _dense_lambda(A, mode, z):
-    """(lambda, degrees) of A, validated and normalized by _prep, computed
-    for the sign of A whose first nonzero entry is positive: M is B + L - J
-    on A's vertices of nonzero degree when 2m <= EDGE_ROUTE_CAP (powered in
-    vertex space in gelfand mode), else the companion matrix of A, bounded
-    per mode (module docstring)."""
-    dense, _, degs, m = _prep(A)
+    """(lambda, degrees) of A, validated by linalg.symmetric_degrees,
+    computed for the sign of A whose first nonzero entry is positive: M is
+    B + L - J on A's vertices of nonzero degree when 2m <= EDGE_ROUTE_CAP
+    (powered in vertex space in gelfand mode), else the companion matrix of
+    A, bounded per mode (module docstring)."""
+    dense, degs = linalg.symmetric_degrees(A)
+    m = np.count_nonzero(np.triu(dense, 1))
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
     if int(z) < 1:
@@ -322,8 +313,9 @@ def lowner_witness(A, lam):
     lam = float(lam)
     if lam < 1.0:
         raise ValueError(f"lambda must be at least 1, got {lam}")
-    dense, n, degs, _ = _prep(A)
-    witness = dense + lam * np.eye(n) + (1.0 / lam) * np.diag(degs - 1.0)
+    dense, degs = linalg.symmetric_degrees(A)
+    witness = (dense + lam * np.eye(degs.size)
+               + (1.0 / lam) * np.diag(degs - 1.0))
     return linalg.min_eig_symmetric(witness)
 
 
@@ -500,7 +492,7 @@ def audit(A, cert):
     brute oracle is infeasible for A's size the report is marked not
     auditable instead of guessing.
     """
-    dense = linalg.as_dense(A)
+    dense, _ = linalg.symmetric_degrees(A)
     try:
         brute = linalg.brute_inf_to_one(dense)
     except ValueError as exc:

@@ -3,8 +3,11 @@
 Everything downstream (edge operators, certificates, refutation pipelines)
 reduces to the handful of primitives in this module:
 
-  * SymWeightedMatrix   sparse container for symmetric zero-diagonal weights
-  * symmetric_degrees   validates a dense symmetric zero-diagonal matrix
+  * symmetric_degrees   validates a weighted graph and returns the one form
+                        the package computes on: a dense symmetric
+                        zero-diagonal array and its degree vector
+  * SymWeightedMatrix   an accepted input form of the same graph, one
+                        weight per pair; symmetric_degrees densifies it
   * brute_inf_to_one    exact infinity-to-one norm by sign enumeration
   * spectral_radius_upper   Frobenius power bound ||M^z||_F^(1/z)
   * power_bound         its rescaled binary powering, for any product
@@ -34,7 +37,9 @@ _RESCALE_BELOW = 1e-120
 
 
 class SymWeightedMatrix:
-    """Symmetric real matrix with zero diagonal, one stored weight per pair.
+    """A weighted graph given by one weight per vertex pair: an input form
+    that every graph entry point accepts beside a dense array, and that
+    symmetric_degrees turns into the dense form the package computes on.
 
     entries maps an index pair (u, v) with u < v to a nonzero weight; pairs
     that are absent are zero. The diagonal is identically zero and weights
@@ -67,32 +72,12 @@ class SymWeightedMatrix:
         self.n = n
         self.entries = cleaned
 
-    @classmethod
-    def from_dense(cls, arr):
-        """Build from a dense symmetric array; rejects asymmetry and nonzero
-        diagonal, naming the offending index."""
-        arr, _ = symmetric_degrees(arr)
-        us, vs = np.nonzero(np.triu(arr, 1))
-        entries = {(int(u), int(v)): float(arr[u, v]) for u, v in zip(us, vs)}
-        return cls(arr.shape[0], entries)
-
     def to_dense(self):
         out = np.zeros((self.n, self.n))
         for (u, v), w in self.entries.items():
             out[u, v] = w
             out[v, u] = w
         return out
-
-    def degrees(self):
-        """Weighted degree vector: deg_u = sum_v |A_uv|."""
-        deg = np.zeros(self.n)
-        for (u, v), w in self.entries.items():
-            deg[u] += abs(w)
-            deg[v] += abs(w)
-        return deg
-
-    def edge_count(self):
-        return len(self.entries)
 
 
 def _square(M):
@@ -107,8 +92,11 @@ def symmetric_degrees(M):
     """(M as a float64 ndarray, its weighted degrees sum_v |M_uv|) after
     checking that M is square, finite with finite degrees, symmetric within
     SYMMETRY_TOL and zero on the diagonal; raises ValueError naming the
-    first violation. One scratch matrix serves both the degrees and the
+    first violation. M is an array-like or a SymWeightedMatrix, which is
+    densified first. One scratch matrix serves both the degrees and the
     asymmetry check."""
+    if isinstance(M, SymWeightedMatrix):
+        M = M.to_dense()
     M = _square(M)
     work = np.abs(M)
     degs = work.sum(axis=1)
@@ -129,20 +117,6 @@ def symmetric_degrees(M):
     if bad.size:
         raise ValueError(f"nonzero diagonal entry at index {bad[0]}")
     return M, degs
-
-
-def as_sym_matrix(A):
-    """Coerce a dense array or SymWeightedMatrix to SymWeightedMatrix."""
-    if isinstance(A, SymWeightedMatrix):
-        return A
-    return SymWeightedMatrix.from_dense(A)
-
-
-def as_dense(A):
-    """Coerce a SymWeightedMatrix or array-like to a float64 ndarray."""
-    if isinstance(A, SymWeightedMatrix):
-        return A.to_dense()
-    return np.asarray(A, dtype=float)
 
 
 def brute_inf_to_one(M):

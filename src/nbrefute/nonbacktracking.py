@@ -36,6 +36,8 @@ orientations. build assembles the rest of the bundle around them; certify's
 edge route takes S and T from it directly and never forms J, L or B.
 """
 
+import typing
+
 import numpy as np
 
 from . import linalg
@@ -46,7 +48,7 @@ class OrientedEdgeIndex:
 
     Edges are sorted by (min endpoint, max endpoint, orientation): for the
     p-th undirected pair {u, v} with u < v, edge id 2p is (u, v) and edge id
-    2p+1 is (v, u). inverse_of and pair_id are integer arrays.
+    2p+1 is (v, u). inverse_of is an integer array.
     """
 
     def __init__(self, pairs):
@@ -55,30 +57,24 @@ class OrientedEdgeIndex:
             edges.append((u, v))
             edges.append((v, u))
         self.edges = edges
-        count = len(edges)
-        self.inverse_of = np.arange(count) ^ 1
-        self.pair_id = np.arange(count) // 2
-        self.edge_id = {e: i for i, e in enumerate(edges)}
+        self.inverse_of = np.arange(len(edges)) ^ 1
 
     def __len__(self):
         return len(self.edges)
 
 
-class GraphMatrices:
+class GraphMatrices(typing.NamedTuple):
     """Immutable bundle of the matrices built from one weight matrix."""
-
-    def __init__(self, A_sym, index, S, T, J, L, B, D):
-        self.A = A_sym
-        self.A_dense = A_sym.to_dense()
-        self.index = index
-        self.n = A_sym.n
-        self.m = A_sym.edge_count()
-        self.S = S
-        self.T = T
-        self.J = J
-        self.L = L
-        self.B = B
-        self.D = D
+    A_dense: np.ndarray
+    index: OrientedEdgeIndex
+    n: int
+    m: int
+    S: np.ndarray
+    T: np.ndarray
+    J: np.ndarray
+    L: np.ndarray
+    B: np.ndarray
+    D: np.ndarray
 
 
 def incidence(dense):
@@ -107,29 +103,39 @@ def build(A):
     """Build the full oriented-edge bundle from a symmetric weight matrix.
 
     Args:
-      A: SymWeightedMatrix or dense symmetric zero-diagonal array.
+      A: a weighted graph in any form linalg.symmetric_degrees accepts;
+        that call validates it and gives the degrees on D's diagonal.
 
     Returns:
       GraphMatrices. Edge ordering is canonical so output is deterministic.
+
+    Raises:
+      ValueError: A is malformed, or 2m exceeds linalg.EIG_DIM_CAP (read
+        at call time); the cap is checked before any 2m-sized array exists.
     """
-    A = linalg.as_sym_matrix(A)
-    w, S, T = incidence(A.to_dense())
-    index = OrientedEdgeIndex(sorted(A.entries))
-    tm = len(index)
+    dense, degs = linalg.symmetric_degrees(A)
+    us, vs = np.nonzero(np.triu(dense, 1))
+    tm = 2 * us.size
+    if tm > linalg.EIG_DIM_CAP:
+        raise ValueError(
+            f"bundle infeasible: {tm} oriented edges exceeds cap "
+            f"{linalg.EIG_DIM_CAP}")
+    w, S, T = incidence(dense)
+    index = OrientedEdgeIndex(zip(us.tolist(), vs.tolist()))
 
     J = np.zeros((tm, tm))
     L = np.zeros((tm, tm))
     ids = np.arange(tm)
     J[ids, index.inverse_of] = 1.0
     L[ids, index.inverse_of] = np.repeat(np.abs(w), 2)
-    D = np.diag(A.degrees())
 
     # B + L = T^t S holds exactly entry by entry (each entry is a single
     # product), so B is that product with the backtracking entries removed.
     B = T.T @ S
     B[ids, index.inverse_of] = 0.0
 
-    return GraphMatrices(A, index, S, T, J, L, B, D)
+    return GraphMatrices(dense, index, dense.shape[0], us.size, S, T, J, L,
+                         B, np.diag(degs))
 
 
 def ihara_bass_residual(A, u, matrices=None):
@@ -140,7 +146,7 @@ def ihara_bass_residual(A, u, matrices=None):
       RHS = (1 - u^2)^(m-n) * det(Id_n - uA + u^2 D - u^2 Id_n).
 
     Args:
-      A: SymWeightedMatrix or dense array.
+      A: a weighted graph in any form linalg.symmetric_degrees accepts.
       u: real scalar with |u| != 1.
       matrices: optional prebuilt GraphMatrices for A (avoids rebuilding when
         sweeping many u values).

@@ -131,7 +131,7 @@ def _check_edge(dense, e, name):
 def enumerate_nbw(A, e, f, z, cap=ENUM_CAP):
     """All non-backtracking walks with z edges from oriented edge e to
     oriented edge f. Raises when more than cap states are explored."""
-    dense = linalg.as_dense(A)
+    dense, _ = linalg.symmetric_degrees(A)
     e = _check_edge(dense, e, "e")
     f = _check_edge(dense, f, "f")
     z = int(z)
@@ -185,9 +185,9 @@ def nbw_power_entry(A, e, f, z):
     z = int(z)
     if z < 2:
         raise ValueError(f"walk length must be at least two edges, got {z}")
-    dense = linalg.as_dense(A)
+    dense, _ = linalg.symmetric_degrees(A)
     total = 0.0
-    for W in enumerate_nbw(A, e, f, z):
+    for W in enumerate_nbw(dense, e, f, z):
         edges = W.edges()
         first = edges[0]
         last = edges[-1]
@@ -213,7 +213,7 @@ def trace_walk_sum(A, q, z):
         raise ValueError(f"need at least one block pair, got q={q}")
     if z < 2:
         raise ValueError(f"blocks need at least two edges, got z={z}")
-    dense = linalg.as_dense(A)
+    dense, _ = linalg.symmetric_degrees(A)
     n = dense.shape[0]
     if n > TRACE_MAX_N or z > TRACE_MAX_Z or q > TRACE_MAX_Q:
         raise ValueError(
@@ -378,9 +378,10 @@ def canonical_count_bound(q, z, v, e, t):
 
 
 def sample_gamma_graph(n, d, seed):
-    """Erdos-Renyi signed graph: each pair an edge with probability d/n,
-    weight +-1 equiprobable, from one uniform per pair. d = n gives the
-    complete graph."""
+    """Erdos-Renyi signed graph as a dense symmetric n x n array: each pair
+    an edge with probability d/n, weight +-1 equiprobable, from one uniform
+    per pair (the weight is +1 when the draw lies below d/2n). d = n gives
+    the complete graph."""
     n = int(n)
     d = float(d)
     if not (0.0 < d <= n):
@@ -389,12 +390,10 @@ def sample_gamma_graph(n, d, seed):
     p = d / n
     iu, iv = np.triu_indices(n, 1)
     draws = rng.random(iu.shape[0])
-    hits = np.flatnonzero(draws < p)
-    entries = {}
-    for idx in hits:
-        w = 1.0 if draws[idx] < p / 2.0 else -1.0
-        entries[(int(iu[idx]), int(iv[idx]))] = w
-    return linalg.SymWeightedMatrix(n, entries)
+    hits = draws < p
+    dense = np.zeros((n, n))
+    dense[iu[hits], iv[hits]] = np.where(draws[hits] < p / 2.0, 1.0, -1.0)
+    return dense + dense.T
 
 
 def rho_B_experiment(n, d, seeds, z=16):
@@ -409,18 +408,16 @@ def rho_B_experiment(n, d, seeds, z=16):
     per seed and the median of rho / sqrt(d)."""
     records = []
     for seed in seeds:
-        A = sample_gamma_graph(n, d, seed)
-        dense = A.to_dense()
-        degs = A.degrees()
-        m = A.edge_count()
+        dense, degs = linalg.symmetric_degrees(sample_gamma_graph(n, d, seed))
+        m = np.count_nonzero(np.triu(dense, 1))
         C = certify.companion_matrix(dense, degs)
-        if m >= A.n:
+        if m >= n:
             roots = np.linalg.eigvals(C)
             rho = float(np.max(np.abs(roots)))
-            if m > A.n:
+            if m > n:
                 rho = max(rho, 1.0)
         elif m > 0:
-            G = nonbacktracking.build(A)
+            G = nonbacktracking.build(dense)
             rho = float(np.max(np.abs(np.linalg.eigvals(G.B))))
         else:
             rho = 0.0

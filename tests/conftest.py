@@ -25,3 +25,15 @@ def nonempty_weighted_graph(rng, n, **kwargs):
 
 def complete_graph(n):
     return np.ones((n, n)) - np.eye(n)
+
+
+# (weights, message) pairs that every graph entry point must reject with
+# a ValueError matching the message
+MALFORMED_GRAPHS = {
+    "nan": ([[0.0, np.nan, 1.0], [np.nan, 0.0, 1.0], [1.0, 1.0, 0.0]],
+            r"non-finite entry nan at index \(0, 1\)"),
+    "asymmetric": ([[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [0.5, 1.0, 0.0]],
+                   "not symmetric"),
+    "diagonal": ([[1.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+                 "nonzero diagonal entry at index 0"),
+}

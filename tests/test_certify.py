@@ -4,7 +4,8 @@ import pytest
 from nbrefute import certify, instances, linalg, nonbacktracking
 
 import dense_reference
-from conftest import complete_graph, nonempty_weighted_graph
+from conftest import (MALFORMED_GRAPHS, complete_graph,
+                      nonempty_weighted_graph)
 
 
 def test_triangle_eig_lambda_is_one():
@@ -189,6 +190,14 @@ def test_audit_reports_infeasible_sizes():
     report = certify.audit(dense, cert)
     assert report["auditable"] is False
     assert "infeasible" in report["reason"]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+def test_audit_rejects_malformed_graphs(case):
+    weights, message = MALFORMED_GRAPHS[case]
+    cert = certify.inf_to_one_certificate(complete_graph(3))
+    with pytest.raises(ValueError, match=message):
+        certify.audit(np.array(weights), cert)
 
 
 def test_dual_route_agreement_on_threshold():

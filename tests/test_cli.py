@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from nbrefute import cli, refute
+from nbrefute import cli, linalg, refute
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -301,6 +301,15 @@ def test_check_identity(capsys):
     assert "max residual over 10 trials at n=5" in stdout
     residual = float(stdout.strip().rsplit(" ", 1)[-1])
     assert residual <= 1e-8
+
+
+def test_check_identity_over_the_bundle_cap_is_exit_4(capsys, monkeypatch):
+    monkeypatch.setattr(linalg, "EIG_DIM_CAP", 1)
+    code, _, stderr = run(capsys, "check-identity", "--n", "5",
+                          "--trials", "1")
+    assert code == 4
+    assert stderr.startswith("error: bundle infeasible: ")
+    assert stderr.endswith(" exceeds cap 1\n")
 
 
 def test_walks_census_command(capsys):

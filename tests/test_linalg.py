@@ -9,8 +9,10 @@ from conftest import nonempty_weighted_graph
 
 
 def test_sym_matrix_rejects_self_loop():
-    with pytest.raises(ValueError, match="nonzero diagonal entry"):
-        linalg.SymWeightedMatrix.from_dense(np.eye(3))
+    with pytest.raises(ValueError, match="nonzero diagonal entry at index 1"):
+        linalg.SymWeightedMatrix(3, {(1, 1): 1.0})
+    with pytest.raises(ValueError, match="nonzero diagonal entry at index 0"):
+        linalg.symmetric_degrees(np.eye(3))
 
 
 def test_sym_matrix_rejects_out_of_range():
@@ -48,19 +50,23 @@ def test_symmetric_degrees_rejects_overflowing_degrees():
 
 def test_sym_matrix_drops_zero_weights():
     A = linalg.SymWeightedMatrix(3, {(0, 1): 1.0, (0, 2): 0.0})
-    assert A.edge_count() == 1
+    assert A.entries == {(0, 1): 1.0}
 
 
 def test_from_dense_roundtrip():
+    # the pair map of a dense graph's upper triangle densifies back to it
     rng = np.random.default_rng(3)
     dense = nonempty_weighted_graph(rng, 7)
-    A = linalg.SymWeightedMatrix.from_dense(dense)
-    np.testing.assert_array_equal(A.to_dense(), dense)
+    us, vs = np.nonzero(np.triu(dense, 1))
+    A = linalg.SymWeightedMatrix(
+        7, {(u, v): dense[u, v] for u, v in zip(us, vs)})
+    np.testing.assert_array_equal(linalg.symmetric_degrees(A)[0], dense)
 
 
 def test_degrees_are_weighted():
     A = linalg.SymWeightedMatrix(3, {(0, 1): 2.0, (1, 2): -1.5})
-    np.testing.assert_allclose(A.degrees(), [2.0, 3.5, 1.5])
+    np.testing.assert_array_equal(linalg.symmetric_degrees(A)[1],
+                                  [2.0, 3.5, 1.5])
 
 
 def test_brute_inf_to_one_single_edge():
@@ -201,8 +207,10 @@ def test_min_eig_symmetric_value():
                                atol=1e-12)
 
 
-def test_as_dense_accepts_both_forms():
-    A = linalg.SymWeightedMatrix(2, {(0, 1): 1.0})
-    np.testing.assert_array_equal(linalg.as_dense(A), A.to_dense())
-    np.testing.assert_array_equal(linalg.as_dense(A.to_dense()),
-                                  A.to_dense())
+def test_symmetric_degrees_accepts_both_forms():
+    A = linalg.SymWeightedMatrix(3, {(0, 1): 1.0, (1, 2): -2.0})
+    for form in (A, A.to_dense(), A.to_dense().tolist()):
+        dense, degs = linalg.symmetric_degrees(form)
+        assert dense.dtype == np.float64
+        np.testing.assert_array_equal(dense, A.to_dense())
+        np.testing.assert_array_equal(degs, [1.0, 3.0, 2.0])

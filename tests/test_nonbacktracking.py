@@ -17,8 +17,6 @@ def test_oriented_edge_index_layout():
     idx = nonbacktracking.OrientedEdgeIndex([(0, 2), (1, 2)])
     assert idx.edges == [(0, 2), (2, 0), (1, 2), (2, 1)]
     assert list(idx.inverse_of) == [1, 0, 3, 2]
-    assert list(idx.pair_id) == [0, 0, 1, 1]
-    assert idx.edge_id[(2, 1)] == 3
 
 
 def test_bundle_identities():
@@ -107,6 +105,37 @@ def test_pencil_spectrum_matches_edge_operator():
 
 
 def test_build_accepts_sym_matrix():
+    # the pair map and its dense form give the same bundle, field by field
     A = linalg.SymWeightedMatrix(3, {(0, 1): 1.0, (1, 2): -1.0})
-    G = nonbacktracking.build(A)
-    assert G.B.shape == (4, 4)
+    assert nonbacktracking.build(A).B.shape == (4, 4)
+    for dense in bundle_corpus(count=10):
+        us, vs = np.nonzero(np.triu(dense, 1))
+        A = linalg.SymWeightedMatrix(
+            dense.shape[0], {(u, v): dense[u, v] for u, v in zip(us, vs)})
+        G, H = nonbacktracking.build(dense), nonbacktracking.build(A)
+        for name in G._fields:
+            if name == "index":
+                assert G.index.edges == H.index.edges
+                assert all(type(x) is int
+                           for e in G.index.edges for x in e)
+                np.testing.assert_array_equal(G.index.inverse_of,
+                                              H.index.inverse_of)
+            else:
+                np.testing.assert_array_equal(getattr(G, name),
+                                              getattr(H, name))
+
+
+def test_build_caps_the_bundle_before_allocating(monkeypatch):
+    def allocate(dense):
+        raise AssertionError("incidence built past the cap")
+
+    A = complete_graph(4)
+    monkeypatch.setattr(linalg, "EIG_DIM_CAP", 11)
+    monkeypatch.setattr(nonbacktracking, "incidence", allocate)
+    with pytest.raises(ValueError, match=r"^bundle infeasible: 12 oriented "
+                                         r"edges exceeds cap 11$"):
+        nonbacktracking.build(A)
+    # 2m at the cap is built
+    monkeypatch.undo()
+    monkeypatch.setattr(linalg, "EIG_DIM_CAP", 12)
+    assert nonbacktracking.build(A).B.shape == (12, 12)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nbrefute import certify, instances, nonbacktracking, refute
+from nbrefute import certify, instances, linalg, nonbacktracking, refute
 
 import dense_reference
 
@@ -453,7 +453,7 @@ def _dense_parts(I):
     lo rows, and b2, the correctly rounded sum of |A''| and the rounding
     allowance."""
     main, residual = dense_reference.split(dense_reference.flatten(I))
-    dense, _, degs, _ = certify._prep(main.base)
+    dense, degs = linalg.symmetric_degrees(main.base)
     q = main.n ** main.half
     lo, hi = refute._swap_index(q)
     _, allowance = refute._entry_errors(refute._unfolding(I), q)

@@ -5,7 +5,7 @@ import pytest
 
 from nbrefute import linalg, nonbacktracking, walks
 
-from conftest import complete_graph
+from conftest import MALFORMED_GRAPHS, complete_graph
 
 
 def weighted_k4():
@@ -186,15 +186,48 @@ def test_canonical_count_bound_dominates_spot_grid():
                     assert count <= walks.canonical_count_bound(q, z, v, e, t)
 
 
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
+@pytest.mark.parametrize("call", [
+    lambda A: walks.enumerate_nbw(A, (0, 1), (1, 2), 2),
+    lambda A: walks.nbw_power_entry(A, (0, 1), (1, 2), 2),
+    lambda A: walks.trace_walk_sum(A, 1, 2),
+], ids=["enumerate_nbw", "nbw_power_entry", "trace_walk_sum"])
+def test_walk_sums_reject_malformed_graphs(call, case):
+    weights, message = MALFORMED_GRAPHS[case]
+    with pytest.raises(ValueError, match=message):
+        call(np.array(weights))
+
+
 def test_sample_gamma_graph():
     with pytest.raises(ValueError, match="average degree"):
         walks.sample_gamma_graph(5, 6.0, seed=0)
     full = walks.sample_gamma_graph(5, 5.0, seed=0)
-    assert full.edge_count() == 10
-    assert all(w in (-1.0, 1.0) for w in full.entries.values())
+    assert np.count_nonzero(full) == 20
+    assert set(full[np.triu_indices(5, 1)]) <= {-1.0, 1.0}
+    np.testing.assert_array_equal(full, full.T)
     a = walks.sample_gamma_graph(30, 4.0, seed=7)
     b = walks.sample_gamma_graph(30, 4.0, seed=7)
-    assert a.entries == b.entries
+    np.testing.assert_array_equal(a, b)
+
+
+def pair_loop_gamma_graph(n, d, seed):
+    """The sampler's draws turned into weights one hit at a time."""
+    rng = np.random.default_rng(seed)
+    p = d / n
+    iu, iv = np.triu_indices(n, 1)
+    draws = rng.random(iu.shape[0])
+    entries = {}
+    for idx in np.flatnonzero(draws < p):
+        w = 1.0 if draws[idx] < p / 2.0 else -1.0
+        entries[(int(iu[idx]), int(iv[idx]))] = w
+    return linalg.SymWeightedMatrix(n, entries).to_dense()
+
+
+@pytest.mark.parametrize("n,d,seed", [(2, 2.0, 0), (4, 0.8, 3), (30, 4.0, 7),
+                                      (60, 3.0, 1), (200, 9.0, 5)])
+def test_sample_gamma_graph_matches_pair_loop(n, d, seed):
+    np.testing.assert_array_equal(walks.sample_gamma_graph(n, d, seed),
+                                  pair_loop_gamma_graph(n, d, seed))
 
 
 def test_rho_b_experiment_records():
@@ -211,7 +244,8 @@ def test_rho_b_experiment_sparse_fallback():
     # find a seed whose sample has fewer edges than vertices to hit the
     # dense-operator fallback
     seed = next(s for s in range(50)
-                if 0 < walks.sample_gamma_graph(4, 0.8, s).edge_count() < 4)
+                if 0 < np.count_nonzero(walks.sample_gamma_graph(4, 0.8, s))
+                < 8)
     report = walks.rho_B_experiment(4, 0.8, [seed])
     rec = report["records"][0]
     assert rec["rho_B"] >= 0.0
