@@ -103,6 +103,8 @@ LANCZOS_STEPS = 60
 # point (1 + last margin) deg + last margin * mean(deg) ends the ladder.
 WITNESS_MARGINS = (1e-3, 1e-2, 1e-1)
 UNIT_ROUNDOFF = 2.0 ** -53
+# exact_sum's entry bound: each of its per-exponent bins stays below 2^53.
+EXACT_SUM_CAP = 1 << 26
 
 
 class Certificate:
@@ -359,6 +361,30 @@ def round_up(x):
     return math.nextafter(x, math.inf)
 
 
+def exact_sum(once, twice=()):
+    """Sum of once's entries and twice twice's, rounded once: math.fsum of
+    that multiset bit for bit (finite entries; a zero sum is +0.0). After
+    Demmel and Hida, SIAM J. Sci. Comput. 25 (2003): np.bincount sums the
+    integer top 27 and the 26-bit fraction of each mantissa per exponent,
+    exactly (the cap), and one int in units of 2^-1126 adds the bins."""
+    t = np.size(twice)
+    if np.size(once) + 2 * t >= EXACT_SUM_CAP:
+        raise ValueError(f"exact sum exceeds cap {EXACT_SUM_CAP} entries")
+    mant, exp = np.frexp(np.concatenate((np.ravel(twice), np.ravel(once))))
+    if not np.isfinite(mant).all():
+        raise ValueError("exact sum of non-finite entries")
+    mant *= 2.0 ** 27
+    mant[:t] *= 2.0
+    frac, high = np.modf(mant)
+    base = int(exp.min(initial=1024))   # finite frexp: in [-1073, 1024]
+    exp -= base
+    bins = zip(np.bincount(exp, weights=high).tolist(),
+               (np.bincount(exp, weights=frac) * 2.0 ** 26).tolist())
+    total = sum(((int(h) << 26) + int(f)) << i
+                for i, (h, f) in enumerate(bins))
+    return (total << (base + 1073)) / (1 << 1126)
+
+
 def _kept_rows(a, d):
     """(a, d) restricted to the rows of nonzero degree: a view when they
     are a leading range (every pair row of a dense instance has edges),
@@ -415,7 +441,7 @@ def _cholesky_shift(w, diag, entry_err):
     big = w + np.abs(diag)
     top = float(big.max())
     dim = w.size
-    return float(2.0 * gamma(dim + 2) * math.fsum(big.tolist())
+    return float(2.0 * gamma(dim + 2) * exact_sum(big)
                  + 3.0 * UNIT_ROUNDOFF * top + entry_err
                  + 4.0 * dim * (2.0 * dim + top) * np.finfo(float).tiny)
 
@@ -471,7 +497,7 @@ def _diagonal_witness(sym, degs, entry_err=0.0):
     else:
         raise np.linalg.LinAlgError(
             "no diagonal witness factorized, not even the Gershgorin point")
-    bound = round_up(2.0 * math.fsum(w.tolist()))
+    bound = round_up(2.0 * exact_sum(w))
     return {"name": "trace_bound",
             "claim": "max_y y^T A' y <= tr W over sign vectors y = "
                      "x^(k-1), for the swap-invariant diagonal W = diag(a "

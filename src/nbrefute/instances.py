@@ -18,8 +18,9 @@ Conventions used throughout:
     scope-major (alpha, then sign pattern) for CSP). A draw u yields weight
     +1 when u < p/2 and -1 when p/2 <= u < p, so presence has probability
     exactly p with equiprobable signs from a single uniform.
-  * CSP constraints are two read-only (m, k) int64 arrays, scopes and
-    signs, built and validated with the instance and read as arrays.
+  * XOR clauses (supports, weights) and CSP constraints (scopes, signs)
+    are read-only arrays, built, validated and read as arrays; the clauses
+    dict and the constraints list are made from them on each access.
   * The brute-force optima are exact Walsh-Hadamard evaluations over all
     2^n assignments. Both values are multilinear polynomials in x, so the
     instance's Fourier coefficients, indexed by monomial bitmask, go into a
@@ -41,8 +42,9 @@ CSP_DRAW_CHUNK = 1 << 20
 class XorInstance:
     """Weighted k-XOR instance.
 
-    clauses maps strictly increasing k-tuples to weights in the magnitude
-    window [min_weight, 1]. p and seed are provenance metadata.
+    clauses maps strictly increasing k-tuples to weights in [min_weight, 1],
+    or is that map as (m, k) and (m,) arrays (supports, weights), kept
+    read-only in input order. p and seed are provenance metadata.
     """
 
     def __init__(self, n, k, clauses, p=None, seed=None, min_weight=None):
@@ -52,14 +54,20 @@ class XorInstance:
             raise ValueError(f"arity must be at least 2, got {k}")
         if k > n:
             raise ValueError(f"arity k={k} exceeds variable count n={n}")
-        tups = _int_rows(list(clauses), k, lambda t: None if len(t) == k
+        if hasattr(clauses, "keys"):
+            clauses = list(clauses), list(clauses.values())
+        tups = _int_rows(clauses[0], k, lambda t: None if len(t) == k
                          else f"clause {_ints(t)} does not have arity {k}")
-        weights = np.array(list(clauses.values()), dtype=float)
+        weights = np.array(clauses[1], dtype=float).reshape(len(tups))
         unsorted = (tups[:, 1:] <= tups[:, :-1]).any(axis=1)
         # a sorted tuple is in range when its ends are
         out = (tups[:, 0] < 0) | (tups[:, -1] >= n)
         infinite = ~np.isfinite(weights)
-        bad = np.flatnonzero(unsorted | out | infinite | (weights == 0.0))
+        order = np.lexsort(tups.T[::-1])   # stable: first occurrence first
+        repeated = np.zeros(len(tups), dtype=bool)
+        repeated[order[1:]] = (np.diff(tups[order], axis=0) == 0).all(axis=1)
+        bad = np.flatnonzero(unsorted | out | infinite | (weights == 0.0)
+                             | repeated)
         if bad.size:
             i = bad[0]
             tup = _ints(tups[i])
@@ -71,6 +79,8 @@ class XorInstance:
             if infinite[i]:
                 raise ValueError(
                     f"clause {tup} has non-finite weight {weights[i]}")
+            if repeated[i]:
+                raise ValueError(f"clause {tup} appears more than once")
             raise ValueError(f"clause {tup} has zero weight")
         mags = np.abs(weights)
         if min_weight is None:
@@ -81,30 +91,32 @@ class XorInstance:
                 f"clause weights must satisfy {min_weight} <= |w| <= 1")
         self.n = n
         self.k = k
-        self.clauses = dict(zip(map(tuple, tups.tolist()),
-                                weights.tolist()))
+        self.supports, self.weights = tups, weights
+        tups.flags.writeable = weights.flags.writeable = False
         self.p = p
         self.seed = seed
         self.min_weight = float(min_weight)
 
     @property
+    def clauses(self):
+        """The {support tuple: weight} dict, a new one per access."""
+        return dict(zip(map(tuple, self.supports.tolist()),
+                        self.weights.tolist()))
+
+    @property
     def m(self):
-        return len(self.clauses)
+        return len(self.weights)
 
     def to_json_dict(self):
-        meta = {}
-        if self.p is not None:
-            meta["p"] = self.p
-        if self.seed is not None:
-            meta["seed"] = self.seed
+        order = np.lexsort(self.supports.T[::-1])
         return {
             "version": 1,
             "kind": "xor",
             "n": self.n,
             "k": self.k,
-            "clauses": [{"vars": list(t), "weight": w}
-                        for t, w in sorted(self.clauses.items())],
-            "meta": meta,
+            "clauses": [{"vars": t, "weight": w} for t, w in zip(
+                self.supports[order].tolist(), self.weights[order].tolist())],
+            "meta": _provenance(self),
         }
 
     @classmethod
@@ -166,11 +178,6 @@ class CspInstance:
         return len(self.scopes)
 
     def to_json_dict(self):
-        meta = {}
-        if self.p is not None:
-            meta["p"] = self.p
-        if self.seed is not None:
-            meta["seed"] = self.seed
         return {
             "version": 1,
             "kind": "csp",
@@ -179,7 +186,7 @@ class CspInstance:
             "truth_table": [int(v) for v in self.truth_table],
             "constraints": [{"vars": a, "neg": c} for a, c in
                             zip(self.scopes.tolist(), self.signs.tolist())],
-            "meta": meta,
+            "meta": _provenance(self),
         }
 
     @classmethod
@@ -228,6 +235,12 @@ class FourierExpansion:
         return out
 
 
+def _provenance(I):
+    """The JSON meta of I: its p and seed, where set."""
+    return {key: v for key, v in (("p", I.p), ("seed", I.seed))
+            if v is not None}
+
+
 def _int_rows(items, width, arity_error):
     """items, integer sequences or an array, as a new (len(items), width)
     int64 array. When they do not fit, the first item for which
@@ -274,22 +287,17 @@ def sample_kxor(n, k, p, seed):
     draws = np.random.default_rng(seed).random(math.comb(n, k))
     hit = draws < p
     combos = itertools.compress(itertools.combinations(range(n), k), hit)
-    signs = np.where(draws[hit] < p / 2.0, 1.0, -1.0).tolist()
-    return XorInstance(n, k, dict(zip(combos, signs)), p=p, seed=seed)
+    supports = np.fromiter(itertools.chain.from_iterable(combos), np.int64)
+    signs = np.where(draws[hit] < p / 2.0, 1.0, -1.0)
+    return XorInstance(n, k, (supports.reshape(-1, k), signs), p=p, seed=seed)
 
 
 def value(I, x):
     """Fraction of (weighted) constraints satisfied by the assignment x."""
     if I.m == 0:
         raise ValueError("no clauses to evaluate")
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for tup, w in I.clauses.items():
-        prod = 1.0
-        for i in tup:
-            prod *= x[i]
-        total += (1.0 + w * prod) / 2.0
-    return total / I.m
+    prods = np.prod(np.asarray(x, dtype=float)[I.supports], axis=1)
+    return float(((1.0 + I.weights * prods) / 2.0).sum() / I.m)
 
 
 def _require_cube(n):
@@ -329,9 +337,8 @@ def brute_opt(I):
     if I.m == 0:
         raise ValueError("no clauses to evaluate")
     _require_cube(I.n)
-    tups = np.array(list(I.clauses), dtype=np.int64).reshape(-1, I.k)
-    masks = np.bitwise_xor.reduce(np.left_shift(1, tups), axis=1)
-    halves = np.array(list(I.clauses.values())) / 2.0
+    masks = np.bitwise_xor.reduce(np.left_shift(1, I.supports), axis=1)
+    halves = I.weights / 2.0
     best = _cube_max(np.concatenate([[0], masks]),
                      np.concatenate([[I.m / 2.0], halves]), I.n)
     return float(best / I.m)

@@ -15,7 +15,7 @@ two middle half-indices swapped, symmetric with zero diagonal. The chain is
                                       rest
     b1  = tr W, W - A' PSD on         diagonal witness on A''s swap-
           swap-symmetric vectors      symmetric block, verified by Cholesky
-    b2  = sum of |entries| of A''
+    b2  = sum of |entries| of A''     correctly rounded (certify.exact_sum)
     N   = sqrt(n * (b1 + b2))         bound on max_x <T, x^(k)>
     U   = 1/2 + N / (2 m k!)          clamped to 1
 
@@ -52,9 +52,9 @@ terms are rounded to nearest.
 The CSP(P) chain decomposes P into its multilinear expansion, bounds each
 degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
 scaled by n^(d/2), and routes the degree-k part through the XOR chain after
-aggregating constraints by support into a rescaled weighted XOR instance.
-Both read the instance's arrays and add in constraint order (bincount), as
-a loop over the constraints would.
+aggregating constraints by support into a rescaled weighted XOR instance,
+built from arrays. Both read the instance's arrays and add in constraint
+order (bincount), as a loop over the constraints would.
 """
 
 import itertools
@@ -92,14 +92,12 @@ def _unfolding(I):
     A[(alpha,beta),(alpha',beta')] = (V V^T)[(alpha,alpha'),(beta,beta')].
     Each entry of V comes from one clause, so it is assigned, not summed."""
     n, k = I.n, I.k
-    tups = np.array(list(I.clauses), dtype=np.int64).reshape(-1, k)
-    weights = np.array(list(I.clauses.values()), dtype=float)
     place = n ** np.arange(k - 2, -1, -1)
     V = np.zeros((n ** (k - 1), n))
     for j in range(k):
-        rest = np.delete(tups, j, axis=1)
+        rest = np.delete(I.supports, j, axis=1)
         for perm in itertools.permutations(range(k - 1)):
-            V[rest[:, list(perm)] @ place, tups[:, j]] = weights
+            V[rest[:, list(perm)] @ place, I.supports[:, j]] = I.weights
     return V
 
 
@@ -144,8 +142,9 @@ def _swap_parts(I):
     A'[lo,hi], whose row (alpha, beta) is the strict upper triangle of G'
     + G'^T for the block G = V_alpha V_beta^T split where the row's and the
     column's fragments of V share at least (k-1)/2 indices; the degrees of
-    A''s lo rows; b2 = sum |A''| (the strips' residuals twice, the diagonal
-    blocks once) plus its rounding allowance; and entry_err (_entry_errors)."""
+    A''s lo rows; b2 = sum |A''| plus its rounding allowance, one exact
+    sum over every block's residual array (the strips' twice, the diagonal
+    blocks' once); and entry_err (_entry_errors)."""
     n, h = I.n, (I.k - 1) // 2
     q = n ** h
     if q * (q + 1) // 2 > BLOCK_DIM_CAP:
@@ -156,11 +155,12 @@ def _swap_parts(I):
     lo, hi = _swap_index(q)
     sym = np.zeros((lo.size, lo.size))
     degs = np.zeros(lo.size)
-    strips, diagonals = [], []
     V = _unfolding(I)
+    entry_err, residual_err = _entry_errors(V, q)
+    strips, diagonals = [np.zeros(0)], [[residual_err]]
     for a, diagonal, strip in _gram_blocks(V, q):
         drop = _overlap_at_least(digits[a * q:(a + 1) * q], a + 1, h, n)
-        strips += _abs_values(strip[drop])
+        strips.append(_abs_values(strip[drop]))
         strip[drop] = 0.0
         # a contiguous row of q^2 entries per lo row (a, beta), so the
         # degrees sum in the order of the dense matrix's rows
@@ -172,12 +172,11 @@ def _swap_parts(I):
         np.take(blocks, lo, axis=1, out=rows, mode="clip")
         rows += np.take(blocks, hi, axis=1)
         degs[i0:i0 + len(blocks)] = np.abs(blocks, out=blocks).sum(axis=1)
-        diagonals += _abs_values(diagonal)
+        diagonals.append(_abs_values(diagonal))
         # freed before the next product: two alphas' arrays alive at once
         # grow the heap, and it stays resident through the witness
         del strip, blocks, drop
-    entry_err, residual_err = _entry_errors(V, q)
-    b2 = math.fsum(itertools.chain(strips, strips, diagonals, [residual_err]))
+    b2 = certify.exact_sum(np.concatenate(diagonals), np.concatenate(strips))
     return sym, degs, b2, entry_err
 
 
@@ -201,8 +200,8 @@ def _entry_errors(V, q):
 
 
 def _abs_values(values):
-    """|values| of the nonzero entries, as a list for math.fsum."""
-    return np.abs(values[values != 0]).tolist()
+    """|values| of the nonzero entries."""
+    return np.abs(values[values != 0])
 
 
 def _step(name, claim, value, method="exact"):
@@ -367,17 +366,15 @@ def refute_csp(I, mode="gelfand", z=16):
                                "weights are divided by their max magnitude "
                                "before flattening; the factor multiplies "
                                "the resulting bound", W))
-            supports = (ranks[:, None] // place % n).tolist()
-            tilde = dict(zip(map(tuple, supports), (w / W).tolist()))
-            chain, poly = _xor_chain(instances.XorInstance(n, k, tilde),
-                                     "degree_k_")
+            chain, poly = _xor_chain(instances.XorInstance(
+                n, k, (ranks[:, None] // place % n, w / W)), "degree_k_")
             steps += chain
             bound_k = _up(_up(W * poly) / math.factorial(k))
             # w / W is exact for W a power of two, else within u |w| / W
             # (w sums chat_k, so no quotient underflows)
             if math.frexp(W)[0] != 0.5:
-                bound_k = _up(bound_k + _up(certify.UNIT_ROUNDOFF * math.fsum(
-                    np.abs(w).tolist())))
+                bound_k = _up(bound_k + _up(certify.UNIT_ROUNDOFF
+                                            * certify.exact_sum(np.abs(w))))
             steps.append(_step("degree_k_bound", "the non-degenerate "
                                "degree-k contribution is at most W * "
                                "sqrt(n (b1 + b2)) / k! + u sum |w_S| (0 "

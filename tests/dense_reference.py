@@ -95,4 +95,4 @@ def split(F):
 
 def residual_bound(F):
     """Entrywise bound sum |A''_ij| (correctly rounded) on ||A''||_inf->1."""
-    return math.fsum(refute._abs_values(F.base))
+    return math.fsum(np.abs(F.base[F.base != 0]).tolist())

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -398,3 +400,52 @@ def test_lambda_never_builds_the_bundle(monkeypatch):
             certify.lambda_certificate(A, mode="gelfand", z=8), gelfand,
             rtol=1e-12)
         assert certify.lambda_certificate(A, mode="eig") == eig
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _fsum_of(once, twice=()):
+    return math.fsum(list(twice) + list(twice) + list(once))
+
+
+@pytest.mark.parametrize("values", [
+    # subnormals: the fixed-point base must sit below 2^-1074
+    [5e-324] * 9,
+    [1e308, 7e307, 5e-324],
+    # a tie at the last place, and the same tie broken far below it
+    [1.0, 2.0 ** -53, 2.0 ** -53],
+    [1.0, 2.0 ** -53, 2.0 ** -106],
+    [1.0, -1.0, 1e-300],
+    [-0.5, 2.0 ** -60, -(2.0 ** 900), 2.0 ** 900],
+    [],
+], ids=repr)
+def test_exact_sum_matches_fsum_on_hard_cases(values):
+    assert _same_float(certify.exact_sum(np.array(values)), _fsum_of(values))
+
+
+def test_exact_sum_matches_fsum_across_exponents():
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        size = int(rng.integers(1, 60))
+        values = np.ldexp(rng.uniform(-1.0, 1.0, size),
+                          rng.integers(-1074, 1001, size))
+        assert _same_float(certify.exact_sum(values),
+                           _fsum_of(values.tolist()))
+        once, twice = values[:size // 2], np.abs(values[size // 2:])
+        assert _same_float(certify.exact_sum(once, twice),
+                           _fsum_of(once.tolist(), twice.tolist()))
+
+
+def test_exact_sum_counts_twice_and_rejects_what_it_cannot_sum():
+    assert certify.exact_sum([], [0.1, 0.2]) == math.fsum([0.1, 0.2] * 2)
+    assert certify.exact_sum([3.0], []) == 3.0
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="non-finite"):
+            certify.exact_sum(np.array([1.0, bad]))
+    # the cap counts an entry of twice two times; a broadcast view keeps
+    # the oversized input cheap
+    half = np.broadcast_to(1.0, (certify.EXACT_SUM_CAP // 2,))
+    with pytest.raises(ValueError, match="exceeds cap"):
+        certify.exact_sum([], half)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nbrefute import instances
+from nbrefute import instances, refute
 
 
 def test_sample_kxor_p_zero_and_one():
@@ -71,12 +71,103 @@ def test_xor_instance_validates_clauses():
                                      (0, 1, 2, 3): 1.0})
 
 
+def _array_form(clauses):
+    """The (supports, weights) arrays of a {tuple: weight} mapping."""
+    return (np.array(list(clauses), dtype=np.int64).reshape(-1, 3),
+            np.array(list(clauses.values()), dtype=float))
+
+
+def test_xor_instance_arrays_give_the_same_messages():
+    # the mapping cases above, as arrays: the same message, and the same
+    # first offending clause, whichever form comes in
+    cases = [{(2, 1, 0): 1.0}, {(0, 1, 5): 1.0}, {(0, 1, 2): 0.0},
+             {(0, 1, 2): 1.0, (1, 2, 3): float("nan")},
+             {(0, 1, 2): 1.0, (1, 2, 7): 1.0, (2, 2, 3): 1.0,
+              (0, 1, 4): 0.0},
+             {(0, 1, 4): 0.0, (1, 2, 7): 1.0},
+             {(0, 1, 2): 0.5, (1, 2, 3): 2.0}]
+    for clauses in cases:
+        n = 3 if (0, 1, 5) in clauses else 5
+        with pytest.raises(ValueError) as by_dict:
+            instances.XorInstance(n, 3, clauses)
+        with pytest.raises(ValueError) as by_arrays:
+            instances.XorInstance(n, 3, _array_form(clauses))
+        assert str(by_arrays.value) == str(by_dict.value)
+    with pytest.raises(ValueError,
+                       match=r"^clause \(0, 1\) does not have arity 3$"):
+        instances.XorInstance(5, 3, (np.array([[0, 1], [1, 2]]), [1.0, 1.0]))
+    with pytest.raises(ValueError, match=r"size 3 into shape \(2,\)"):
+        instances.XorInstance(5, 3, ([[0, 1, 2], [1, 2, 3]], [1.0] * 3))
+    # only arrays can repeat a support; its second occurrence is named
+    with pytest.raises(ValueError,
+                       match=r"^clause \(1, 2, 3\) appears more than once$"):
+        instances.XorInstance(5, 3, ([[1, 2, 3], [0, 1, 2], [1, 2, 3]],
+                                     [1.0, -1.0, 1.0]))
+
+
+def test_xor_instance_arrays_are_read_only_copies():
+    supports = np.array([[1, 2, 4], [0, 1, 2]])
+    weights = np.array([0.5, -1.0])
+    I = instances.XorInstance(5, 3, (supports, weights))
+    assert I.supports.dtype == np.int64 and I.weights.dtype == float
+    for array in (I.supports, I.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    # the caller's arrays stay theirs
+    supports[0, 0] = 3
+    weights[0] = 1.0
+    assert I.clauses == {(1, 2, 4): 0.5, (0, 1, 2): -1.0}
+    assert I.m == 2 and supports.flags.writeable
+
+
+@pytest.mark.parametrize("n,k,p,seed", [(9, 3, 0.4, 7), (12, 3, 0.05, 1),
+                                        (8, 5, 0.3, 2), (6, 3, 1.0, 0)])
+def test_xor_instance_mapping_and_arrays_agree(n, k, p, seed):
+    I = instances.sample_kxor(n, k, p, seed)
+    J = instances.XorInstance(n, k, I.clauses, p=p, seed=seed)
+    np.testing.assert_array_equal(J.supports, I.supports)
+    np.testing.assert_array_equal(J.weights, I.weights)
+    assert J.clauses == I.clauses
+    assert J.to_json_dict() == I.to_json_dict()
+    assert (refute.refute_xor(J, z=6).to_json_dict()
+            == refute.refute_xor(I, z=6).to_json_dict())
+
+
+@pytest.mark.parametrize("n,k,p,seed", [(9, 3, 0.4, 7), (15, 3, 0.1, 3),
+                                        (9, 5, 0.2, 4), (7, 7, 1.0, 5),
+                                        (10, 3, 0.0, 6)])
+def test_sample_kxor_matches_dict_reference(n, k, p, seed):
+    # the dict-built sampler: one uniform per support in lexicographic
+    # rank order, the supports kept in that order
+    draws = np.random.default_rng(seed).random(math.comb(n, k))
+    want = {combo: 1.0 if u < p / 2 else -1.0 for combo, u in zip(
+        itertools.combinations(range(n), k), draws) if u < p}
+    I = instances.sample_kxor(n, k, p, seed)
+    assert I.supports.shape == (len(want), k)
+    assert list(zip(map(tuple, I.supports.tolist()),
+                    I.weights.tolist())) == list(want.items())
+
+
 def test_value_hand_example():
     I = instances.XorInstance(3, 3, {(0, 1, 2): 1.0})
     assert instances.value(I, [1, 1, 1]) == 1.0
     assert instances.value(I, [-1, 1, 1]) == 0.0
     I2 = instances.XorInstance(3, 3, {(0, 1, 2): -1.0})
     assert instances.value(I2, [-1, 1, 1]) == 1.0
+
+
+def test_value_matches_clause_loop():
+    # the per-clause loop value() replaced; the vectorized sum adds in
+    # another order, so weights off +-1 agree to rounding only
+    rng = np.random.default_rng(3)
+    I = instances.sample_kxor(9, 3, 0.4, seed=2)
+    J = instances.XorInstance(9, 3, {t: w * float(rng.uniform(0.1, 1.0))
+                                     for t, w in I.clauses.items()})
+    for inst, rel in ((I, 0.0), (J, 1e-14)):
+        for x in rng.choice((-1.0, 1.0), size=(20, 9)):
+            loop = sum((1.0 + w * math.prod(x[list(t)])) / 2.0
+                       for t, w in inst.clauses.items()) / inst.m
+            assert abs(instances.value(inst, x) - loop) <= rel * loop
 
 
 def test_value_requires_clauses():

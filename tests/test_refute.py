@@ -574,6 +574,25 @@ def test_swap_parts_match_dense_split(monkeypatch, I, blocks):
                                      for w in I.clauses.values())
 
 
+@pytest.mark.parametrize("I", [
+    instances.sample_kxor(9, 3, 0.4, seed=1),
+    instances.sample_kxor(12, 3, 0.3, seed=2),
+    instances.sample_kxor(7, 5, 0.5, seed=2),
+    _degree_k_instance(instances.sample_csp(instances.predicate_table("3sat"),
+                                            12, 3, 0.03, seed=1)),
+], ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
+def test_swap_parts_b2_equals_fsum_of_dense_residual(monkeypatch, I):
+    # dense_reference.residual_bound is math.fsum over a list of the dense
+    # split's residual; with the rounding allowance held at 0, the exact
+    # vectorized b2 of _swap_parts must equal it bit for bit
+    entry_errors = refute._entry_errors
+    monkeypatch.setattr(refute, "_entry_errors",
+                        lambda V, q: (entry_errors(V, q)[0], 0.0))
+    _, residual = dense_reference.split(dense_reference.flatten(I))
+    assert refute._swap_parts(I)[2] == dense_reference.residual_bound(
+        residual)
+
+
 def overlap_by_gathers(left, right, h, n):
     """The mask as k - 1 strip-sized gathers, one per digit of the right
     rows: whether row i of left shares at least h indices with row j of
@@ -893,6 +912,37 @@ def test_refutations_rerun_byte_identical():
         first, second = refute_fn(inst, z=6), refute_fn(inst, z=6)
         assert _digest(first) == _digest(second)
         assert any("witness" in s for s in first.steps)
+
+
+def test_refutation_golden_digests():
+    # Pinned fixed-seed certificates (numpy 2.4 with OpenBLAS 0.3.31 on
+    # x86-64; the witness's Lanczos estimate is recorded, so another BLAS
+    # may round it differently). Library certificates carry no timestamp;
+    # the CLI adds one. A change that moves a bound on purpose recomputes
+    # these pins and says so; any other change must keep them. The CSP
+    # case rescales by W = 0.625, so it covers the u sum |w| allowance and
+    # nonzero entry rounding errors.
+    I = instances.sample_kxor(30, 3, 0.02, seed=3)
+    J = instances.sample_csp(instances.predicate_table("3sat"), 20, 3, 0.03,
+                             seed=1)
+    assert _digest(refute.refute_xor(I, z=6)) == (
+        "3dc794391ba85ee230a1fc8c4748dd527af41f2c320309210936a0e57e2b019a")
+    assert _digest(refute.refute_csp(J, z=6)) == (
+        "62b9ec1c8978f11ce14071951275a24590ee167ae1e4fe4998e8127b87c94d99")
+
+
+def test_refutations_never_read_the_clause_dict(monkeypatch):
+    I = instances.sample_kxor(14, 3, 0.1, seed=1)
+    J = instances.sample_csp(instances.predicate_table("3sat"), 12, 3, 0.03,
+                             seed=2)
+    want = _digest(refute.refute_xor(I, z=6)), _digest(refute.refute_csp(J))
+
+    def refuse(self):
+        raise AssertionError("XorInstance.clauses read")
+
+    monkeypatch.setattr(instances.XorInstance, "clauses", property(refuse))
+    got = _digest(refute.refute_xor(I, z=6)), _digest(refute.refute_csp(J))
+    assert got == want
 
 
 def test_refute_xor_beyond_the_dense_cap():
