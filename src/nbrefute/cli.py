@@ -2,9 +2,9 @@
 auditing, determinant-identity spot checks, and walk experiments.
 
 Exit codes: 0 success, 2 bad input or arguments, 3 audit failure, 4
-infeasible at desk scale. Re-running a command with the same arguments
-rewrites byte-identical files except for the single timestamp field in a
-certificate's metadata.
+infeasible at desk scale (a linalg.Infeasible, or an unauditable audit).
+Re-running a command with the same arguments rewrites byte-identical
+files except for the single timestamp field in a certificate's metadata.
 
 The NBREFUTE_THREADS environment variable, when set before launch, caps
 the BLAS thread pools (it must act before numpy's first import, so only
@@ -34,6 +34,7 @@ import numpy as np
 
 from . import certify
 from . import instances
+from . import linalg
 from . import nonbacktracking
 from . import refute
 from . import walks
@@ -233,9 +234,8 @@ def main(argv=None):
         print(f"error: invalid JSON: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        message = str(exc)
-        print(f"error: {message}", file=sys.stderr)
-        return 4 if "infeasible" in message else 2
+        print(f"error: {exc}", file=sys.stderr)
+        return 4 if isinstance(exc, linalg.Infeasible) else 2
 
 
 if __name__ == "__main__":

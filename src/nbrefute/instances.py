@@ -4,7 +4,7 @@ transforms, and exact brute-force optima.
 Conventions used throughout:
 
   * XOR clauses are stored once per support (a strictly increasing k-tuple
-    of variable indices) with a weight w, c <= |w| <= 1. The induced
+    of variable indices) with a weight w, 0 < |w| <= 1. The induced
     symmetric k-tensor is T_alpha = w(sort(alpha)) when alpha has k distinct
     indices and 0 otherwise, so the sum of T_alpha x^alpha over ordered
     tuples equals k! times the sum of w x^support over clauses.
@@ -20,19 +20,23 @@ Conventions used throughout:
     exactly p with equiprobable signs from a single uniform.
   * XOR clauses (supports, weights) and CSP constraints (scopes, signs)
     are read-only arrays, built, validated and read as arrays; the clauses
-    dict and the constraints list are made from them on each access.
+    dict and the constraints list are made from them on each access. XOR
+    files load as arrays too, so a repeated support is refused.
   * The brute-force optima are exact Walsh-Hadamard evaluations over all
     2^n assignments. Both values are multilinear polynomials in x, so the
     instance's Fourier coefficients, indexed by monomial bitmask, go into a
     length-2^n vector and one in-place fast Walsh-Hadamard transform yields
     the value at every x (O(n 2^n) vectorised work). At the cap n = 24 that
     vector is 2^24 doubles (128 MB), plus one half-size temporary (64 MB).
+    Past that cap both oracles raise linalg.Infeasible.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from . import linalg
 
 BRUTE_ASSIGN_CAP = 24
 # Uniforms per Generator.random call in sample_csp (8 MB of draws).
@@ -42,12 +46,13 @@ CSP_DRAW_CHUNK = 1 << 20
 class XorInstance:
     """Weighted k-XOR instance.
 
-    clauses maps strictly increasing k-tuples to weights in [min_weight, 1],
+    clauses maps strictly increasing k-tuples to weights with 0 < |w| <= 1,
     or is that map as (m, k) and (m,) arrays (supports, weights), kept
-    read-only in input order. p and seed are provenance metadata.
+    read-only in input order; array input may not repeat a support. p and
+    seed are provenance metadata.
     """
 
-    def __init__(self, n, k, clauses, p=None, seed=None, min_weight=None):
+    def __init__(self, n, k, clauses, p=None, seed=None):
         n = int(n)
         k = int(k)
         if k < 2:
@@ -82,20 +87,14 @@ class XorInstance:
             if repeated[i]:
                 raise ValueError(f"clause {tup} appears more than once")
             raise ValueError(f"clause {tup} has zero weight")
-        mags = np.abs(weights)
-        if min_weight is None:
-            min_weight = mags.min() if mags.size else 1.0
-        if mags.size and (mags.min() < min_weight - 1e-12
-                          or mags.max() > 1.0 + 1e-12):
-            raise ValueError(
-                f"clause weights must satisfy {min_weight} <= |w| <= 1")
+        if (np.abs(weights) > 1.0 + 1e-12).any():
+            raise ValueError("clause weights must satisfy 0 < |w| <= 1")
         self.n = n
         self.k = k
         self.supports, self.weights = tups, weights
         tups.flags.writeable = weights.flags.writeable = False
         self.p = p
         self.seed = seed
-        self.min_weight = float(min_weight)
 
     @property
     def clauses(self):
@@ -121,9 +120,10 @@ class XorInstance:
 
     @classmethod
     def from_json_dict(cls, d):
-        clauses = {tuple(c["vars"]): c["weight"] for c in d["clauses"]}
+        supports = [tuple(c["vars"]) for c in d["clauses"]]
+        weights = [c["weight"] for c in d["clauses"]]
         meta = d.get("meta", {})
-        return cls(d["n"], d["k"], clauses,
+        return cls(d["n"], d["k"], (supports, weights),
                    p=meta.get("p"), seed=meta.get("seed"))
 
 
@@ -302,7 +302,7 @@ def value(I, x):
 
 def _require_cube(n):
     if n > BRUTE_ASSIGN_CAP:
-        raise ValueError(
+        raise linalg.Infeasible(
             f"oracle infeasible: assignment enumeration over {n} variables "
             f"exceeds cap {BRUTE_ASSIGN_CAP}")
 

@@ -3,6 +3,7 @@
 Everything downstream (edge operators, certificates, refutation pipelines)
 reduces to the handful of primitives in this module:
 
+  * Infeasible          the ValueError of a refusal by size
   * symmetric_degrees   validates a weighted graph and returns the one form
                         the package computes on: a dense symmetric
                         zero-diagonal array and its degree vector
@@ -34,6 +35,10 @@ _ENUM_CHUNK = 1 << 14
 # against powers silently underflowing to zero).
 _RESCALE_ABOVE = 1e120
 _RESCALE_BELOW = 1e-120
+
+
+class Infeasible(ValueError):
+    """An input refused by size, past a desk-scale cap: not malformed."""
 
 
 class SymWeightedMatrix:
@@ -138,7 +143,7 @@ def brute_inf_to_one(M):
         raise ValueError(f"expected a 2d array, got ndim={M.ndim}")
     rows = M.shape[0]
     if rows > BRUTE_ROWS_CAP:
-        raise ValueError(
+        raise Infeasible(
             f"oracle infeasible: {rows} rows exceeds enumeration cap "
             f"{BRUTE_ROWS_CAP}")
     if rows == 0 or M.shape[1] == 0:
@@ -227,11 +232,11 @@ def _rescaled(P, log_scale, peak):
 def real_eigenvalues(M):
     """Real parts of the eigenvalues of a square matrix with |imag| <=
     DEFAULT_IM_TOL, from one dense eigensolve (empty when there are none).
-    Raises beyond EIG_DIM_CAP, read at call time."""
+    Raises Infeasible beyond EIG_DIM_CAP, read at call time."""
     M = _square(M)
     dim = M.shape[0]
     if dim > EIG_DIM_CAP:
-        raise ValueError(
+        raise Infeasible(
             f"eigensolve infeasible: dimension {dim} exceeds cap "
             f"{EIG_DIM_CAP}")
     if dim == 0:

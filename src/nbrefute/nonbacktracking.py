@@ -110,14 +110,14 @@ def build(A):
       GraphMatrices. Edge ordering is canonical so output is deterministic.
 
     Raises:
-      ValueError: A is malformed, or 2m exceeds linalg.EIG_DIM_CAP (read
-        at call time); the cap is checked before any 2m-sized array exists.
+      ValueError: A is malformed; linalg.Infeasible if 2m exceeds
+        linalg.EIG_DIM_CAP (read at call time), before any 2m-sized array.
     """
     dense, degs = linalg.symmetric_degrees(A)
     us, vs = np.nonzero(np.triu(dense, 1))
     tm = 2 * us.size
     if tm > linalg.EIG_DIM_CAP:
-        raise ValueError(
+        raise linalg.Infeasible(
             f"bundle infeasible: {tm} oriented edges exceeds cap "
             f"{linalg.EIG_DIM_CAP}")
     w, S, T = incidence(dense)

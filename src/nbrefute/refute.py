@@ -148,7 +148,7 @@ def _swap_parts(I):
     n, h = I.n, (I.k - 1) // 2
     q = n ** h
     if q * (q + 1) // 2 > BLOCK_DIM_CAP:
-        raise ValueError(
+        raise linalg.Infeasible(
             f"refutation infeasible: swap block dimension {q * (q + 1) // 2} "
             f"exceeds cap {BLOCK_DIM_CAP}")
     digits = _digits(n, I.k)

@@ -4,8 +4,9 @@ operator, canonical-walk censuses with tangle filters and their closed-form
 ceiling, and the spectral-radius experiment on signed sparse graphs.
 
 All enumeration here is exhaustive and desk-scale by design; feasibility
-caps reject inputs whose walk counts would explode, and a hard cap on
-explored states backstops the estimates.
+caps reject inputs whose walk counts would explode, and one hard cap on
+explored states, ENUM_CAP, backstops the estimates. One depth-first
+walker (_nb_walks) serves every walk sum; the census keeps its own.
 """
 
 import functools
@@ -128,48 +129,65 @@ def _check_edge(dense, e, name):
     return u, v
 
 
-def enumerate_nbw(A, e, f, z, cap=ENUM_CAP):
-    """All non-backtracking walks with z edges from oriented edge e to
-    oriented edge f. Raises when more than cap states are explored."""
+def _nb_walks(neigh, e, z, explored):
+    """Yield the vertex list of every non-backtracking walk of z edges that
+    starts with oriented edge e, depth first in neighbour order. One list
+    is reused, so read it before resuming. explored, a one-item list shared
+    by every search of one call, counts the partial walks tried; past
+    ENUM_CAP (read at call time) the search raises Infeasible."""
+    path = list(e)
+    if z == 1:
+        yield path
+        return
+    # stack[i] holds the neighbours of path[i + 1] not yet tried
+    stack = [iter(neigh[path[-1]])]
+    while stack:
+        w = next(stack[-1], None)
+        if w is None:
+            stack.pop()
+            path.pop()
+        elif w != path[-2]:
+            explored[0] += 1
+            if explored[0] > ENUM_CAP:
+                raise linalg.Infeasible(
+                    f"enumeration cap exceeded: more than {ENUM_CAP} "
+                    f"partial walks explored")
+            path.append(w)
+            if len(path) <= z:
+                stack.append(iter(neigh[w]))
+            else:
+                yield path
+                path.pop()
+
+
+def _walks_between(A, e, f, z):
+    """A's dense form and the vertex lists of the non-backtracking walks of
+    z edges from oriented edge e to oriented edge f, lazily."""
     dense, _ = linalg.symmetric_degrees(A)
     e = _check_edge(dense, e, "e")
     f = _check_edge(dense, f, "f")
+    found = _nb_walks(_neighbors(dense), e, z, [0])
+    return dense, (vs for vs in found if vs[-1] == f[1] and vs[-2] == f[0])
+
+
+def _block_weight(dense, vs):
+    """sqrt(|w(first edge)| |w(last edge)|) times the interior edge
+    weights of the walk through the vertices vs, in walk order."""
+    w = math.sqrt(abs(dense[vs[0], vs[1]]) * abs(dense[vs[-2], vs[-1]]))
+    for i in range(1, len(vs) - 2):
+        w *= dense[vs[i], vs[i + 1]]
+    return w
+
+
+def enumerate_nbw(A, e, f, z):
+    """All non-backtracking walks with z edges from oriented edge e to
+    oriented edge f. Raises Infeasible when more than ENUM_CAP states are
+    explored."""
     z = int(z)
     if z < 1:
         raise ValueError(f"walk length must be at least one edge, got {z}")
-    neigh = _neighbors(dense)
-    out = []
-    explored = 0
-    path = [e[0], e[1]]
-
-    def extend():
-        nonlocal explored
-        edges_taken = len(path) - 1
-        if edges_taken == z:
-            if (path[-2], path[-1]) == f:
-                out.append(Walk(path))
-            return
-        for w in neigh[path[-1]]:
-            if w == path[-2]:
-                continue
-            explored += 1
-            if explored > cap:
-                raise ValueError(
-                    f"enumeration cap exceeded: more than {cap} partial "
-                    f"walks explored")
-            path.append(w)
-            extend()
-            path.pop()
-
-    extend()
-    return out
-
-
-def _signed_root(dense, edge):
-    u, v = edge
-    w = dense[u, v]
-    sign = -1.0 if (w < 0 and u < v) else 1.0
-    return sign
+    _, found = _walks_between(A, e, f, z)
+    return [Walk(vs) for vs in found]
 
 
 def nbw_power_entry(A, e, f, z):
@@ -185,19 +203,14 @@ def nbw_power_entry(A, e, f, z):
     z = int(z)
     if z < 2:
         raise ValueError(f"walk length must be at least two edges, got {z}")
-    dense, _ = linalg.symmetric_degrees(A)
+    dense, found = _walks_between(A, e, f, z)
     total = 0.0
-    for W in enumerate_nbw(dense, e, f, z):
-        edges = W.edges()
-        first = edges[0]
-        last = edges[-1]
-        term = _signed_root(dense, (first[1], first[0]))
-        term *= _signed_root(dense, last)
-        term *= math.sqrt(abs(dense[first[0], first[1]])
-                          * abs(dense[last[0], last[1]]))
-        for (u, v) in edges[1:-1]:
-            term *= dense[u, v]
-        total += term
+    for vs in found:
+        sign = 1.0
+        for u, v in ((vs[1], vs[0]), (vs[-2], vs[-1])):
+            if u < v and dense[u, v] < 0:
+                sign = -sign
+        total += sign * _block_weight(dense, vs)
     return total
 
 
@@ -216,45 +229,25 @@ def trace_walk_sum(A, q, z):
     dense, _ = linalg.symmetric_degrees(A)
     n = dense.shape[0]
     if n > TRACE_MAX_N or z > TRACE_MAX_Z or q > TRACE_MAX_Q:
-        raise ValueError(
+        raise linalg.Infeasible(
             f"enumeration infeasible: (n={n}, z={z}, q={q}) exceeds caps "
             f"(n<={TRACE_MAX_N}, z<={TRACE_MAX_Z}, q<={TRACE_MAX_Q})")
     neigh = _neighbors(dense)
-    blocks = 2 * q
-    explored = 0
+    explored = [0]
     total = 0.0
 
-    def block_weight(vs):
-        w = math.sqrt(abs(dense[vs[0], vs[1]]) * abs(dense[vs[-2], vs[-1]]))
-        for i in range(1, len(vs) - 2):
-            w *= dense[vs[i], vs[i + 1]]
-        return w
-
-    def fill_block(bi, cur, weight, first_edge):
-        nonlocal explored, total
-        if len(cur) == z + 1:
-            w = weight * block_weight(cur)
-            if bi + 1 == blocks:
-                if (cur[-2], cur[-1]) == (first_edge[1], first_edge[0]):
-                    total += w
-                return
-            fill_block(bi + 1, [cur[-1], cur[-2]], w, first_edge)
-            return
-        for nxt in neigh[cur[-1]]:
-            if len(cur) >= 2 and nxt == cur[-2]:
-                continue
-            explored += 1
-            if explored > ENUM_CAP:
-                raise ValueError(
-                    f"enumeration cap exceeded: more than {ENUM_CAP} partial "
-                    f"walks explored")
-            cur.append(nxt)
-            fill_block(bi, cur, weight, first_edge)
-            cur.pop()
+    def blocks(bi, start, weight, closing):
+        nonlocal total
+        for vs in _nb_walks(neigh, start, z, explored):
+            w = weight * _block_weight(dense, vs)
+            if bi + 1 < 2 * q:
+                blocks(bi + 1, (vs[-1], vs[-2]), w, closing)
+            elif (vs[-2], vs[-1]) == closing:
+                total += w
 
     for u in range(n):
         for v in neigh[u]:
-            fill_block(0, [u, v], 1.0, (u, v))
+            blocks(0, (u, v), 1.0, (v, u))
     return total
 
 
@@ -323,7 +316,7 @@ def _canonical_census(q, z, v_cap):
                 continue
             state["explored"] += 1
             if state["explored"] > ENUM_CAP:
-                raise ValueError(
+                raise linalg.Infeasible(
                     f"census infeasible: enumeration cap {ENUM_CAP} exceeded")
             fresh = nxt == state["used"]
             if fresh:
@@ -356,7 +349,7 @@ def count_canonical(q, z, v, e, t):
     if q < 1 or z < 1:
         raise ValueError(f"need q >= 1 and z >= 1, got q={q}, z={z}")
     if v > CENSUS_MAX_V or q * z > CENSUS_MAX_EDGES:
-        raise ValueError(
+        raise linalg.Infeasible(
             f"census infeasible: (v={v}, q*z={q * z}) exceeds caps "
             f"(v<={CENSUS_MAX_V}, q*z<={CENSUS_MAX_EDGES})")
     if v < 2 or e < v - 1:

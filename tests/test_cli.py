@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from nbrefute import cli, linalg, refute
+from nbrefute import (cli, instances, linalg, nonbacktracking, refute,
+                      walks)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -166,6 +167,58 @@ def test_audit_unknown_kind_is_bad_input(tmp_path, capsys):
     assert "unknown instance kind" in stderr
 
 
+@pytest.mark.parametrize("folder", ["plain", "infeasible-cases"])
+def test_malformed_instance_is_exit_2_in_any_folder(tmp_path, capsys, folder):
+    # exit 4 goes by the error's type, not by the word "infeasible" in
+    # its message, which here would come from the path
+    inst = tmp_path / folder / "inst.json"
+    inst.parent.mkdir()
+    inst.write_text(json.dumps({"kind": "xor", "n": 5}))
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert stderr.startswith("error: malformed instance")
+
+
+def test_instance_kind_named_infeasible_is_exit_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"kind": "infeasible"}))
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert stderr == f"error: unknown instance kind 'infeasible' in {inst}\n"
+
+
+@pytest.mark.parametrize("entry", ["bogus", "infeasible"])
+def test_gen_bad_truth_table_entry_is_exit_2(tmp_path, capsys, entry):
+    code, _, stderr = run(capsys, "gen", "--kind", "csp", "--n", "5",
+                          "--p", "0.1", "--truth-table", f"{entry},1",
+                          "--out", str(tmp_path / "inst.json"))
+    assert code == 2
+    assert f"'{entry}'" in stderr
+
+
+@pytest.mark.parametrize("call", [
+    lambda: instances.brute_opt(
+        instances.XorInstance(30, 3, {(0, 1, 2): 1.0})),
+    lambda: linalg.brute_inf_to_one(np.zeros((25, 2))),
+    lambda: linalg.real_eigenvalues(np.zeros((2, 2))),
+    lambda: nonbacktracking.build(np.ones((3, 3)) - np.eye(3)),
+    lambda: refute.refute_xor(
+        instances.XorInstance(121, 3, {(0, 1, 2): 1.0})),
+    lambda: walks.trace_walk_sum(np.ones((6, 6)) - np.eye(6), 1, 2),
+    lambda: walks.count_canonical(1, 2, 7, 6, 1),
+    lambda: walks._canonical_census.__wrapped__(1, 3, 4),
+], ids=["cube", "inf_to_one", "eigensolve", "bundle", "swap_block",
+        "trace", "census_caps", "census_states"])
+def test_every_cap_refusal_is_infeasible(monkeypatch, call):
+    # the walkers' shared cap is checked in test_walks
+    monkeypatch.setattr(linalg, "EIG_DIM_CAP", 1)
+    monkeypatch.setattr(walks, "ENUM_CAP", 2)
+    with pytest.raises(linalg.Infeasible, match="infeasible"):
+        call()
+
+
 def _xor_files(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     cert = tmp_path / "cert.json"
@@ -240,6 +293,18 @@ def test_refute_non_finite_weight_is_exit_2(tmp_path, capsys):
                           "--out", str(tmp_path / "o.json"))
     assert code == 2
     assert "has non-finite weight nan" in stderr
+
+
+def test_refute_repeated_clause_is_exit_2(tmp_path, capsys):
+    inst, _ = _xor_files(tmp_path, capsys)
+    d = json.loads(inst.read_text())
+    clause = d["clauses"][0]
+    d["clauses"].append({"vars": clause["vars"], "weight": -clause["weight"]})
+    inst.write_text(json.dumps(d))
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert stderr.endswith(" appears more than once\n")
 
 
 def test_linalg_error_is_exit_2(tmp_path, capsys, monkeypatch):

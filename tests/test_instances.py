@@ -515,6 +515,25 @@ def test_xor_json_roundtrip():
     assert back.p == I.p and back.seed == I.seed
 
 
+def test_xor_json_keeps_clause_order_and_rejects_a_repeat():
+    d = instances.XorInstance(5, 3, {(1, 2, 3): 1.0}).to_json_dict()
+    d["clauses"].append({"vars": [0, 1, 2], "weight": -0.5})
+    back = instances.XorInstance.from_json_dict(d)
+    assert back.supports.tolist() == [[1, 2, 3], [0, 1, 2]]
+    assert back.weights.tolist() == [1.0, -0.5]
+    # a repeated support would count its clause twice in m
+    d["clauses"].append({"vars": [0, 1, 2], "weight": 1.0})
+    with pytest.raises(ValueError, match=r"^clause \(0, 1, 2\) appears "
+                                         r"more than once$"):
+        instances.XorInstance.from_json_dict(d)
+
+
+def test_xor_instance_weight_magnitude():
+    with pytest.raises(ValueError, match=r"^clause weights must satisfy "
+                                         r"0 < \|w\| <= 1$"):
+        instances.XorInstance(5, 3, {(0, 1, 2): 0.5, (1, 2, 3): -1.5})
+
+
 def test_csp_json_roundtrip():
     table = instances.predicate_table("3sat")
     J = instances.sample_csp(table, 6, 3, 0.05, seed=9)

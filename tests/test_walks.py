@@ -62,12 +62,36 @@ def test_enumerate_nbw_triangle():
     assert walks.enumerate_nbw(A, (0, 1), (0, 1), 1) == [walks.Walk((0, 1))]
 
 
-def test_enumerate_nbw_errors():
+def test_enumerate_nbw_errors(monkeypatch):
     A = complete_graph(3)
     with pytest.raises(ValueError, match="not an oriented edge"):
         walks.enumerate_nbw(A, (0, 3), (1, 2), 2)
+    monkeypatch.setattr(walks, "ENUM_CAP", 2)
     with pytest.raises(ValueError, match="cap exceeded"):
-        walks.enumerate_nbw(complete_graph(4), (0, 1), (1, 2), 4, cap=2)
+        walks.enumerate_nbw(complete_graph(4), (0, 1), (1, 2), 4)
+
+
+def test_walk_cap_is_read_at_call_time_by_every_walk_sum(monkeypatch):
+    monkeypatch.setattr(walks, "ENUM_CAP", 2)
+    message = r"^enumeration cap exceeded: more than 2 partial walks"
+    for call in (lambda: walks.enumerate_nbw(complete_graph(4), (0, 1),
+                                             (1, 2), 4),
+                 lambda: walks.nbw_power_entry(weighted_k4(), (0, 1),
+                                               (2, 0), 4),
+                 lambda: walks.trace_walk_sum(weighted_k4(), 1, 2)):
+        with pytest.raises(linalg.Infeasible, match=message):
+            call()
+
+
+def test_walk_sums_frozen():
+    # exact values: the walk order and the product order fix every bit
+    assert walks.trace_walk_sum(weighted_k4(), 2, 3) == 62.20989287999997
+    assert walks.nbw_power_entry(weighted_k4(), (0, 1), (2, 3), 4) == 0.0
+    assert (walks.nbw_power_entry(weighted_k4(), (0, 1), (2, 0), 4)
+            == -0.8049844718999243)
+    found = walks.enumerate_nbw(complete_graph(5), (0, 1), (2, 3), 5)
+    assert [W.vertices for W in found] == [
+        (0, 1, 3, 0, 2, 3), (0, 1, 3, 4, 2, 3), (0, 1, 4, 0, 2, 3)]
 
 
 def test_nbw_power_entry_matches_operator_power():
