@@ -129,35 +129,25 @@ def _check_edge(dense, e, name):
     return u, v
 
 
-def _nb_walks(neigh, e, z, explored):
-    """Yield the vertex list of every non-backtracking walk of z edges that
-    starts with oriented edge e, depth first in neighbour order. One list
-    is reused, so read it before resuming. explored, a one-item list shared
-    by every search of one call, counts the partial walks tried; past
-    ENUM_CAP (read at call time) the search raises Infeasible."""
-    path = list(e)
-    if z == 1:
+def _nb_walks(neigh, path, z, explored):
+    """Yield path extended to every non-backtracking walk of z edges, depth
+    first in neighbour order. path, a vertex list starting with an oriented
+    edge, is extended in place, so read it before resuming. explored, a
+    one-item list shared by every search of one call, counts the partial
+    walks tried; past ENUM_CAP (read at call time) it raises Infeasible."""
+    if len(path) > z:
         yield path
         return
-    # stack[i] holds the neighbours of path[i + 1] not yet tried
-    stack = [iter(neigh[path[-1]])]
-    while stack:
-        w = next(stack[-1], None)
-        if w is None:
-            stack.pop()
-            path.pop()
-        elif w != path[-2]:
+    for w in neigh[path[-1]]:
+        if w != path[-2]:
             explored[0] += 1
             if explored[0] > ENUM_CAP:
                 raise linalg.Infeasible(
                     f"enumeration cap exceeded: more than {ENUM_CAP} "
                     f"partial walks explored")
             path.append(w)
-            if len(path) <= z:
-                stack.append(iter(neigh[w]))
-            else:
-                yield path
-                path.pop()
+            yield from _nb_walks(neigh, path, z, explored)
+            path.pop()
 
 
 def _walks_between(A, e, f, z):
@@ -166,7 +156,7 @@ def _walks_between(A, e, f, z):
     dense, _ = linalg.symmetric_degrees(A)
     e = _check_edge(dense, e, "e")
     f = _check_edge(dense, f, "f")
-    found = _nb_walks(_neighbors(dense), e, z, [0])
+    found = _nb_walks(_neighbors(dense), list(e), z, [0])
     return dense, (vs for vs in found if vs[-1] == f[1] and vs[-2] == f[0])
 
 
@@ -238,7 +228,7 @@ def trace_walk_sum(A, q, z):
 
     def blocks(bi, start, weight, closing):
         nonlocal total
-        for vs in _nb_walks(neigh, start, z, explored):
+        for vs in _nb_walks(neigh, list(start), z, explored):
             w = weight * _block_weight(dense, vs)
             if bi + 1 < 2 * q:
                 blocks(bi + 1, (vs[-1], vs[-2]), w, closing)
