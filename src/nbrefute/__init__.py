@@ -10,8 +10,9 @@ Submodules:
   instances       k-XOR / CSP instance sampling, evaluation, Fourier
                   transforms and brute-force optima
   refute          the XOR and CSP refutation chains and their audit
-  walks           walk enumeration, trace identities, the canonical-walk
-                  census and its ceiling, the rho(B) experiment
+  walks           walk-sum identities for operator powers and traces, the
+                  canonical-walk census and its ceiling, the rho(B)
+                  experiment
   cli             command-line front end (gen / refute / audit /
                   check-identity / walks)
 """

@@ -1,5 +1,5 @@
-"""Sound certificates for PSD lower bounds, the infinity-to-one norm and
-the refutation chain's quadratic form.
+"""Sound certificates for PSD lower bounds and the infinity-to-one norm,
+and the Cholesky-verified diagonal witness of a symmetric matrix.
 
 The certified chain: a scale parameter lambda >= 1 dominating the absolute
 real spectrum of the oriented-edge operator B + L - J (built from +A and -A;
@@ -56,29 +56,23 @@ the entries of G sum to less than 8m, so X G Y of two powers rescaled
 below _RESCALE_ABOVE stays finite whatever the weights. On sparse graphs
 (forests, matchings: 2n > m) the vertex space is the larger one.
 
-Diagonal witness (the refutation chains). The chains need only the
-one-sided quadratic form y^T A y at y = x^(k-1) for sign vectors x, and
-that y is unchanged by the swap (alpha, beta) -> (beta, alpha) of its row
-pairs. With lo the pair rows alpha < beta, hi their swaps, and A zero on
-the rows (alpha, alpha) and invariant under the swap (the split main part
-of a flattened matrix is both), y^T A y = 2 y_lo^T A_sym y_lo for the
-pairs x pairs matrix A_sym = A[lo,lo] + A[lo,hi]. Any w with diag(w) -
-A_sym PSD therefore bounds the form by tr W = 2 sum_u w_u, W the
-swap-invariant diagonal that copies w onto both lo and hi.
-_diagonal_witness searches the cone w_u = a + b deg_u (a, b >= 0, rows of
-zero degree get w_u = 0), which holds the paper's lambda + (deg_u -
+Diagonal witness. Given a symmetric S and row degrees deg at least its
+absolute row sums (a graph's degrees, for S = +-A), diagonal_witness finds
+weights w_u = a + b deg_u (a, b >= 0) with diag(w) - S PSD on the rows of
+nonzero degree (S is zero on the rest); the last point it tries is
+diagonally dominant. The cone holds the paper's lambda + (deg_u -
 1)/lambda as the point a = lambda - 1/lambda, b = 1/lambda. An uncertified
 Lanczos estimate picks the direction and scale; only a Cholesky
-factorization counts. If floating-point Cholesky of
-H = fl(diag(w) - A_sym - c Id) runs to completion, diag(w) - A_sym is PSD
-in exact arithmetic for the shift c of _cholesky_shift. That is the test
-of Rump, "Verification of positive definiteness", BIT 46 (2006), Thm 2.3;
-the shift here is derived from the backward error of Higham, Accuracy and
-Stability of Numerical Algorithms, Thm 10.3, which gives R^T R = H + dH
-with |dH| <= gamma_{N+1} |R^T| |R|, so ||dH||_2 <= gamma_{N+1} ||R||_F^2
-<= gamma_{N+1}/(1 - gamma_{N+1}) tr H, and it also covers the rounding
-made forming H and, for non-integer weights, the entries of A_sym, each
-with a margin. Such a step is sound with rounding included.
+factorization counts. If floating-point Cholesky of H = fl(diag(w) - S - c
+Id) runs to completion, diag(w) - S is PSD in exact arithmetic for the
+shift c of _cholesky_shift. That is the test of Rump, "Verification of
+positive definiteness", BIT 46 (2006), Thm 2.3; the shift here is derived
+from the backward error of Higham, Accuracy and Stability of Numerical
+Algorithms, Thm 10.3, which gives R^T R = H + dH with |dH| <= gamma_{N+1}
+|R^T| |R|, so ||dH||_2 <= gamma_{N+1} ||R||_F^2 <= gamma_{N+1}/(1 -
+gamma_{N+1}) tr H, and it also covers the rounding made forming H and, for
+non-integer weights, the entries of S, each with a margin. Such a witness
+is sound with rounding included.
 """
 
 import math
@@ -387,8 +381,7 @@ def exact_sum(once, twice=()):
 
 def _kept_rows(a, d):
     """(a, d) restricted to the rows of nonzero degree: a view when they
-    are a leading range (every pair row of a dense instance has edges),
-    else a copy."""
+    are a leading range, else a copy."""
     keep = np.flatnonzero(d)
     if keep[-1] == keep.size - 1:
         return a[:keep.size, :keep.size], d[:keep.size]
@@ -430,13 +423,13 @@ def _lanczos_top(a, d, thetas):
 
 
 def _cholesky_shift(w, diag, entry_err):
-    """The shift c for verifying diag(w) - A_sym, whose diagonal is w -
-    diag, by Cholesky of fl(diag(w) - A_sym - c Id) (module docstring): the
+    """The shift c for verifying diag(w) - S, whose diagonal is w - diag,
+    by Cholesky of fl(diag(w) - S - c Id) (module docstring): the
     backward error gamma/(1 - gamma) tr H with gamma_{N+2} in place of
     gamma_{N+1} (LAPACK's blocked potrf may divide through a reciprocal,
     one rounding more) and a factor 2 for the rounding of tr H itself; 3u
     max |H_uu| for forming the diagonal; entry_err, a bound on the spectral
-    norm of the error in A_sym's entries; and an underflow allowance with the
+    norm of the error in S's entries; and an underflow allowance with the
     smallest normal number, far above every subnormal error."""
     big = w + np.abs(diag)
     top = float(big.max())
@@ -447,8 +440,8 @@ def _cholesky_shift(w, diag, entry_err):
 
 
 def _factorizes(neg, diag, w, c):
-    """Whether Cholesky of diag(w) - A_sym - c Id runs to completion; neg
-    holds -A_sym off its diagonal, which is overwritten."""
+    """Whether Cholesky of diag(w) - S - c Id runs to completion; neg
+    holds -S off its diagonal, which is overwritten."""
     idx = np.arange(w.size)
     neg[idx, idx] = (w - c) - diag
     try:
@@ -458,17 +451,18 @@ def _factorizes(neg, diag, w, c):
     return True
 
 
-def _diagonal_witness(sym, degs, entry_err=0.0):
-    """Step bounding max_y y^T A y over swap-invariant sign vectors y by
-    tr W = 2 sum_u w_u for w_u = a + b deg_u (0 on rows of zero degree)
-    with diag(w) - A_sym PSD, verified by one Cholesky (module docstring).
-    sym is A_sym = A[lo,lo] + A[lo,hi], overwritten; degs are the degrees
-    of A's lo rows; entry_err bounds the spectral norm of the rounding
-    error in sym's entries.
+def diagonal_witness(sym, degs, entry_err=0.0):
+    """(w, record): weights w_u = a + b deg_u on the rows of nonzero degree
+    with diag(w) - S PSD there for S = sym, verified by one Cholesky
+    (module docstring). sym is overwritten: pass a copy to keep it.
+    entry_err bounds the spectral norm of the rounding error in its
+    entries. The record holds a, b, the direction theta, the verified
+    scale, the Lanczos estimate, the shift, sym's dimension, the rows kept
+    and the Cholesky probes made.
 
     Guide: along each direction theta of WITNESS_THETAS, Lanczos estimates
-    the least scale s with s W_theta - A_sym PSD, W_theta = diag(theta +
-    (1 - theta) deg); the direction minimising s tr W_theta wins. Verify:
+    the least scale s with s W_theta - S PSD, W_theta = diag(theta + (1 -
+    theta) deg); the direction minimising s tr W_theta wins. Verify:
     s (1 + delta) W_theta for delta in WITNESS_MARGINS, then the Gershgorin
     point, until the Cholesky runs through."""
     dim = degs.size
@@ -497,31 +491,22 @@ def _diagonal_witness(sym, degs, entry_err=0.0):
     else:
         raise np.linalg.LinAlgError(
             "no diagonal witness factorized, not even the Gershgorin point")
-    bound = round_up(2.0 * exact_sum(w))
-    return {"name": "trace_bound",
-            "claim": "max_y y^T A' y <= tr W over sign vectors y = "
-                     "x^(k-1), for the swap-invariant diagonal W = diag(a "
-                     "+ b deg_u) on rows of nonzero degree; W - A' PSD on "
-                     "swap-symmetric vectors, verified by Cholesky of "
-                     "W_sym - A'_sym - c Id",
-            "value": bound,
-            "method": "cholesky",
-            "witness": {"a": a_w, "b": b_w, "theta": theta, "scale": sigma,
-                        "estimate": estimate, "shift": shift, "dim": dim,
-                        "rows": degs.size, "cholesky_probes": probes}}
+    return w, {"a": a_w, "b": b_w, "theta": theta, "scale": sigma,
+               "estimate": estimate, "shift": shift, "dim": dim,
+               "rows": degs.size, "cholesky_probes": probes}
 
 
 def audit(A, cert):
     """Cross-check a certificate against the exact brute-force norm.
 
     Returns a report dict; passed means final_bound >= brute value. When the
-    brute oracle is infeasible for A's size the report is marked not
-    auditable instead of guessing.
+    brute oracle refuses A's size (linalg.Infeasible) the report is marked
+    not auditable instead of guessing.
     """
     dense, _ = linalg.symmetric_degrees(A)
     try:
         brute = linalg.brute_inf_to_one(dense)
-    except ValueError as exc:
+    except linalg.Infeasible as exc:
         return {"auditable": False, "status": "not auditable",
                 "reason": str(exc), "final_bound": cert.final_bound}
     passed = bool(cert.final_bound >= brute)

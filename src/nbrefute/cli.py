@@ -2,10 +2,9 @@
 auditing, determinant-identity spot checks, and walk experiments.
 
 Exit codes: 0 success, 2 bad input or arguments, 3 audit failure, 4
-infeasible at desk scale (a linalg.Infeasible, or an audit whose oracle
-raised any ValueError). Re-running a command with the same arguments
-rewrites byte-identical files except for the single timestamp field in a
-certificate's metadata.
+infeasible at desk scale (a linalg.Infeasible refusal, and nothing else).
+Re-running a command with the same arguments rewrites byte-identical files
+except for the single timestamp field in a certificate's metadata.
 
 The NBREFUTE_THREADS environment variable, when set before launch, caps
 the BLAS thread pools (it must act before numpy's first import, so only

@@ -264,15 +264,6 @@ def assignment_from_index(idx, k):
     return tuple(1 if (idx >> (k - 1 - j)) & 1 else -1 for j in range(k))
 
 
-def index_from_assignment(z):
-    k = len(z)
-    idx = 0
-    for j, s in enumerate(z):
-        if s > 0:
-            idx |= 1 << (k - 1 - j)
-    return idx
-
-
 def sample_kxor(n, k, p, seed):
     """Sample a k-XOR instance: each of the C(n,k) supports independently
     present with probability p, sign equiprobable, from one uniform per
@@ -374,18 +365,9 @@ def sample_csp(truth_table, n, k, p, seed):
                        p=p, seed=seed)
 
 
-def csp_value(I, x):
-    """Fraction of constraints satisfied: (1/m) sum_i P(c_i o x^alpha_i)."""
-    if I.m == 0:
-        raise ValueError("no constraints to evaluate")
-    x = np.asarray(x, dtype=float)
-    # one truth-table row per constraint; the sum of 0/1 values is exact
-    rows = (I.signs * x[I.scopes] > 0) @ (1 << np.arange(I.k - 1, -1, -1))
-    return I.truth_table[rows].sum() / I.m
-
-
 def csp_brute_opt(I):
-    """Exact maximum of csp_value(I, .) over all sign assignments.
+    """Exact maximum over all sign assignments of the fraction of
+    constraints satisfied, (1/m) sum_i P(c_i o x^alpha_i).
 
     Constraint (alpha, c) contributes chat_S prod_{j in S} c_j at the mask
     XOR_{j in S} bit(alpha_j) for each Fourier coefficient chat_S of P: XOR,

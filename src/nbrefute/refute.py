@@ -23,18 +23,18 @@ and opt(I) <= U for every assignment. By Cauchy-Schwarz over the middle
 index, <T, x^(k)>^2 <= n y^T A y for y = x^(k-1), a sign vector, and
 y^T A y = y^T A' y + y^T A'' y <= b1 + b2: the chain needs only the
 one-sided quadratic form of A' at y, which any diagonal W >= A' bounds by
-its trace (certify._diagonal_witness).
+its trace.
 
 Swap-symmetric block. Rows of A are pairs (alpha, beta) of (k-1)/2-tuples,
 and y = x^(k-1) is unchanged by the swap (alpha, beta) -> (beta, alpha),
 as are A and A'. The split drops every entry of a row (alpha, alpha), as
 its index multisets {alpha, alpha'} and {alpha, beta'} share all (k-1)/2
-indices of alpha. So with lo the rows alpha < beta
-and hi their swaps, y^T A' y = 2 y_lo^T (A'[lo,lo] + A'[lo,hi]) y_lo, and
-W - A' need only be PSD on swap-symmetric vectors: diag(w) - A'_sym PSD on
-the pairs x pairs block A'_sym = A'[lo,lo] + A'[lo,hi] gives tr W =
-2 sum_lo w_u, each pair row standing for both (alpha, beta) and (beta,
-alpha). The pipelines never hold A. Its row (alpha, beta), as a q x q
+indices of alpha. So with lo the rows alpha < beta and hi their swaps,
+y^T A' y = 2 y_lo^T (A'[lo,lo] + A'[lo,hi]) y_lo, and W - A' need only be
+PSD on swap-symmetric vectors: diag(w) - A'_sym PSD on the pairs x pairs
+block A'_sym = A'[lo,lo] + A'[lo,hi] (certify.diagonal_witness) gives tr W
+= 2 sum_lo w_u, W the swap-invariant diagonal that copies w onto both lo
+and hi. The pipelines never hold A. Its row (alpha, beta), as a q x q
 matrix over (alpha', beta'), q = n^((k-1)/2), is V_alpha V_beta^T for
 V_alpha the q rows of V with first half-index alpha, so V_alpha
 V_{>alpha}^T gives the lo rows; A''s hi rows (their transposes) and rows
@@ -208,10 +208,23 @@ def _step(name, claim, value, method="exact"):
     return {"name": name, "claim": claim, "value": value, "method": method}
 
 
+def _trace_bound_step(sym, degs, entry_err, prefix):
+    """b1 = tr W = 2 sum_lo w_u, rounded up, for the witness w of diag(w) -
+    A'_sym PSD (module docstring); sym is A'_sym, overwritten, and degs the
+    degrees of A''s lo rows. The name starts with prefix or "main_"."""
+    w, witness = certify.diagonal_witness(sym, degs, entry_err)
+    return dict(_step(
+        (prefix or "main_") + "trace_bound",
+        "max_y y^T A' y <= tr W over sign vectors y = x^(k-1), for the "
+        "swap-invariant diagonal W = diag(a + b deg_u) on rows of nonzero "
+        "degree; W - A' PSD on swap-symmetric vectors, verified by "
+        "Cholesky of W_sym - A'_sym - c Id",
+        _up(2.0 * certify.exact_sum(w)), "cholesky"), witness=witness)
+
+
 def _xor_chain(I, prefix):
-    """The XOR chain's steps through b2 and sqrt(n (b1 + b2)), rounded up.
-    Step names start with prefix; A''s witness step with prefix or
-    "main_"."""
+    """The XOR chain's steps through b2 and sqrt(n (b1 + b2)), rounded up,
+    with names that start with prefix."""
     sym, degs, b2, entry_err = _swap_parts(I)
     b2 = _up(b2)
     if not degs.any():
@@ -219,9 +232,8 @@ def _xor_chain(I, prefix):
         steps = [_step(f"{prefix}main_empty", "the split kept no entries, "
                        "so max_y y^T A' y = 0", 0.0)]
     else:
-        step = certify._diagonal_witness(sym, degs, entry_err)
-        b1 = step["value"]
-        steps = [dict(step, name=(prefix or "main_") + step["name"])]
+        steps = [_trace_bound_step(sym, degs, entry_err, prefix)]
+        b1 = steps[0]["value"]
     steps.append(_step(f"{prefix}residual_bound",
                        "max_y y^T A'' y <= sum of |entries| of A''", b2))
     return steps, _up(math.sqrt(_up(I.n * _up(b1 + b2))))
@@ -395,8 +407,10 @@ def audit_refutation(I, cert):
     """Check a refutation certificate against the exact brute-force optimum.
 
     Returns a report dict with the recomputed optimum, the certified bound,
-    and whether the bound dominates. Instances beyond the enumeration cap
-    yield auditable=False instead of a verdict.
+    and whether the bound dominates. Instances the oracle refuses by size
+    (linalg.Infeasible) yield auditable=False instead of a verdict; any
+    other oracle error, such as an instance with nothing to evaluate,
+    propagates.
     """
     cert.validate()
     if cert.kind == "xor_refutation":
@@ -414,7 +428,7 @@ def audit_refutation(I, cert):
     }
     try:
         opt = compute(I)
-    except ValueError as exc:
+    except linalg.Infeasible as exc:
         report["auditable"] = False
         report["reason"] = str(exc)
         return report

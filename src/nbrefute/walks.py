@@ -1,12 +1,13 @@
-"""Walk combinatorics backing the spectral bounds: non-backtracking walk
-enumeration, walk-sum identities for powers and traces of the oriented-edge
-operator, canonical-walk censuses with tangle filters and their closed-form
-ceiling, and the spectral-radius experiment on signed sparse graphs.
+"""Walk combinatorics backing the spectral bounds: walk-sum identities
+for powers and traces of the oriented-edge operator, canonical-walk
+censuses with tangle filters and their closed-form ceiling, and the
+spectral-radius experiment on signed sparse graphs.
 
 All enumeration here is exhaustive and desk-scale by design; feasibility
-caps reject inputs whose walk counts would explode, and one hard cap on
-explored states, ENUM_CAP, backstops the estimates. One depth-first
-walker (_nb_walks) serves every walk sum; the census keeps its own.
+caps on the graph and walk sizes reject inputs whose walk counts would
+explode before any search, and one hard cap on explored states,
+ENUM_CAP, backstops them. One depth-first walker (_nb_walks) serves
+every walk sum; the census keeps its own.
 """
 
 import functools
@@ -25,96 +26,8 @@ CENSUS_MAX_EDGES = 8
 TRACE_MAX_N = 5
 TRACE_MAX_Z = 3
 TRACE_MAX_Q = 2
-
-
-class Walk:
-    """A walk given by its vertex sequence; steps must move."""
-
-    def __init__(self, vertices):
-        vertices = tuple(int(v) for v in vertices)
-        if len(vertices) < 2:
-            raise ValueError("a walk needs at least one edge")
-        for i in range(len(vertices) - 1):
-            if vertices[i] == vertices[i + 1]:
-                raise ValueError(
-                    f"step {i} does not move (vertex {vertices[i]} repeats)")
-        self.vertices = vertices
-
-    @property
-    def z(self):
-        """Number of edges."""
-        return len(self.vertices) - 1
-
-    def edges(self):
-        vs = self.vertices
-        return [(vs[i], vs[i + 1]) for i in range(len(vs) - 1)]
-
-    def is_nonbacktracking(self):
-        vs = self.vertices
-        return all(vs[i] != vs[i + 2] for i in range(len(vs) - 2))
-
-    def __eq__(self, other):
-        return isinstance(other, Walk) and self.vertices == other.vertices
-
-    def __hash__(self):
-        return hash(self.vertices)
-
-    def __repr__(self):
-        return f"Walk{self.vertices}"
-
-
-class BlockWalk:
-    """2q non-backtracking blocks of equal length, consecutive blocks
-    joined by reversing the previous block's last edge, cyclically."""
-
-    def __init__(self, blocks):
-        blocks = [b if isinstance(b, Walk) else Walk(b) for b in blocks]
-        if len(blocks) < 2 or len(blocks) % 2 != 0:
-            raise ValueError(
-                f"need an even number of blocks, at least two, "
-                f"got {len(blocks)}")
-        z = blocks[0].z
-        for i, blk in enumerate(blocks):
-            if blk.z != z:
-                raise ValueError(
-                    f"block {i} has {blk.z} edges, expected {z}")
-            if not blk.is_nonbacktracking():
-                raise ValueError(f"block {i} backtracks")
-        for i in range(len(blocks)):
-            last = blocks[i].edges()[-1]
-            first = blocks[(i + 1) % len(blocks)].edges()[0]
-            if first != (last[1], last[0]):
-                raise ValueError(
-                    f"block {(i + 1) % len(blocks)} must start with the "
-                    f"reverse of block {i}'s last edge")
-        self.blocks = blocks
-        self.z = z
-
-    @property
-    def q(self):
-        return len(self.blocks) // 2
-
-    def vertex_sequence(self):
-        return [v for blk in self.blocks for v in blk.vertices]
-
-    def edge_multiplicities(self):
-        counts = Counter()
-        for blk in self.blocks:
-            for (u, v) in blk.edges():
-                counts[(min(u, v), max(u, v))] += 1
-        return counts
-
-
-def is_canonical(W):
-    """Whether vertices are labelled 0, 1, 2, ... in order of first visit."""
-    seq = W.vertex_sequence() if isinstance(W, BlockWalk) else W.vertices
-    order = []
-    seen = set()
-    for v in seq:
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-    return order == list(range(len(order)))
+# a power entry walks one block, a trace 2q of them
+ENTRY_MAX_Z = 4
 
 
 def _neighbors(dense):
@@ -150,14 +63,13 @@ def _nb_walks(neigh, path, z, explored):
             path.pop()
 
 
-def _walks_between(A, e, f, z):
-    """A's dense form and the vertex lists of the non-backtracking walks of
-    z edges from oriented edge e to oriented edge f, lazily."""
-    dense, _ = linalg.symmetric_degrees(A)
+def _walks_between(dense, e, f, z):
+    """The vertex lists of the non-backtracking walks of z edges from
+    oriented edge e to oriented edge f of the graph dense, lazily."""
     e = _check_edge(dense, e, "e")
     f = _check_edge(dense, f, "f")
     found = _nb_walks(_neighbors(dense), list(e), z, [0])
-    return dense, (vs for vs in found if vs[-1] == f[1] and vs[-2] == f[0])
+    return (vs for vs in found if vs[-1] == f[1] and vs[-2] == f[0])
 
 
 def _block_weight(dense, vs):
@@ -169,17 +81,6 @@ def _block_weight(dense, vs):
     return w
 
 
-def enumerate_nbw(A, e, f, z):
-    """All non-backtracking walks with z edges from oriented edge e to
-    oriented edge f. Raises Infeasible when more than ENUM_CAP states are
-    explored."""
-    z = int(z)
-    if z < 1:
-        raise ValueError(f"walk length must be at least one edge, got {z}")
-    _, found = _walks_between(A, e, f, z)
-    return [Walk(vs) for vs in found]
-
-
 def nbw_power_entry(A, e, f, z):
     """Walk-sum expansion of entry (e, f) of the (z-1)-th power of the
     oriented-edge operator: over non-backtracking walks of z edges from e
@@ -189,13 +90,20 @@ def nbw_power_entry(A, e, f, z):
           * sqrt(|w(first)| |w(last)|) * prod of interior edge weights,
 
     where sgn(u, v) is the weight's sign when u < v and +1 otherwise.
+    Graphs past TRACE_MAX_N vertices and walks past ENTRY_MAX_Z edges are
+    refused before any search.
     """
     z = int(z)
     if z < 2:
         raise ValueError(f"walk length must be at least two edges, got {z}")
-    dense, found = _walks_between(A, e, f, z)
+    dense, _ = linalg.symmetric_degrees(A)
+    n = dense.shape[0]
+    if n > TRACE_MAX_N or z > ENTRY_MAX_Z:
+        raise linalg.Infeasible(
+            f"enumeration infeasible: (n={n}, z={z}) exceeds caps "
+            f"(n<={TRACE_MAX_N}, z<={ENTRY_MAX_Z})")
     total = 0.0
-    for vs in found:
+    for vs in _walks_between(dense, e, f, z):
         sign = 1.0
         for u, v in ((vs[1], vs[0]), (vs[-2], vs[-1])):
             if u < v and dense[u, v] < 0:

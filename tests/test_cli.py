@@ -156,6 +156,26 @@ def test_audit_infeasible_instance(tmp_path, capsys):
     assert json.loads(stdout)["auditable"] is False
 
 
+@pytest.mark.parametrize("kind, p, field", [("xor", "0.3", "clauses"),
+                                           ("csp", "0.01", "constraints")])
+def test_audit_empty_instance_is_bad_input(tmp_path, capsys, kind, p, field):
+    # the oracle has nothing to evaluate: bad input, not a size refusal
+    inst = tmp_path / "inst.json"
+    cert = tmp_path / "cert.json"
+    run(capsys, "gen", "--kind", kind, "--n", "8", "--p", p,
+        "--seed", "1", "--out", str(inst))
+    code, _, _ = run(capsys, "refute", "--in", str(inst), "--out", str(cert))
+    assert code == 0
+    d = json.loads(inst.read_text())
+    d[field] = []
+    inst.write_text(json.dumps(d))
+    code, stdout, stderr = run(capsys, "audit", "--in", str(inst),
+                               "--cert", str(cert))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: no {field} to evaluate\n"
+
+
 def test_audit_unknown_kind_is_bad_input(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps({"kind": "mystery"}))
@@ -207,10 +227,12 @@ def test_gen_bad_truth_table_entry_is_exit_2(tmp_path, capsys, entry):
     lambda: refute.refute_xor(
         instances.XorInstance(121, 3, {(0, 1, 2): 1.0})),
     lambda: walks.trace_walk_sum(np.ones((6, 6)) - np.eye(6), 1, 2),
+    lambda: walks.nbw_power_entry(np.ones((6, 6)) - np.eye(6), (0, 1),
+                                  (1, 2), 2),
     lambda: walks.count_canonical(1, 2, 7, 6, 1),
     lambda: walks._canonical_census.__wrapped__(1, 3, 4),
 ], ids=["cube", "inf_to_one", "eigensolve", "bundle", "swap_block",
-        "trace", "census_caps", "census_states"])
+        "trace", "entry", "census_caps", "census_states"])
 def test_every_cap_refusal_is_infeasible(monkeypatch, call):
     # the walkers' shared cap is checked in test_walks
     monkeypatch.setattr(linalg, "EIG_DIM_CAP", 1)

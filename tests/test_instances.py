@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from nbrefute import instances, refute
 
+from csp_reference import csp_value, index_from_assignment
+
 
 def test_sample_kxor_p_zero_and_one():
     empty = instances.sample_kxor(8, 3, 0.0, seed=0)
@@ -245,7 +247,7 @@ def test_csp_brute_opt_equals_enumeration(table, n, k, p, seed):
     # sampled scopes repeat indices too
     assert any(len(set(alpha)) < k for alpha, _ in J.constraints)
     assert (instances.csp_brute_opt(J)
-            == _enumerated_opt(instances.csp_value, J))
+            == _enumerated_opt(csp_value, J))
 
 
 def test_csp_brute_opt_repeated_scope_indices():
@@ -259,7 +261,7 @@ def test_csp_brute_opt_repeated_scope_indices():
         constraints.append((scope, tuple(rng.choice((-1, 1), size=3))))
     J = instances.CspInstance(6, 3, table, constraints)
     assert (instances.csp_brute_opt(J)
-            == _enumerated_opt(instances.csp_value, J))
+            == _enumerated_opt(csp_value, J))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -274,7 +276,7 @@ def test_oracles_find_a_constant_optimum(sign):
                                 [((i, i, i), (sign,) * 3) for i in range(n)])
     for I, oracle, evaluate in ((xor, instances.brute_opt, instances.value),
                                 (csp, instances.csp_brute_opt,
-                                 instances.csp_value)):
+                                 csp_value)):
         best = [x for x in _cube(n) if evaluate(I, x) == 1.0]
         assert len(best) == 1 and np.all(best[0] == sign)
         assert oracle(I) == 1.0
@@ -300,7 +302,7 @@ def test_assignment_index_frozen_order():
     assert instances.assignment_from_index(3, 2) == (1, 1)
     for idx in range(8):
         z = instances.assignment_from_index(idx, 3)
-        assert instances.index_from_assignment(z) == idx
+        assert index_from_assignment(z) == idx
 
 
 def test_csp_instance_validation():
@@ -355,15 +357,15 @@ def test_csp_value_3sat_hand_example():
         ((0, 1, 2), (1, 1, 1)),
         ((0, 1, 2), (-1, 1, 1)),
     ])
-    assert instances.csp_value(J, [1, -1, -1]) == 0.5
-    assert instances.csp_value(J, [1, 1, -1]) == 1.0
-    assert instances.csp_value(J, [-1, -1, -1]) == 0.5
+    assert csp_value(J, [1, -1, -1]) == 0.5
+    assert csp_value(J, [1, 1, -1]) == 1.0
+    assert csp_value(J, [-1, -1, -1]) == 0.5
 
 
 def test_csp_value_requires_constraints():
     J = instances.CspInstance(3, 3, instances.predicate_table("3sat"), [])
     with pytest.raises(ValueError, match="no constraints"):
-        instances.csp_value(J, [1, 1, 1])
+        csp_value(J, [1, 1, 1])
 
 
 def csp_value_loop(J, x):
@@ -371,7 +373,7 @@ def csp_value_loop(J, x):
     total = 0.0
     for alpha, c in J.constraints:
         z = tuple(int(c[j] * x[alpha[j]]) for j in range(J.k))
-        total += J.truth_table[instances.index_from_assignment(z)]
+        total += J.truth_table[index_from_assignment(z)]
     return total / J.m
 
 
@@ -380,7 +382,7 @@ def test_csp_value_matches_loop(k, n, p):
     rng = np.random.default_rng(k)
     J = instances.sample_csp(rng.integers(0, 2, size=2 ** k), n, k, p, 1)
     for x in rng.choice([-1.0, 1.0], size=(8, n)):
-        assert instances.csp_value(J, x) == csp_value_loop(J, x)
+        assert csp_value(J, x) == csp_value_loop(J, x)
 
 
 def test_csp_scopes_may_repeat_indices():
@@ -388,7 +390,7 @@ def test_csp_scopes_may_repeat_indices():
     J = instances.CspInstance(3, 3, table, [((0, 0, 1), (1, -1, 1))])
     # x0 OR (NOT x0) OR x1 is a tautology
     for x in itertools.product((-1, 1), repeat=3):
-        assert instances.csp_value(J, x) == 1.0
+        assert csp_value(J, x) == 1.0
 
 
 def test_sample_csp_rank_indexed_draws():
@@ -452,7 +454,7 @@ def test_csp_brute_opt_matches_direct():
     J = instances.sample_csp(table, 7, 3, 0.02, seed=3)
     assert J.m > 0
     best = max(
-        instances.csp_value(J, x)
+        csp_value(J, x)
         for x in itertools.product((-1.0, 1.0), repeat=7)
     )
     np.testing.assert_allclose(instances.csp_brute_opt(J), best, rtol=1e-12)

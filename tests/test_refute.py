@@ -8,7 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nbrefute import certify, instances, linalg, nonbacktracking, refute
+from nbrefute import (certify, instances, linalg, nonbacktracking, refute,
+                      walks)
 
 import dense_reference
 
@@ -707,14 +708,13 @@ def test_degree_k_bound_covers_rescale_rounding():
 
 
 def _dense_witness(I):
-    """A'_sym, the lo degrees and the witness step
-    certify._diagonal_witness makes on them, from the dense split of
-    flatten(I) (None when the split keeps nothing)."""
+    """A'_sym, the lo degrees and the witness step refute._trace_bound_step
+    builds on them, from the dense split of flatten(I) (None when the split
+    keeps nothing)."""
     sym, degs, _ = _dense_parts(I)
     if not degs.any():
         return sym, degs, None
-    step = certify._diagonal_witness(sym.copy(), degs)
-    return sym, degs, step
+    return sym, degs, refute._trace_bound_step(sym.copy(), degs, 0.0, "")
 
 
 def _up(x):
@@ -734,7 +734,7 @@ def _dense_xor_steps(I):
                   "value": 0.0, "method": "exact"}]
     else:
         b1 = step["value"]
-        steps = [dict(step, name="main_" + step["name"])]
+        steps = [step]
     _, residual = dense_reference.split(dense_reference.flatten(I))
     b2 = _up(dense_reference.residual_bound(residual))
     steps.append({"name": "residual_bound",
@@ -798,6 +798,10 @@ def test_diagonal_witness_is_psd(n, p, seed):
     sym, degs, step = _dense_witness(I)
     w = _witness_weights(step, degs)
     keep = degs > 0
+    # the step records the core's witness, and its weights
+    core_w, record = certify.diagonal_witness(sym.copy(), degs)
+    assert record == step["witness"]
+    assert np.array_equal(core_w, w[keep])
     gap = (np.diag(w) - sym)[np.ix_(keep, keep)]
     assert np.linalg.eigvalsh(gap).min() >= 0.0
     # tr W = 2 sum_lo w_u is what the step claims, rounded up
@@ -809,8 +813,8 @@ def test_diagonal_witness_check_is_not_vacuous():
     # the verified scale sits within the first margin of the least
     # feasible one: 1% below it the factorization fails
     I = instances.sample_kxor(14, 3, 0.5, seed=3)
-    sym, degs, step = _dense_witness(I)
-    w = step["witness"]
+    sym, degs, _ = _dense_parts(I)
+    _, w = certify.diagonal_witness(sym.copy(), degs)
     assert w["cholesky_probes"] == 1
     neg, d = certify._kept_rows(-sym, degs)
 
@@ -823,6 +827,22 @@ def test_diagonal_witness_check_is_not_vacuous():
 
     assert factorizes(w["scale"])
     assert not factorizes(w["scale"] * (1.0 - 1e-2))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("seed", range(6))
+def test_diagonal_witness_bounds_plain_signed_graphs(seed, sign):
+    # the n x n input of a norm certificate, with an isolated vertex in
+    # the middle, so the core drops a row that is not a trailing one
+    A = walks.sample_gamma_graph(24, 3.0, seed)
+    A[12] = A[:, 12] = 0.0
+    degs = np.abs(A).sum(axis=1)
+    keep = degs > 0
+    w, record = certify.diagonal_witness(sign * A, degs)
+    assert record["dim"] == 24 and record["rows"] == keep.sum() == w.size
+    assert np.array_equal(w, record["a"] + record["b"] * degs[keep])
+    gap = np.diag(w) - sign * A[np.ix_(keep, keep)]
+    assert np.linalg.eigvalsh(gap).min() >= 0.0
 
 
 def _swap_symmetric_max(I):
@@ -873,6 +893,9 @@ def test_diagonal_witness_falls_back_to_gershgorin(monkeypatch):
     assert w["cholesky_probes"] > len(certify.WITNESS_MARGINS)
     assert w["b"] == pytest.approx(1.0 + certify.WITNESS_MARGINS[-1])
     assert cert.final_bound >= instances.brute_opt(I) - 1e-12
+    # the core alone, on the same block, lands on the same point
+    sym, degs, _ = _dense_parts(I)
+    assert certify.diagonal_witness(sym, degs)[1] == w
 
 
 def _witness_dominance_cases():

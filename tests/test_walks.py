@@ -6,6 +6,7 @@ import pytest
 from nbrefute import linalg, nonbacktracking, walks
 
 from conftest import MALFORMED_GRAPHS, complete_graph
+from walk_reference import BlockWalk, Walk, enumerate_nbw, is_canonical
 
 
 def weighted_k4():
@@ -17,65 +18,64 @@ def weighted_k4():
 
 def test_walk_validation():
     with pytest.raises(ValueError, match="at least one edge"):
-        walks.Walk([3])
+        Walk([3])
     with pytest.raises(ValueError, match="does not move"):
-        walks.Walk([0, 1, 1, 2])
-    W = walks.Walk([0, 1, 2, 0])
+        Walk([0, 1, 1, 2])
+    W = Walk([0, 1, 2, 0])
     assert W.z == 3
     assert W.edges() == [(0, 1), (1, 2), (2, 0)]
     assert W.is_nonbacktracking()
-    assert not walks.Walk([0, 1, 0]).is_nonbacktracking()
-    assert walks.Walk((0, 1)) == walks.Walk([0, 1])
-    assert hash(walks.Walk((0, 1))) == hash(walks.Walk([0, 1]))
+    assert not Walk([0, 1, 0]).is_nonbacktracking()
+    assert Walk((0, 1)) == Walk([0, 1])
+    assert hash(Walk((0, 1))) == hash(Walk([0, 1]))
 
 
 def test_block_walk_validation():
-    W = walks.BlockWalk([(0, 1, 2), (2, 1, 0)])
+    W = BlockWalk([(0, 1, 2), (2, 1, 0)])
     assert W.q == 1
     assert W.z == 2
     assert W.edge_multiplicities() == {(0, 1): 2, (1, 2): 2}
     with pytest.raises(ValueError, match="even number of blocks"):
-        walks.BlockWalk([(0, 1, 2)])
+        BlockWalk([(0, 1, 2)])
     with pytest.raises(ValueError, match="expected 2"):
-        walks.BlockWalk([(0, 1, 2), (2, 1)])
+        BlockWalk([(0, 1, 2), (2, 1)])
     with pytest.raises(ValueError, match="block 0 backtracks"):
-        walks.BlockWalk([(0, 1, 0), (0, 1, 0)])
+        BlockWalk([(0, 1, 0), (0, 1, 0)])
     with pytest.raises(ValueError, match="reverse of block 0"):
-        walks.BlockWalk([(0, 1, 2), (1, 2, 0)])
+        BlockWalk([(0, 1, 2), (1, 2, 0)])
     # the wrap link is enforced too
     with pytest.raises(ValueError, match="reverse of block 1"):
-        walks.BlockWalk([(0, 1, 2), (2, 1, 3)])
+        BlockWalk([(0, 1, 2), (2, 1, 3)])
 
 
 def test_is_canonical():
-    assert walks.is_canonical(walks.Walk([0, 1, 2]))
-    assert not walks.is_canonical(walks.Walk([0, 2, 1]))
-    assert walks.is_canonical(walks.BlockWalk([(0, 1, 2), (2, 1, 0)]))
-    assert not walks.is_canonical(walks.BlockWalk([(1, 0, 2), (2, 0, 1)]))
+    assert is_canonical(Walk([0, 1, 2]))
+    assert not is_canonical(Walk([0, 2, 1]))
+    assert is_canonical(BlockWalk([(0, 1, 2), (2, 1, 0)]))
+    assert not is_canonical(BlockWalk([(1, 0, 2), (2, 0, 1)]))
 
 
 def test_enumerate_nbw_triangle():
     A = complete_graph(3)
-    found = walks.enumerate_nbw(A, (0, 1), (1, 2), 2)
-    assert found == [walks.Walk((0, 1, 2))]
-    assert walks.enumerate_nbw(A, (0, 1), (1, 0), 2) == []
-    assert walks.enumerate_nbw(A, (0, 1), (0, 1), 1) == [walks.Walk((0, 1))]
+    found = enumerate_nbw(A, (0, 1), (1, 2), 2)
+    assert found == [Walk((0, 1, 2))]
+    assert enumerate_nbw(A, (0, 1), (1, 0), 2) == []
+    assert enumerate_nbw(A, (0, 1), (0, 1), 1) == [Walk((0, 1))]
 
 
 def test_enumerate_nbw_errors(monkeypatch):
     A = complete_graph(3)
     with pytest.raises(ValueError, match="not an oriented edge"):
-        walks.enumerate_nbw(A, (0, 3), (1, 2), 2)
+        enumerate_nbw(A, (0, 3), (1, 2), 2)
     monkeypatch.setattr(walks, "ENUM_CAP", 2)
     with pytest.raises(ValueError, match="cap exceeded"):
-        walks.enumerate_nbw(complete_graph(4), (0, 1), (1, 2), 4)
+        enumerate_nbw(complete_graph(4), (0, 1), (1, 2), 4)
 
 
 def test_walk_cap_is_read_at_call_time_by_every_walk_sum(monkeypatch):
     monkeypatch.setattr(walks, "ENUM_CAP", 2)
     message = r"^enumeration cap exceeded: more than 2 partial walks"
-    for call in (lambda: walks.enumerate_nbw(complete_graph(4), (0, 1),
-                                             (1, 2), 4),
+    for call in (lambda: enumerate_nbw(complete_graph(4), (0, 1), (1, 2), 4),
                  lambda: walks.nbw_power_entry(weighted_k4(), (0, 1),
                                                (2, 0), 4),
                  lambda: walks.trace_walk_sum(weighted_k4(), 1, 2)):
@@ -89,7 +89,7 @@ def test_walk_sums_frozen():
     assert walks.nbw_power_entry(weighted_k4(), (0, 1), (2, 3), 4) == 0.0
     assert (walks.nbw_power_entry(weighted_k4(), (0, 1), (2, 0), 4)
             == -0.8049844718999243)
-    found = walks.enumerate_nbw(complete_graph(5), (0, 1), (2, 3), 5)
+    found = enumerate_nbw(complete_graph(5), (0, 1), (2, 3), 5)
     assert [W.vertices for W in found] == [
         (0, 1, 3, 0, 2, 3), (0, 1, 3, 4, 2, 3), (0, 1, 4, 0, 2, 3)]
 
@@ -104,6 +104,23 @@ def test_nbw_power_entry_matches_operator_power():
                 np.testing.assert_allclose(
                     walks.nbw_power_entry(A, e, f, z), M[eid, fid],
                     atol=1e-12)
+
+
+def test_nbw_power_entry_refuses_large_inputs_before_searching(monkeypatch):
+    def search(*args):
+        raise AssertionError("the walker ran")
+
+    monkeypatch.setattr(walks, "_nb_walks", search)
+    with pytest.raises(linalg.Infeasible,
+                       match=r"^enumeration infeasible: \(n=20, z=8\)"):
+        walks.nbw_power_entry(complete_graph(20), (0, 1), (1, 2), 8)
+    with pytest.raises(linalg.Infeasible, match=r"\(n=5, z=5\)"):
+        walks.nbw_power_entry(complete_graph(5), (0, 1), (1, 2), 5)
+    with pytest.raises(linalg.Infeasible, match=r"\(n=6, z=2\)"):
+        walks.nbw_power_entry(complete_graph(6), (0, 1), (1, 2), 2)
+    # the largest admitted input reaches the walker
+    with pytest.raises(AssertionError, match="the walker ran"):
+        walks.nbw_power_entry(complete_graph(5), (0, 1), (1, 2), 4)
 
 
 def test_nbw_power_entry_rejects_short_walks():
@@ -155,10 +172,10 @@ def brute_census(q, z, v_max):
             blocks.append([prev[-1], prev[-2]] + list(assign[pos:pos + z - 1]))
             pos += z - 1
         try:
-            W = walks.BlockWalk(blocks)
+            W = BlockWalk(blocks)
         except ValueError:
             continue
-        if not walks.is_canonical(W):
+        if not is_canonical(W):
             continue
         mult = W.edge_multiplicities()
         if any(c < 2 for c in mult.values()):
@@ -212,7 +229,7 @@ def test_canonical_count_bound_dominates_spot_grid():
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_GRAPHS))
 @pytest.mark.parametrize("call", [
-    lambda A: walks.enumerate_nbw(A, (0, 1), (1, 2), 2),
+    lambda A: enumerate_nbw(A, (0, 1), (1, 2), 2),
     lambda A: walks.nbw_power_entry(A, (0, 1), (1, 2), 2),
     lambda A: walks.trace_walk_sum(A, 1, 2),
 ], ids=["enumerate_nbw", "nbw_power_entry", "trace_walk_sum"])
