@@ -4,7 +4,8 @@ instances, built on non-backtracking edge operators of weighted graphs.
 Submodules:
   linalg          dense kernels, the matrix validator, the power bound and
                   exact brute-force oracles
-  nonbacktracking oriented-edge matrix bundle and the determinant identity
+  nonbacktracking every form of the oriented-edge operator (bundle, explicit,
+                  companion, vertex-space power), the determinant identity
   certify         lambda and infinity-to-one norm certificates, and the
                   Cholesky-verified diagonal witness
   instances       k-XOR / CSP instance sampling, evaluation, Fourier

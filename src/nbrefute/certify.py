@@ -9,52 +9,25 @@ the two values coincide through an exact signed-diagonal similarity) yields
   norm_inf_to_one(A)  <=  2 sum_u |lambda + (deg_u - 1)/lambda|
 
 lambda bounds the absolute real spectrum of an operator M that shares the
-eigenvalues of B + L - J outside [-1, 1]. The route, chosen by edge count
-and deterministic, only picks M:
+eigenvalues of B + L - J outside [-1, 1]; nonbacktracking builds every
+form of it. The route, chosen by edge count and deterministic, only
+picks M:
 
   * edge route (2m <= EDGE_ROUTE_CAP): M = B + L - J itself (2m x 2m),
     on A's vertices of nonzero degree only. Relabelling them in
     increasing order keeps the canonical edge order and every sign
     convention of nonbacktracking.incidence, so M is the same matrix.
-  * companion route (larger graphs): the determinant identity shows the
-    spectrum of B + L - J equals the roots of det(x^2 Id - xA + (D - Id))
-    plus copies of +-1, so M is the companion matrix [[A, -(D-Id)], [Id,
-    0]] (2n x 2n).
+  * companion route (larger graphs): M is the 2n x 2n
+    nonbacktracking.companion_matrix.
 
 The +-1 eigenvalues sit below the lambda floor of 1, so both operators
 certify the same inequality. mode="gelfand" (the default) bounds M by the
 Frobenius power bound ||M^z||_F^(1/z) on linalg.power_bound's rescaled
-schedule, rigorous up to floating point; mode="eig" reads M's largest
-absolute real eigenvalue from an uncertified dense eigensolve, inflates
-it by (1 + EIG_MARGIN) and marks the certificate sound=False. eig mode
-assembles the edge route's M explicitly, as T^t S (n x 2m incidences S, T
-of nonbacktracking.incidence) with its backtracking entries set to
-fl(|w| - 1).
-
-Vertex-space power (gelfand edge route). With U = [T^t | S^t] (2m x 2n),
-the incidence identities A = S T^t, D = S S^t = T T^t, S J = T, T J = S
-and B + L = T^t S give
-
-  M = -J + U E U^t,  E = [[0, Id], [0, 0]],
-  J U = U Pi,        Pi = [[0, Id], [Id, 0]],
-  U^t U = G = [[D, A], [A, D]],
-
-so every product of powers keeps the form alpha J^p + U Z U^t:
-
-  (alpha J^a + U X U^t)(beta J^b + U Y U^t)
-      = alpha beta J^(a+b) + U (alpha Pi^a Y + beta X Pi^b + X G Y) U^t.
-
-The power schedule therefore runs on (alpha, p, Z) with Z of size
-2n x 2n, and F = U Z U^t + alpha J^p is formed once, as the route's only
-2m x 2m array, for its Frobenius norm. ||F||_F^2 is not expanded into a
-trace of vertex-space products: when the powers decay, those terms are
-far larger than their sum and cancel catastrophically. U is first divided
-by the power of two 2^k just above its largest entry sqrt(max |w|), and E
-multiplied by 4^k, both exactly. Then every row of U has two entries
-below 1, so max |Z| tracks the largest entry of the power itself, and
-the entries of G sum to less than 8m, so X G Y of two powers rescaled
-below _RESCALE_ABOVE stays finite whatever the weights. On sparse graphs
-(forests, matchings: 2n > m) the vertex space is the larger one.
+schedule, rigorous up to floating point; the edge route powers M in
+vertex space (nonbacktracking.edge_power_norm). mode="eig" reads M's
+largest absolute real eigenvalue from an uncertified dense eigensolve
+(of nonbacktracking.edge_operator on the edge route), inflates it by
+(1 + EIG_MARGIN) and marks the certificate sound=False.
 
 Diagonal witness. Given a symmetric S and row degrees deg at least its
 absolute row sums (a graph's degrees, for S = +-A), diagonal_witness finds
@@ -77,7 +50,6 @@ is sound with rounding included.
 
 import math
 import numbers
-import typing
 
 import numpy as np
 
@@ -187,73 +159,9 @@ def _leads_negative(dense):
     return bool(flat[np.argmax(flat != 0)] < 0)
 
 
-def companion_matrix(dense, degs):
-    """The 2n x 2n block companion [[A, -(D-Id)], [Id, 0]] whose spectrum is
-    the root set of det(x^2 Id - xA + (D - Id))."""
-    n = dense.shape[0]
-    E = np.diag(degs - 1.0)
-    return np.block([[dense, -E],
-                     [np.eye(n), np.zeros((n, n))]])
-
-
 def _max_abs_real_eig(M):
     real = linalg.real_eigenvalues(M)
     return float(np.abs(real).max()) if real.size else 0.0
-
-
-def _edge_operator(dense):
-    """B + L - J of the graph with weights dense (2m x 2m), explicitly:
-    T^t S with its backtracking entries set to fl(|w| - 1), entry for
-    entry the matrix nonbacktracking.build's B + L - J."""
-    w, S, T = nonbacktracking.incidence(dense)
-    M = T.T @ S
-    ids = np.arange(M.shape[0])
-    M[ids, ids ^ 1] = np.repeat(np.abs(w) - 1.0, 2)
-    return M
-
-
-class _VertexPower(typing.NamedTuple):
-    """alpha J^p + U Z U^t, a power of B + L - J held in vertex space
-    (module docstring)."""
-    alpha: float
-    p: int
-    Z: np.ndarray
-
-    def __truediv__(self, s):
-        return _VertexPower(self.alpha / s, self.p, self.Z / s)
-
-
-def _vertex_power_bound(dense, z):
-    """||(B + L - J)^z||_F^(1/z) of the graph with weights dense, powered
-    as alpha J^p + U Z U^t on linalg.power_bound's schedule, with U
-    scaled exactly to entries below 1 (module docstring); F = U Z U^t +
-    alpha J^p is the one 2m x 2m array."""
-    _, S, T = nonbacktracking.incidence(dense)
-    n = dense.shape[0]
-    U = np.concatenate([T, S]).T
-    k = np.frexp(np.abs(U).max())[1]
-    U = np.ldexp(U, -k)
-    G = U.T @ U
-    swap = np.r_[n:2 * n, 0:n]
-
-    def multiply(x, y):
-        Z = x.Z @ G @ y.Z
-        Z += x.alpha * (y.Z[swap] if x.p else y.Z)
-        Z += y.alpha * (x.Z[:, swap] if y.p else x.Z)
-        return _VertexPower(x.alpha * y.alpha, x.p ^ y.p, Z)
-
-    def norm(P):
-        F = U @ P.Z @ U.T
-        ids = np.arange(F.shape[0])
-        F[ids, ids ^ P.p] += P.alpha
-        # a dot of the flat view: no second 2m x 2m array
-        return float(np.linalg.norm(F))
-
-    E = np.zeros((2 * n, 2 * n))
-    E[np.arange(n), np.arange(n, 2 * n)] = np.ldexp(1.0, 2 * k)
-    return linalg.power_bound(
-        _VertexPower(-1.0, 1, E), z, multiply,
-        lambda P: max(abs(P.alpha), np.abs(P.Z).max()), norm)
 
 
 def _dense_lambda(A, mode, z):
@@ -273,13 +181,13 @@ def _dense_lambda(A, mode, z):
     if _leads_negative(dense):
         dense = -dense
     if 2 * m > EDGE_ROUTE_CAP:
-        M = companion_matrix(dense, degs)
+        M = nonbacktracking.companion_matrix(dense, degs)
     else:
         keep = np.flatnonzero(degs)
         dense = dense[np.ix_(keep, keep)]
         if mode == "gelfand":
-            return max(1.0, _vertex_power_bound(dense, z)), degs
-        M = _edge_operator(dense)
+            return max(1.0, nonbacktracking.edge_power_norm(dense, z)), degs
+        M = nonbacktracking.edge_operator(dense)
     if mode == "eig":
         raw = _max_abs_real_eig(M) * (1.0 + EIG_MARGIN)
     else:

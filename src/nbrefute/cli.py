@@ -1,34 +1,18 @@
 """Command-line front end: instance generation, refutation, certificate
 auditing, determinant-identity spot checks, and walk experiments.
 
-Exit codes: 0 success, 2 bad input or arguments, 3 audit failure, 4
+Exit codes: 0 success, 2 bad input or arguments (a certificate audited
+against an instance of another kind or size included), 3 audit failure, 4
 infeasible at desk scale (a linalg.Infeasible refusal, and nothing else).
 Re-running a command with the same arguments rewrites byte-identical files
 except for the single timestamp field in a certificate's metadata.
-
-The NBREFUTE_THREADS environment variable, when set before launch, caps
-the BLAS thread pools (it must act before numpy's first import, so only
-the console entry point can honor it reliably).
 """
 
 import argparse
 import contextlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
-
-
-def _configure_threads():
-    value = os.environ.get("NBREFUTE_THREADS")
-    if not value:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(var, value)
-
-
-_configure_threads()
 
 import numpy as np
 

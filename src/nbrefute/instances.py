@@ -227,13 +227,6 @@ class FourierExpansion:
             total += term
         return total
 
-    def reconstruct_table(self):
-        k = self.k
-        out = np.zeros(2 ** k)
-        for idx in range(2 ** k):
-            out[idx] = self.evaluate(assignment_from_index(idx, k))
-        return out
-
 
 def _provenance(I):
     """The JSON meta of I: its p and seed, where set."""
@@ -283,14 +276,6 @@ def sample_kxor(n, k, p, seed):
     return XorInstance(n, k, (supports.reshape(-1, k), signs), p=p, seed=seed)
 
 
-def value(I, x):
-    """Fraction of (weighted) constraints satisfied by the assignment x."""
-    if I.m == 0:
-        raise ValueError("no clauses to evaluate")
-    prods = np.prod(np.asarray(x, dtype=float)[I.supports], axis=1)
-    return float(((1.0 + I.weights * prods) / 2.0).sum() / I.m)
-
-
 def _require_cube(n):
     if n > BRUTE_ASSIGN_CAP:
         raise linalg.Infeasible(
@@ -322,7 +307,8 @@ def _cube_max(masks, weights, n):
 
 
 def brute_opt(I):
-    """Exact maximum of value(I, .) over all sign assignments: the max of
+    """Exact maximum over sign assignments of the weighted fraction of
+    satisfied clauses (1/m) sum_S (1 + w_S x^S)/2: the max of
     m/2 + sum_S (w_S/2) x^S over the cube, by one Walsh-Hadamard transform
     (exact for +-1 weights, within rounding for others), divided by m."""
     if I.m == 0:

@@ -16,7 +16,6 @@ from collections import Counter
 
 import numpy as np
 
-from . import certify
 from . import linalg
 from . import nonbacktracking
 
@@ -295,21 +294,22 @@ def rho_B_experiment(n, d, seeds, z=16):
     For +-1 weights the operator's spectrum is the quadratic-pencil root
     set padded with +-1 when edges outnumber vertices, so the radius comes
     from a 2n x 2n eigensolve; tiny graphs with fewer edges than vertices
-    fall back to the explicit operator. Returns a report with one record
-    per seed and the median of rho / sqrt(d)."""
+    fall back to the explicit operator, B + L - J = B on +-1 weights.
+    Returns a report with one record per seed and the median of
+    rho / sqrt(d)."""
     records = []
     for seed in seeds:
         dense, degs = linalg.symmetric_degrees(sample_gamma_graph(n, d, seed))
         m = np.count_nonzero(np.triu(dense, 1))
-        C = certify.companion_matrix(dense, degs)
+        C = nonbacktracking.companion_matrix(dense, degs)
         if m >= n:
             roots = np.linalg.eigvals(C)
             rho = float(np.max(np.abs(roots)))
             if m > n:
                 rho = max(rho, 1.0)
         elif m > 0:
-            G = nonbacktracking.build(dense)
-            rho = float(np.max(np.abs(np.linalg.eigvals(G.B))))
+            M = nonbacktracking.edge_operator(dense)
+            rho = float(np.max(np.abs(np.linalg.eigvals(M))))
         else:
             rho = 0.0
         gel = linalg.spectral_radius_upper(C, z) if m > 0 else 0.0

@@ -75,7 +75,7 @@ def test_companion_power_bound_matches_direct_power():
     for _ in range(8):
         dense = nonempty_weighted_graph(rng, 6, density=0.7)
         degs = np.abs(dense).sum(axis=1)
-        C = certify.companion_matrix(dense, degs)
+        C = nonbacktracking.companion_matrix(dense, degs)
         for z in (3, 7, 12):
             P = np.linalg.matrix_power(C, z)
             direct_fro = np.linalg.norm(P) ** (1.0 / z)
@@ -88,7 +88,7 @@ def test_companion_power_bound_survives_rescale():
     # power bound of the companion matrix must stay finite
     dense = complete_graph(5) * 10.0
     degs = np.abs(dense).sum(axis=1)
-    C = certify.companion_matrix(dense, degs)
+    C = nonbacktracking.companion_matrix(dense, degs)
     val = linalg.spectral_radius_upper(C, 200)
     assert np.isfinite(val)
     rho = np.max(np.abs(np.linalg.eigvals(C)))
@@ -100,7 +100,7 @@ def test_both_routes_dominate_real_spectrum():
     for _ in range(10):
         dense = nonempty_weighted_graph(rng, 6, density=0.7)
         degs = np.abs(dense).sum(axis=1)
-        C = certify.companion_matrix(dense, degs)
+        C = nonbacktracking.companion_matrix(dense, degs)
         eigs = np.linalg.eigvals(C)
         real = eigs.real[np.abs(eigs.imag) < 1e-9]
         target = np.max(np.abs(real)) if real.size else 0.0
@@ -216,7 +216,7 @@ def test_dual_route_agreement_on_threshold():
     finally:
         certify.EDGE_ROUTE_CAP = old
     degs = np.abs(dense).sum(axis=1)
-    eigs = np.linalg.eigvals(certify.companion_matrix(dense, degs))
+    eigs = np.linalg.eigvals(nonbacktracking.companion_matrix(dense, degs))
     real = eigs.real[np.abs(eigs.imag) < 1e-9]
     target = max(1.0, np.max(np.abs(real)) if real.size else 0.0)
     assert lam_edge >= target - 1e-8
@@ -233,7 +233,7 @@ def test_companion_route_at_natural_size():
     assert 2 * np.count_nonzero(np.triu(dense, 1)) > certify.EDGE_ROUTE_CAP
     degs = np.abs(dense).sum(axis=1)
     lead = dense.ravel()[np.flatnonzero(dense)[0]]
-    C = certify.companion_matrix(np.sign(lead) * dense, degs)
+    C = nonbacktracking.companion_matrix(np.sign(lead) * dense, degs)
     lam = certify.lambda_certificate(dense, mode="gelfand", z=16)
     assert lam == max(1.0, linalg.spectral_radius_upper(C, 16))
     assert lam >= certify._max_abs_real_eig(C)
@@ -257,7 +257,7 @@ def test_swap_block_route_through_lambda_certificate():
     # companion matrix and eig mode its inflated eigenvalue bound
     for dense in _swap_invariant_cases():
         degs = np.abs(dense).sum(axis=1)
-        C = certify.companion_matrix(dense, degs)
+        C = nonbacktracking.companion_matrix(dense, degs)
         direct = np.linalg.norm(np.linalg.matrix_power(C, 6)) ** (1.0 / 6)
         eig = (1.0 + 1e-6) * certify._max_abs_real_eig(C)
         for mode, want in (("gelfand", direct), ("eig", eig)):
@@ -278,7 +278,7 @@ def test_swap_block_power_bound_survives_rescale():
     # spectral radius
     main = _swap_invariant_cases()[0] * 10.0
     degs = np.abs(main).sum(axis=1)
-    C = certify.companion_matrix(main, degs)
+    C = nonbacktracking.companion_matrix(main, degs)
     val = linalg.spectral_radius_upper(C, 200)
     assert np.isfinite(val)
     rho = np.max(np.abs(np.linalg.eigvals(C)))
@@ -315,11 +315,11 @@ def test_vertex_power_bound_matches_explicit_power():
         dense = nonempty_weighted_graph(rng, n, density=rng.uniform(0.2, 1))
         for z in (1, 2, 3, 6, 12, 16):
             np.testing.assert_allclose(
-                max(1.0, certify._vertex_power_bound(dense, z)),
+                max(1.0, nonbacktracking.edge_power_norm(dense, z)),
                 max(1.0, _explicit_power_bound(dense, z)), rtol=1e-12)
         heavy = 1e3 * dense
         np.testing.assert_allclose(
-            max(1.0, certify._vertex_power_bound(heavy, 200)),
+            max(1.0, nonbacktracking.edge_power_norm(heavy, 200)),
             max(1.0, _explicit_power_bound(heavy, 200)), rtol=1e-12)
 
 
@@ -331,7 +331,7 @@ def test_vertex_power_bound_is_zero_on_signed_forests():
         dense = _random_forest(rng, int(rng.integers(2, 17)))
         if not dense.any():
             continue
-        assert certify._vertex_power_bound(dense, 16) == 0.0
+        assert nonbacktracking.edge_power_norm(dense, 16) == 0.0
         assert _explicit_power_bound(dense, 16) == 0.0
         assert certify.lambda_certificate(dense, z=16) == 1.0
 
@@ -351,7 +351,7 @@ def _cap_graph():
 def test_vertex_power_bound_at_the_edge_cap():
     dense = _cap_graph()
     lam = certify.lambda_certificate(dense, z=16)
-    assert lam == max(1.0, certify._vertex_power_bound(dense, 16))
+    assert lam == max(1.0, nonbacktracking.edge_power_norm(dense, 16))
     np.testing.assert_allclose(
         lam, max(1.0, _explicit_power_bound(dense, 16)), rtol=1e-12)
 
@@ -363,8 +363,8 @@ def test_vertex_power_bound_survives_extreme_weights(scale):
     # schedule, the reference here, is still finite (up to about 1e185)
     dense = scale * _cap_graph()
     np.testing.assert_allclose(
-        certify._vertex_power_bound(dense, 16),
-        linalg.spectral_radius_upper(certify._edge_operator(dense), 16),
+        nonbacktracking.edge_power_norm(dense, 16),
+        linalg.spectral_radius_upper(nonbacktracking.edge_operator(dense), 16),
         rtol=1e-12)
 
 
@@ -374,7 +374,7 @@ def test_edge_operator_equals_built_bundle():
     for _ in range(20):
         dense = nonempty_weighted_graph(rng, int(rng.integers(2, 11)))
         G = nonbacktracking.build(dense)
-        np.testing.assert_array_equal(certify._edge_operator(dense),
+        np.testing.assert_array_equal(nonbacktracking.edge_operator(dense),
                                       G.B + G.L - G.J)
 
 

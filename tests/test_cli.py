@@ -428,3 +428,41 @@ def test_walks_rho_command(tmp_path, capsys):
     for line in lines:
         record = json.loads(line)
         assert record["n"] == 30
+
+
+def _csp_files(tmp_path, capsys):
+    inst = tmp_path / "csp.json"
+    cert = tmp_path / "csp-cert.json"
+    run(capsys, "gen", "--kind", "csp", "--n", "8", "--predicate", "3sat",
+        "--p", "0.05", "--seed", "1", "--out", str(inst))
+    run(capsys, "refute", "--in", str(inst), "--z", "4", "--out", str(cert))
+    return inst, cert
+
+
+@pytest.mark.parametrize("instance_kind", ["xor", "csp"])
+def test_audit_certificate_of_other_kind_is_exit_2(tmp_path, capsys,
+                                                   instance_kind):
+    # the oracle of one kind once read the other kind's instance and
+    # crashed with an AttributeError
+    xor_inst, xor_cert = _xor_files(tmp_path, capsys)
+    csp_inst, csp_cert = _csp_files(tmp_path, capsys)
+    inst, cert = ((xor_inst, csp_cert) if instance_kind == "xor"
+                  else (csp_inst, xor_cert))
+    code, stdout, stderr = run(capsys, "audit", "--in", str(inst),
+                               "--cert", str(cert))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: cannot audit a ")
+
+
+def test_audit_certificate_of_other_size_is_exit_2(tmp_path, capsys):
+    _, cert = _xor_files(tmp_path, capsys)
+    inst = tmp_path / "other.json"
+    run(capsys, "gen", "--kind", "xor", "--n", "9", "--p", "0.3",
+        "--seed", "1", "--out", str(inst))
+    code, stdout, stderr = run(capsys, "audit", "--in", str(inst),
+                               "--cert", str(cert))
+    assert code == 2
+    assert stdout == ""
+    assert stderr == ("error: cannot audit a certificate for n = 8 "
+                      "against an instance with n = 9\n")

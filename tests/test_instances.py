@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from nbrefute import instances, refute
 
-from csp_reference import csp_value, index_from_assignment
+from csp_reference import (csp_value, index_from_assignment,
+                           reconstruct_table, xor_value)
 
 
 def test_sample_kxor_p_zero_and_one():
@@ -152,14 +153,14 @@ def test_sample_kxor_matches_dict_reference(n, k, p, seed):
 
 def test_value_hand_example():
     I = instances.XorInstance(3, 3, {(0, 1, 2): 1.0})
-    assert instances.value(I, [1, 1, 1]) == 1.0
-    assert instances.value(I, [-1, 1, 1]) == 0.0
+    assert xor_value(I, [1, 1, 1]) == 1.0
+    assert xor_value(I, [-1, 1, 1]) == 0.0
     I2 = instances.XorInstance(3, 3, {(0, 1, 2): -1.0})
-    assert instances.value(I2, [-1, 1, 1]) == 1.0
+    assert xor_value(I2, [-1, 1, 1]) == 1.0
 
 
 def test_value_matches_clause_loop():
-    # the per-clause loop value() replaced; the vectorized sum adds in
+    # the per-clause loop xor_value() replaced; the vectorized sum adds in
     # another order, so weights off +-1 agree to rounding only
     rng = np.random.default_rng(3)
     I = instances.sample_kxor(9, 3, 0.4, seed=2)
@@ -169,19 +170,19 @@ def test_value_matches_clause_loop():
         for x in rng.choice((-1.0, 1.0), size=(20, 9)):
             loop = sum((1.0 + w * math.prod(x[list(t)])) / 2.0
                        for t, w in inst.clauses.items()) / inst.m
-            assert abs(instances.value(inst, x) - loop) <= rel * loop
+            assert abs(xor_value(inst, x) - loop) <= rel * loop
 
 
 def test_value_requires_clauses():
     I = instances.XorInstance(3, 3, {})
     with pytest.raises(ValueError, match="no clauses"):
-        instances.value(I, [1, 1, 1])
+        xor_value(I, [1, 1, 1])
 
 
 def test_brute_opt_matches_direct_enumeration():
     I = instances.sample_kxor(8, 3, 0.4, seed=5)
     best = max(
-        instances.value(I, x)
+        xor_value(I, x)
         for x in itertools.product((-1.0, 1.0), repeat=8)
     )
     np.testing.assert_allclose(instances.brute_opt(I), best, rtol=1e-12)
@@ -212,7 +213,7 @@ def _enumerated_opt(evaluate, I):
 def test_brute_opt_equals_enumeration_sign_weights(n, k, p, seed):
     I = instances.sample_kxor(n, k, p, seed=seed)
     assert I.m > 0
-    assert instances.brute_opt(I) == _enumerated_opt(instances.value, I)
+    assert instances.brute_opt(I) == _enumerated_opt(xor_value, I)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -224,7 +225,7 @@ def test_brute_opt_non_dyadic_weights(seed):
                if rng.random() < 0.3}
     I = instances.XorInstance(n, k, clauses)
     np.testing.assert_allclose(instances.brute_opt(I),
-                               _enumerated_opt(instances.value, I),
+                               _enumerated_opt(xor_value, I),
                                rtol=1e-12)
 
 
@@ -274,7 +275,7 @@ def test_oracles_find_a_constant_optimum(sign):
     # sign * x_i OR sign * x_i OR sign * x_i for every i
     csp = instances.CspInstance(n, 3, instances.predicate_table("3sat"),
                                 [((i, i, i), (sign,) * 3) for i in range(n)])
-    for I, oracle, evaluate in ((xor, instances.brute_opt, instances.value),
+    for I, oracle, evaluate in ((xor, instances.brute_opt, xor_value),
                                 (csp, instances.csp_brute_opt,
                                  csp_value)):
         best = [x for x in _cube(n) if evaluate(I, x) == 1.0]
@@ -483,7 +484,7 @@ def test_fourier_reconstruction_is_exact():
     for _ in range(10):
         table = rng.integers(0, 2, size=8).astype(float)
         F = instances.fourier_decompose(table)
-        np.testing.assert_array_equal(F.reconstruct_table(), table)
+        np.testing.assert_array_equal(reconstruct_table(F), table)
 
 
 @settings(max_examples=40, deadline=None)

@@ -292,3 +292,17 @@ def test_rho_b_experiment_sparse_fallback():
     assert rec["rho_B"] >= 0.0
     assert rec["rho_B"] <= rec["gelfand_z"] * (1 + 1e-8)
 
+
+
+@pytest.mark.parametrize("n,d", [(4, 0.8), (12, 0.9), (40, 0.5)])
+def test_rho_b_sparse_fallback_is_the_built_b(n, d):
+    # with fewer edges than vertices the radius is read from B + L - J,
+    # which equals the bundle's B bit for bit on +-1 weights
+    seeds = [s for s in range(30)
+             if 0 < np.count_nonzero(walks.sample_gamma_graph(n, d, s))
+             < 2 * n]
+    assert seeds
+    report = walks.rho_B_experiment(n, d, seeds)
+    for seed, rec in zip(seeds, report["records"]):
+        G = nonbacktracking.build(walks.sample_gamma_graph(n, d, seed))
+        assert rec["rho_B"] == float(np.max(np.abs(np.linalg.eigvals(G.B))))
