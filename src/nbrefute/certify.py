@@ -183,8 +183,7 @@ def _dense_lambda(A, mode, z):
     if 2 * m > EDGE_ROUTE_CAP:
         M = nonbacktracking.companion_matrix(dense, degs)
     else:
-        keep = np.flatnonzero(degs)
-        dense = dense[np.ix_(keep, keep)]
+        dense = _kept_rows(dense, degs)[0]
         if mode == "gelfand":
             return max(1.0, nonbacktracking.edge_power_norm(dense, z)), degs
         M = nonbacktracking.edge_operator(dense)
@@ -289,8 +288,10 @@ def exact_sum(once, twice=()):
 
 def _kept_rows(a, d):
     """(a, d) restricted to the rows of nonzero degree: a view when they
-    are a leading range, else a copy."""
+    are a leading range, else a copy. No such row is a ValueError."""
     keep = np.flatnonzero(d)
+    if not keep.size:
+        raise ValueError("every degree is zero: no row to keep")
     if keep[-1] == keep.size - 1:
         return a[:keep.size, :keep.size], d[:keep.size]
     return a[np.ix_(keep, keep)], d[keep]
@@ -366,7 +367,7 @@ def diagonal_witness(sym, degs, entry_err=0.0):
     entry_err bounds the spectral norm of the rounding error in its
     entries. The record holds a, b, the direction theta, the verified
     scale, the Lanczos estimate, the shift, sym's dimension, the rows kept
-    and the Cholesky probes made.
+    and the Cholesky probes made. All-zero degs are a ValueError.
 
     Guide: along each direction theta of WITNESS_THETAS, Lanczos estimates
     the least scale s with s W_theta - S PSD, W_theta = diag(theta + (1 -

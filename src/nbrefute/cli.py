@@ -172,8 +172,8 @@ def build_parser():
     p = sub.add_parser("refute", help="produce a refutation certificate")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--z", type=int, default=16,
-                   help="power count of the CSP degree-d spectral-norm "
-                        "bounds (XOR refutations only record it)")
+                   help="recorded in the certificate's meta only; no "
+                        "refutation step reads it")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_refute)
 

@@ -45,16 +45,23 @@ the pipelines are checked against entry for entry.
 The chain is sound with floating-point rounding included: the witness
 step by its Cholesky shift, b2 and the degree-k bound by allowances for
 the rounding of A''s entries and of the rescale w / W (0 when exact),
-and the closed-form steps (b2, N, U, and the CSP chain's degree-k bound
-and total) by rounding every operation up by one ulp. The CSP degree-d
-terms are rounded to nearest.
+and the closed-form steps (b2, N, U, and the CSP chain's degree-d terms,
+degree-k bound and total) by rounding every operation up by one ulp.
 
-The CSP(P) chain decomposes P into its multilinear expansion, bounds each
-degree-d part (0 < d < k) by a spectral norm of its coefficient matrix
-scaled by n^(d/2), and routes the degree-k part through the XOR chain after
-aggregating constraints by support into a rescaled weighted XOR instance,
-built from arrays. Both read the instance's arrays and add in constraint
-order (bincount), as a loop over the constraints would.
+The CSP(P) chain decomposes P into its multilinear expansion. Its
+degree-d part (0 < d < k) is y^T M y' for M = flatten_degree_d(I, d) and
+sign vectors y = x^floor(d/2), y' = x^ceil(d/2) (_degree_d_step). One
+row (d = 1) is at most ||M||_1, its exact maximum. A square M is at most
+tr M + tr W, as y^T M y = tr M + y^T S y for S the off-diagonal part of
+(M + M^T)/2; another shape is at most tr W, as y^T M y' = z^T S z for z
+= [y; y'] and S = [[0, M/2], [M^T/2, 0]]. W is S's diagonal witness with
+entry_err 0: each entry of M sums at most m C(k, d) terms chat_S (+-1),
+every chat_S a multiple of 2^-k of magnitude at most 1, so M, M + M^T
+and their halves are exact while m 2^(2k+1) < 2^53. The degree-k part
+goes through the XOR chain after aggregating constraints by support into
+a rescaled weighted XOR instance, built from arrays. Both read the
+instance's arrays and add in constraint order (bincount), as a loop over
+the constraints would.
 """
 
 import itertools
@@ -204,8 +211,9 @@ def _abs_values(values):
     return np.abs(values[values != 0])
 
 
-def _step(name, claim, value, method="exact"):
-    return {"name": name, "claim": claim, "value": value, "method": method}
+def _step(name, claim, value, method="exact", **extra):
+    return {"name": name, "claim": claim, "value": value, "method": method,
+            **extra}
 
 
 def _trace_bound_step(sym, degs, entry_err, prefix):
@@ -213,13 +221,37 @@ def _trace_bound_step(sym, degs, entry_err, prefix):
     A'_sym PSD (module docstring); sym is A'_sym, overwritten, and degs the
     degrees of A''s lo rows. The name starts with prefix or "main_"."""
     w, witness = certify.diagonal_witness(sym, degs, entry_err)
-    return dict(_step(
+    return _step(
         (prefix or "main_") + "trace_bound",
         "max_y y^T A' y <= tr W over sign vectors y = x^(k-1), for the "
         "swap-invariant diagonal W = diag(a + b deg_u) on rows of nonzero "
         "degree; W - A' PSD on swap-symmetric vectors, verified by "
         "Cholesky of W_sym - A'_sym - c Id",
-        _up(2.0 * certify.exact_sum(w)), "cholesky"), witness=witness)
+        _up(2.0 * certify.exact_sum(w)), "cholesky", witness=witness)
+
+
+def _degree_d_step(M, d):
+    """The step bounding y^T M y' for M = flatten_degree_d(I, d), not all
+    zero: ||M||_1, tr M + tr W or tr W, rounded up (module docstring)."""
+    name, (rows, cols) = f"degree_{d}_matrix_bound", M.shape
+    if rows == 1:
+        return _step(name, "the degree-1 part is a linear form in x, at most "
+                     "||M||_1", _up(certify.exact_sum(np.abs(M))))
+    if rows == cols:
+        trace, sym = M.diagonal(), 0.5 * (M + M.T)
+        np.fill_diagonal(sym, 0.0)
+    else:
+        trace, sym = np.zeros(0), np.zeros((rows + cols, rows + cols))
+        sym[:rows, rows:], sym[rows:, :rows] = 0.5 * M, 0.5 * M.T
+    claim = (f"the degree-{d} part is tr M + y^T S y (M square) or z^T S z "
+             f"(z = [y; y']), either form in S <= tr W for W - S PSD")
+    degs = np.abs(sym).sum(axis=1)
+    if not degs.any():
+        return _step(name, claim + "; S = 0", _up(certify.exact_sum(trace)))
+    w, witness = certify.diagonal_witness(sym, degs)
+    return _step(name, claim + ", verified by Cholesky of W - S - c Id",
+                 _up(certify.exact_sum(np.concatenate((trace, w)))),
+                 "cholesky", witness=witness)
 
 
 def _xor_chain(I, prefix):
@@ -245,9 +277,8 @@ def refute_xor(I, mode="gelfand", z=16):
     Returns a Certificate of kind xor_refutation whose final bound U
     satisfies opt(I) <= U, with U < 1 flagged as informative. The chain's
     one spectral step is the Cholesky-verified diagonal witness, sound with
-    rounding included. mode must be "gelfand", the only refutation mode;
-    z, the power count of the CSP pipeline's spectral-norm bounds, is only
-    recorded.
+    rounding included. mode must be "gelfand", the only refutation mode,
+    and z is only recorded.
     """
     _require_gelfand(mode)
     _require_odd_arity(I.k)
@@ -300,35 +331,16 @@ def flatten_degree_d(I, d, fourier=None):
                        minlength=rows * cols).reshape(rows, cols)
 
 
-def specnorm_upper(M, z=16):
-    """Certified upper bound on the spectral norm: the smallest of the
-    Frobenius norm, sqrt(max abs row sum * max abs col sum), and the z-th
-    root bound sqrt(||(M^T M)^z||_F^(1/z)).
-
-    Returns (value, method) where method is "gelfand" when the power bound
-    won and "exact" otherwise.
-    """
-    M = np.asarray(M, dtype=float)
-    fro = linalg.frobenius(M)
-    absM = np.abs(M)
-    rowcol = math.sqrt(absM.sum(axis=1).max() * absM.sum(axis=0).max())
-    gram = M.T @ M
-    gel = math.sqrt(linalg.spectral_radius_upper(gram, z))
-    best = min(fro, rowcol, gel)
-    method = "gelfand" if gel < min(fro, rowcol) else "exact"
-    return best, method
-
-
 def refute_csp(I, mode="gelfand", z=16):
     """Certified upper bound on the optimum of a CSP(P) instance.
 
-    U = chat_empty + (1/m) [ sum_{0<d<k} n^(d/2) specnorm_upper(M_d)
-                             + degree-k bound ]
-    where the degree-k part aggregates non-degenerate constraints by
-    support into a weighted XOR instance (rescaled so |weights| <= 1, the
-    rescale factor carried as a step), runs the XOR polynomial bound on it,
-    and adds |chat_k| for each constraint whose scope repeats an index.
-    mode must be "gelfand", as for refute_xor.
+    U = chat_empty + (1/m) [ sum_{0<d<k} degree-d bound + degree-k bound ]
+    where the degree-d bounds are exact sums or Cholesky-verified diagonal
+    witnesses (module docstring), and the degree-k part aggregates
+    non-degenerate constraints by support into a weighted XOR instance
+    (rescaled so |weights| <= 1, the factor carried as a step), runs the
+    XOR polynomial bound on it, and adds |chat_k| for each constraint
+    whose scope repeats an index. mode and z are as for refute_xor.
     """
     _require_gelfand(mode)
     _require_odd_arity(I.k)
@@ -341,18 +353,10 @@ def refute_csp(I, mode="gelfand", z=16):
                    "to every assignment's value", p0)]
     total = 0.0
     for d in range(1, k):
-        part = fourier.degree_part(d)
-        if not any(v != 0.0 for v in part.values()):
-            continue
         M = flatten_degree_d(I, d, fourier)
-        s_d, method = specnorm_upper(M, z=z)
-        term = (n ** (d / 2.0)) * s_d
-        total += term
-        steps.append(_step(
-            f"degree_{d}_matrix_bound",
-            f"the degree-{d} part of the value is bounded by n^({d}/2) times "
-            f"a certified spectral-norm bound on its coefficient matrix",
-            term, method))
+        if M.any():
+            steps.append(_degree_d_step(M, d))
+            total = _up(total + steps[-1]["value"])
     chat_k = fourier.coefficient(tuple(range(k)))
     if chat_k == 0.0:
         steps.append(_step("degree_k_skipped", "the top Fourier coefficient "

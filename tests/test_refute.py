@@ -329,15 +329,64 @@ def test_flatten_degree_d_range_errors():
             refute.flatten_degree_d(J, d)
 
 
-def test_specnorm_upper_dominates_true_norm():
-    rng = np.random.default_rng(17)
-    for shape in [(5, 5), (3, 9), (8, 2)]:
-        for _ in range(5):
-            M = rng.normal(size=shape)
-            bound, method = refute.specnorm_upper(M)
-            true = np.linalg.norm(M, 2)
-            assert bound >= true - 1e-9
-            assert method in ("gelfand", "exact")
+def _sign_powers(n, reps):
+    """x^(reps), one row per x in {+-1}^n."""
+    x = np.array(list(itertools.product([-1.0, 1.0], repeat=n)))
+    y = np.ones((len(x), 1))
+    for _ in range(reps):
+        y = (y[:, :, None] * x[:, None, :]).reshape(len(x), -1)
+    return y
+
+
+_SAT = instances.predicate_table("3sat")
+
+
+@pytest.mark.parametrize("J", [
+    instances.sample_csp(_SAT, 12, 3, 0.01, seed=0),
+    instances.sample_csp(_SAT, 10, 3, 0.03, seed=1),
+    instances.sample_csp(_random_table(3, 4), 12, 3, 0.02, seed=2),
+    instances.sample_csp(_random_table(3, 5), 9, 3, 0.05, seed=3),
+    instances.sample_csp(_random_table(5, 6), 8, 5, 0.002, seed=4),
+    instances.sample_csp(_random_table(5, 7), 7, 5, 0.003, seed=5),
+    # every scope is (i, i, i): M_2 is diagonal, so S = 0
+    instances.CspInstance(5, 3, _SAT, [((i, i, i), (1, -1, 1))
+                                       for i in range(4)]),
+], ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
+def test_degree_d_bounds_dominate_enumerated_forms(J):
+    # every degree-d step is at least max y^T M_d y' over x, in each of
+    # the three shapes: one row, square, and the dilation (odd d >= 3)
+    steps = {s["name"]: s for s in refute.refute_csp(J, z=6).steps}
+    for d in range(1, J.k):
+        M = refute.flatten_degree_d(J, d)
+        step = steps.get(f"degree_{d}_matrix_bound")
+        assert (step is None) == (not M.any())
+        if step is None:
+            continue
+        y, y2 = _sign_powers(J.n, d // 2), _sign_powers(J.n, d - d // 2)
+        top = float(np.einsum("ij,ij->i", y @ M, y2).max())
+        assert step["value"] >= top, (d, step["value"], top)
+        if d == 1 or np.array_equal(M, np.diag(np.diag(M))):
+            assert step["method"] == "exact" and "witness" not in step
+            # both the l1 norm and the trace are the exact maximum
+            assert step["value"] == math.nextafter(top, math.inf)
+        else:
+            assert step["method"] == "cholesky"
+            dim = M.shape[0] if M.shape[0] == M.shape[1] else sum(M.shape)
+            assert step["witness"]["dim"] == dim
+
+
+@pytest.mark.parametrize("refute_fn, I", [
+    (refute.refute_xor, instances.sample_kxor(12, 3, 0.2, seed=1)),
+    (refute.refute_xor, instances.sample_kxor(8, 5, 0.2, seed=3)),
+    (refute.refute_csp, instances.sample_csp(_SAT, 12, 3, 0.02, seed=1)),
+    (refute.refute_csp, instances.sample_csp(_random_table(5, 6), 8, 5,
+                                             0.002, seed=4)),
+], ids=["xor-k3", "xor-k5", "3sat-k3", "table-k5"])
+def test_refutations_certify_by_exact_sums_and_cholesky_only(refute_fn, I):
+    # no power-norm (gelfand) or eigensolve step in any refutation
+    cert = refute_fn(I, z=6)
+    assert {s["method"] for s in cert.steps} == {"exact", "cholesky"}
+    assert cert.sound
 
 
 def test_refute_csp_dominates_brute_force():
@@ -882,6 +931,11 @@ def test_witness_bounds_swap_symmetric_form(I):
         assert step["name"] == "main_trace_bound" and top > 0.0
 
 
+def test_diagonal_witness_refuses_all_zero_degrees():
+    with pytest.raises(ValueError, match="every degree is zero"):
+        certify.diagonal_witness(np.zeros((3, 3)), np.zeros(3))
+
+
 def test_diagonal_witness_falls_back_to_gershgorin(monkeypatch):
     # one Lanczos step is a Rayleigh quotient of the random start, far
     # below the least feasible scale, so every guided rung fails and the
@@ -951,7 +1005,7 @@ def test_refutation_golden_digests():
     assert _digest(refute.refute_xor(I, z=6)) == (
         "3dc794391ba85ee230a1fc8c4748dd527af41f2c320309210936a0e57e2b019a")
     assert _digest(refute.refute_csp(J, z=6)) == (
-        "62b9ec1c8978f11ce14071951275a24590ee167ae1e4fe4998e8127b87c94d99")
+        "8dd140ea0070789c20f89849101d70a92074acf03d4751b9d6688c5f2fd8cc27")
 
 
 def test_refutations_never_read_the_clause_dict(monkeypatch):
