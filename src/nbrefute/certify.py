@@ -35,17 +35,18 @@ weights w_u = a + b deg_u (a, b >= 0) with diag(w) - S PSD on the rows of
 nonzero degree (S is zero on the rest); the last point it tries is
 diagonally dominant. The cone holds the paper's lambda + (deg_u -
 1)/lambda as the point a = lambda - 1/lambda, b = 1/lambda. An uncertified
-Lanczos estimate picks the direction and scale; only a Cholesky
-factorization counts. If floating-point Cholesky of H = fl(diag(w) - S - c
-Id) runs to completion, diag(w) - S is PSD in exact arithmetic for the
-shift c of _cholesky_shift. That is the test of Rump, "Verification of
-positive definiteness", BIT 46 (2006), Thm 2.3; the shift here is derived
-from the backward error of Higham, Accuracy and Stability of Numerical
-Algorithms, Thm 10.3, which gives R^T R = H + dH with |dH| <= gamma_{N+1}
-|R^T| |R|, so ||dH||_2 <= gamma_{N+1} ||R||_F^2 <= gamma_{N+1}/(1 -
-gamma_{N+1}) tr H, and it also covers the rounding made forming H and, for
-non-integer weights, the entries of S, each with a margin. Such a witness
-is sound with rounding included.
+Lanczos estimate, whose products run in single precision, picks the
+direction and scale; only a float64 Cholesky factorization counts. If
+floating-point Cholesky of H = fl(diag(w) - S - c Id) runs to completion,
+diag(w) - S is PSD in exact arithmetic for the shift c of _cholesky_shift.
+That is the test of Rump, "Verification of positive definiteness", BIT 46
+(2006), Thm 2.3; the shift here is derived from the backward error of
+Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, which
+gives R^T R = H + dH with |dH| <= gamma_{N+1} |R^T| |R|, so ||dH||_2 <=
+gamma_{N+1} ||R||_F^2 <= gamma_{N+1}/(1 - gamma_{N+1}) tr H, and it also
+covers the rounding made forming H and, for non-integer weights, the
+entries of S, each with a margin. Such a witness is sound with rounding
+included.
 """
 
 import math
@@ -300,26 +301,41 @@ def _kept_rows(a, d):
 def _lanczos_top(a, d, thetas):
     """Top Ritz value of W^(-1/2) a W^(-1/2), W = diag(theta + (1 - theta)
     d), for every theta at once, after LANCZOS_STEPS steps from a fixed
-    start: a lower estimate of the largest eigenvalue, never certified.
-    One Lanczos vector per row: a is symmetric, and v a streams it faster
-    than a v^T does."""
+    start: a lower estimate of the largest eigenvalue, never certified,
+    or +inf where the run went non-finite. One Lanczos vector per row: a
+    is symmetric, and v a streams it faster than a v^T does.
+
+    The products read one float32 copy of a / 4^e, 4^e near max d, made
+    here and freed on return: they are bound by reading a, and half the
+    bytes take about two thirds of the time. 2^e in the scale restores
+    the operator exactly, and a block past float32's range fits. The
+    recurrence and the eigensolve stay in float64."""
     steps = min(LANCZOS_STEPS, d.size)
-    scale = 1.0 / np.sqrt(thetas[:, None] + np.outer(1.0 - thetas, d))
+    e = math.frexp(float(d.max()))[1] // 2
+    single = np.multiply(a, math.ldexp(1.0, -2 * e),
+                         out=np.empty(a.shape, np.float32))
+    scale = math.ldexp(1.0, e) / np.sqrt(thetas[:, None]
+                                         + np.outer(1.0 - thetas, d))
     v = np.random.default_rng(0).standard_normal(scale.shape)
     v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
     prev = np.zeros_like(v)
+    scaled = np.empty(v.shape, np.float32)
+    product = np.empty_like(scaled)
     alphas = np.zeros((steps, thetas.size, 1))
     betas = np.zeros((steps, thetas.size, 1))
-    for j in range(steps):
-        x = (scale * v) @ a
-        x *= scale
-        alphas[j] = np.einsum("ij,ij->i", v, x)[:, None]
-        x -= alphas[j] * v
-        if j:
-            x -= betas[j - 1] * prev
-        betas[j] = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-        # a zero residual leaves v = 0, and the steps after it add zeros
-        prev, v = v, x / np.maximum(betas[j], np.finfo(float).tiny)
+    # a run that goes non-finite is caught below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            np.multiply(scale, v, out=scaled)
+            np.matmul(scaled, single, out=product)
+            x = np.multiply(product, scale)
+            alphas[j] = np.einsum("ij,ij->i", v, x)[:, None]
+            x -= alphas[j] * v
+            if j:
+                x -= betas[j - 1] * prev
+            betas[j] = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
+            # a zero residual leaves v = 0, and the steps after it add zeros
+            prev, v = v, x / np.maximum(betas[j], np.finfo(float).tiny)
     # the scaled operator has norm at most 1/(1 - theta) <= 20, so a
     # smaller residual means the Krylov space was invariant: the Ritz
     # values split into independent runs
@@ -328,7 +344,11 @@ def _lanczos_top(a, d, thetas):
     tri = np.zeros((thetas.size, steps, steps))
     tri[:, i, i] = alphas[:, :, 0].T
     tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = betas[:-1, :, 0].T
-    return np.linalg.eigvalsh(tri)[:, -1]
+    lost = ~np.isfinite(tri).all(axis=(1, 2))
+    tri[lost] = 0.0
+    top = np.linalg.eigvalsh(tri)[:, -1]
+    top[lost] = np.inf
+    return top
 
 
 def _cholesky_shift(w, diag, entry_err):
@@ -371,9 +391,10 @@ def diagonal_witness(sym, degs, entry_err=0.0):
 
     Guide: along each direction theta of WITNESS_THETAS, Lanczos estimates
     the least scale s with s W_theta - S PSD, W_theta = diag(theta + (1 -
-    theta) deg); the direction minimising s tr W_theta wins. Verify:
-    s (1 + delta) W_theta for delta in WITNESS_MARGINS, then the Gershgorin
-    point, until the Cholesky runs through."""
+    theta) deg), from float32 products (_lanczos_top); the direction
+    minimising s tr W_theta wins. Its rounding moves only which rungs are
+    tried. Verify: s (1 + delta) W_theta for delta in WITNESS_MARGINS, then
+    the Gershgorin point, until the float64 Cholesky runs through."""
     dim = degs.size
     neg, degs = _kept_rows(sym, degs)
     thetas = np.array(WITNESS_THETAS)
@@ -381,18 +402,23 @@ def diagonal_witness(sym, degs, entry_err=0.0):
     traces = thetas * degs.size + (1.0 - thetas) * degs.sum()
     best = int(np.argmin(s * traces))
     estimate = float(s[best])
-    # (theta, sigma) pairs: w = sigma (theta + (1 - theta) deg); the last
-    # is (1 + delta) deg + delta mean(deg), diagonally dominant with a
-    # margin that dwarfs the shift on every row
-    ladder = [(float(thetas[best]), estimate * (1.0 + delta))
-              for delta in WITNESS_MARGINS]
-    extra = WITNESS_MARGINS[-1] * float(degs.mean())
-    ladder.append((extra / (extra + 1.0 + WITNESS_MARGINS[-1]),
-                   extra + 1.0 + WITNESS_MARGINS[-1]))
+    # (theta, sigma, a, b) rungs: w = a + b deg = sigma (theta + (1 -
+    # theta) deg); the last is (1 + delta) deg + delta mean(deg),
+    # diagonally dominant with a margin that dwarfs the shift on every
+    # row, and the only one left when every direction's estimate went
+    # non-finite. It is given by a and b, as 1 - theta would round b away
+    # once delta mean(deg) passes 2^53.
+    theta = float(thetas[best])
+    ladder = [(theta, sigma, sigma * theta, sigma * (1.0 - theta))
+              for sigma in (estimate * (1.0 + delta)
+                            for delta in WITNESS_MARGINS)
+              if math.isfinite(sigma)]
+    a_w, b_w = (WITNESS_MARGINS[-1] * float(degs.mean()),
+                1.0 + WITNESS_MARGINS[-1])
+    ladder.append((a_w / (a_w + b_w), a_w + b_w, a_w, b_w))
     diag = neg.diagonal().copy()
     np.negative(neg, out=neg)
-    for probes, (theta, sigma) in enumerate(ladder, 1):
-        a_w, b_w = sigma * theta, sigma * (1.0 - theta)
+    for probes, (theta, sigma, a_w, b_w) in enumerate(ladder, 1):
         w = a_w + b_w * degs
         shift = _cholesky_shift(w, diag, entry_err)
         if _factorizes(neg, diag, w, shift):

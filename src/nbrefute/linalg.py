@@ -16,8 +16,10 @@ reduces to the handful of primitives in this module:
   * det_shift / frobenius / min_eig_symmetric
 
 All functions are pure, operate on float64 numpy arrays, and are safe to call
-concurrently; reductions run in a fixed order so results do not depend on
-thread count.
+concurrently. Reruns at a fixed BLAS thread count are byte-identical;
+another thread count can move the last bits of a BLAS product, and so of
+a result (the digest of an n = 60 refutation, walks.rho_B_experiment's
+rho).
 """
 
 import math

@@ -36,9 +36,11 @@ block A'_sym = A'[lo,lo] + A'[lo,hi] (certify.diagonal_witness) gives tr W
 = 2 sum_lo w_u, W the swap-invariant diagonal that copies w onto both lo
 and hi. The pipelines never hold A. Its row (alpha, beta), as a q x q
 matrix over (alpha', beta'), q = n^((k-1)/2), is V_alpha V_beta^T for
-V_alpha the q rows of V with first half-index alpha, so V_alpha
-V_{>alpha}^T gives the lo rows; A''s hi rows (their transposes) and rows
-(alpha, alpha) (the blocks V_alpha V_alpha^T) enter only b2 (_swap_parts).
+V_alpha the q rows of V with first half-index alpha, so the strip
+V_{>alpha} V_alpha^T gives the lo rows: its row block beta is V_beta
+V_alpha^T, the transpose of row (alpha, beta) and A's row (beta, alpha),
+contiguous in memory. A''s hi rows and rows (alpha, alpha) (the blocks
+V_alpha V_alpha^T) enter only b2 (_swap_parts).
 The tests build A whole from the same blocks, as the dense reference that
 the pipelines are checked against entry for entry.
 
@@ -114,15 +116,17 @@ def _digits(n, k):
     return np.arange(n ** (k - 1))[:, None] // place % n
 
 
-def _overlap_at_least(left, start, h, n):
-    """Boolean matrix: digit row i of left and row (beta, beta'), beta >=
-    start, of V share at least h indices. Rows of V that hold a clause
-    fragment have distinct digits, and there the overlap is the count of
-    the digits of (beta, beta') found in i: c[i, beta] + c[i, beta']."""
-    member = np.zeros((len(left), n), dtype=np.int8)
-    member[np.arange(len(left))[:, None], left] = 1
-    c = member[:, _digits(n, h + 1)].sum(axis=2, dtype=np.int8)
-    return (c[:, start:, None] + c[:, None, :] >= h).reshape(len(left), -1)
+def _overlap_at_least(left, start, h, n, halves):
+    """Boolean matrix: row (beta, beta'), beta >= start, of V and digit
+    row i of left share at least h indices, one row per (beta, beta') and
+    one column per i; halves is _digits(n, h + 1), the digits of every
+    half-index. Rows of V that hold a clause fragment have distinct
+    digits, and there the overlap is the count of the digits of (beta,
+    beta') found in i: c[beta, i] + c[beta', i]."""
+    member = np.zeros((n, len(left)), dtype=np.int8)
+    member[left, np.arange(len(left))[:, None]] = 1
+    c = member[halves].sum(axis=1, dtype=np.int8)
+    return (c[start:, None] + c[None, :] >= h).reshape(-1, len(left))
 
 
 def _swap_index(q):
@@ -134,13 +138,14 @@ def _swap_index(q):
 
 def _gram_blocks(V, q):
     """The upper block triangle of V V^T (module docstring): yields (alpha,
-    V_alpha V_alpha^T, V_alpha V_{>alpha}^T) for every alpha whose rows
-    V_alpha of V are not all zero (else so are the blocks). Column block
-    beta - alpha - 1 of the strip V_alpha V_{>alpha}^T is V_alpha V_beta^T."""
+    V_alpha V_alpha^T, V_{>alpha} V_alpha^T) for every alpha whose rows
+    V_alpha of V are not all zero (else so are the blocks). Row block
+    beta - alpha - 1 of the strip V_{>alpha} V_alpha^T is V_beta
+    V_alpha^T, the transpose of V_alpha V_beta^T, contiguous in memory."""
     for a in range(q):
         rows = V[a * q:(a + 1) * q]
         if rows.any():
-            yield a, rows @ rows.T, rows @ V[(a + 1) * q:].T
+            yield a, rows @ rows.T, V[(a + 1) * q:] @ rows.T
 
 
 def _swap_parts(I):
@@ -158,7 +163,7 @@ def _swap_parts(I):
         raise linalg.Infeasible(
             f"refutation infeasible: swap block dimension {q * (q + 1) // 2} "
             f"exceeds cap {BLOCK_DIM_CAP}")
-    digits = _digits(n, I.k)
+    digits, halves = _digits(n, I.k), _digits(n, h + 1)
     lo, hi = _swap_index(q)
     sym = np.zeros((lo.size, lo.size))
     degs = np.zeros(lo.size)
@@ -166,23 +171,24 @@ def _swap_parts(I):
     entry_err, residual_err = _entry_errors(V, q)
     strips, diagonals = [np.zeros(0)], [[residual_err]]
     for a, diagonal, strip in _gram_blocks(V, q):
-        drop = _overlap_at_least(digits[a * q:(a + 1) * q], a + 1, h, n)
-        strips.append(_abs_values(strip[drop]))
-        strip[drop] = 0.0
-        # a contiguous row of q^2 entries per lo row (a, beta), so the
-        # degrees sum in the order of the dense matrix's rows
-        blocks = strip.reshape(q, q - a - 1, q).transpose(1, 0, 2).reshape(
-            -1, q * q)
+        drop = np.flatnonzero(_overlap_at_least(
+            digits[a * q:(a + 1) * q], a + 1, h, n, halves))
+        flat = strip.reshape(-1)
+        strips.append(_abs_values(flat[drop]))
+        flat[drop] = 0.0
+        # row beta of blocks is G^T for G = V_a V_beta^T: G^T at hi is G at
+        # lo, and its degree sums in the order of A's row (beta, a)
+        blocks = strip.reshape(-1, q * q)
         i0 = a * q - a * (a + 1) // 2
         rows = sym[i0:i0 + len(blocks)]
         # "clip" writes into rows directly; the default mode buffers a copy
-        np.take(blocks, lo, axis=1, out=rows, mode="clip")
-        rows += np.take(blocks, hi, axis=1)
+        np.take(blocks, hi, axis=1, out=rows, mode="clip")
+        rows += np.take(blocks, lo, axis=1)
         degs[i0:i0 + len(blocks)] = np.abs(blocks, out=blocks).sum(axis=1)
         diagonals.append(_abs_values(diagonal))
         # freed before the next product: two alphas' arrays alive at once
         # grow the heap, and it stays resident through the witness
-        del strip, blocks, drop
+        del strip, flat, blocks, drop
     b2 = certify.exact_sum(np.concatenate(diagonals), np.concatenate(strips))
     return sym, degs, b2, entry_err
 

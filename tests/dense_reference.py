@@ -71,10 +71,11 @@ def flatten(I):
     base = np.zeros((dim, dim))
     grid = base.reshape(q, q, q, q)
     for a, diagonal, strip in refute._gram_blocks(refute._unfolding(I), q):
-        blocks = strip.reshape(q, q - a - 1, q).transpose(1, 0, 2)
+        # block beta of the strip is V_beta V_alpha^T, row (beta, alpha)'s
+        blocks = strip.reshape(q - a - 1, q, q)
         grid[a, a] = diagonal
-        grid[a, a + 1:] = blocks
-        grid[a + 1:, a] = blocks.transpose(0, 2, 1)
+        grid[a + 1:, a] = blocks
+        grid[a, a + 1:] = blocks.transpose(0, 2, 1)
     return FlattenedMatrix(base, n, k)
 
 
@@ -86,8 +87,10 @@ def split(F):
     """
     digits = refute._digits(F.n, F.k)
     q = F.n ** F.half
-    drop = refute._overlap_at_least(digits, 0, F.half, F.n).reshape(
-        q, q, q, q).transpose(0, 2, 1, 3).reshape(F.base.shape)
+    # the mask's rows are (beta, beta'), its columns (alpha, alpha')
+    drop = refute._overlap_at_least(
+        digits, 0, F.half, F.n, refute._digits(F.n, F.half + 1)).reshape(
+            q, q, q, q).transpose(2, 0, 3, 1).reshape(F.base.shape)
     main = np.where(drop, 0.0, F.base)
     return (FlattenedMatrix(main, F.n, F.k),
             FlattenedMatrix(F.base - main, F.n, F.k))

@@ -501,14 +501,15 @@ def _dense_parts(I):
     """The dense reference for what _swap_parts returns: A'_sym =
     A'[lo,lo] + A'[lo,hi] of the split of flatten(I), the degrees of A''s
     lo rows, and b2, the correctly rounded sum of |A''| and the rounding
-    allowance."""
+    allowance. A' is swap-invariant, so a lo row's degree is its hi row's,
+    summed in the hi row's order, the strip's (_gram_blocks)."""
     main, residual = dense_reference.split(dense_reference.flatten(I))
     dense, degs = linalg.symmetric_degrees(main.base)
     q = main.n ** main.half
     lo, hi = refute._swap_index(q)
     _, allowance = refute._entry_errors(refute._unfolding(I), q)
     b2 = math.fsum(np.append(np.abs(residual.base), allowance).tolist())
-    return dense[np.ix_(lo, lo)] + dense[np.ix_(lo, hi)], degs[lo], b2
+    return dense[np.ix_(lo, lo)] + dense[np.ix_(lo, hi)], degs[hi], b2
 
 
 def _degree_k_chain(J):
@@ -593,19 +594,19 @@ def _builder_cases():
 
 
 def _gram_blocks_per_index(V, q):
-    """_gram_blocks with each strip multiplied out one product V_alpha
-    V_beta^T per second half-index beta > alpha and concatenated."""
+    """_gram_blocks with each strip multiplied out one product V_beta
+    V_alpha^T per second half-index beta > alpha and stacked."""
     for a in range(q):
         rows = V[a * q:(a + 1) * q]
         if rows.any():
-            strip = [rows @ V[b * q:(b + 1) * q].T for b in range(a + 1, q)]
+            strip = [V[b * q:(b + 1) * q] @ rows.T for b in range(a + 1, q)]
             yield a, rows @ rows.T, np.concatenate(
-                strip or [np.zeros((q, 0))], axis=1)
+                strip or [np.zeros((0, q))], axis=0)
 
 
-# "one-slab": each strip V_alpha V_{>alpha}^T in one product, as
+# "one-slab": each strip V_{>alpha} V_alpha^T in one product, as
 # _gram_blocks forms it; "slab-per-index": one product per beta, so the
-# pipeline and the reference must read the strip's column blocks by the
+# pipeline and the reference must read the strip's row blocks by the
 # helper's layout alone, whatever call shape produced them
 @pytest.mark.parametrize("blocks", [None, _gram_blocks_per_index],
                          ids=["one-slab", "slab-per-index"])
@@ -646,7 +647,7 @@ def test_swap_parts_b2_equals_fsum_of_dense_residual(monkeypatch, I):
 def overlap_by_gathers(left, right, h, n):
     """The mask as k - 1 strip-sized gathers, one per digit of the right
     rows: whether row i of left shares at least h indices with row j of
-    right, counting the digits of j found in i."""
+    right, counting the digits of j found in i, at [i, j]."""
     member = np.zeros((len(left), n), dtype=np.int8)
     member[np.arange(len(left))[:, None], left] = 1
     return sum(member[:, column] for column in right.T) >= h
@@ -657,15 +658,18 @@ def test_overlap_mask_matches_multiset_overlap(n, k):
     h = (k - 1) // 2
     q = n ** h
     digits = refute._digits(n, k)
-    full = refute._overlap_at_least(digits, 0, h, n)
-    # split's whole mask and every strip of _swap_parts, bit for bit
+    halves = refute._digits(n, h + 1)
+    full = refute._overlap_at_least(digits, 0, h, n, halves)
+    # split's whole mask and every strip of _swap_parts, bit for bit, one
+    # row per row of V_{>alpha}
     np.testing.assert_array_equal(
-        full, overlap_by_gathers(digits, digits, h, n))
+        full, overlap_by_gathers(digits, digits, h, n).T)
     for a in range(q):
         np.testing.assert_array_equal(
-            refute._overlap_at_least(digits[a * q:(a + 1) * q], a + 1, h, n),
+            refute._overlap_at_least(digits[a * q:(a + 1) * q], a + 1, h, n,
+                                     halves),
             overlap_by_gathers(digits[a * q:(a + 1) * q],
-                               digits[(a + 1) * q:], h, n))
+                               digits[(a + 1) * q:], h, n).T)
     # on the rows of V that can hold a clause fragment (distinct digits)
     # the mask is the multiset overlap of the split condition
     fragments = [i for i, row in enumerate(digits.tolist())
@@ -674,7 +678,7 @@ def test_overlap_mask_matches_multiset_overlap(n, k):
         row = Counter(digits[i].tolist())
         for j in fragments:
             shared = sum((row & Counter(digits[j].tolist())).values())
-            assert full[i, j] == (shared >= h)
+            assert full[j, i] == (shared >= h)
 
 
 def test_swap_parts_rescaled_weights_are_not_signs():
@@ -725,8 +729,9 @@ def test_residual_bound_covers_entry_rounding():
     digits = refute._digits(I.n, I.k)
     exact = Fraction(0)
     # A'' is V V^T at the pairs of rows sharing an index, middle-swapped
-    for i, j in zip(*np.nonzero(refute._overlap_at_least(
-            digits, 0, (I.k - 1) // 2, I.n))):
+    h = (I.k - 1) // 2
+    for j, i in zip(*np.nonzero(refute._overlap_at_least(
+            digits, 0, h, I.n, refute._digits(I.n, h + 1)))):
         exact += abs(sum(Fraction(a) * Fraction(b)
                          for a, b in zip(V[i], V[j]) if a and b))
     b2 = next(s["value"] for s in refute.refute_xor(I, z=6).steps
@@ -952,6 +957,100 @@ def test_diagonal_witness_falls_back_to_gershgorin(monkeypatch):
     assert certify.diagonal_witness(sym, degs)[1] == w
 
 
+def _symmetric_with_diagonal(dim, seed):
+    """A dense symmetric matrix with a nonzero diagonal and its absolute
+    row sums."""
+    rng = np.random.default_rng(seed)
+    S = np.triu(rng.uniform(-1.0, 1.0, (dim, dim))
+                * (rng.random((dim, dim)) < 0.3))
+    S = S + np.triu(S, 1).T
+    return S, np.abs(S).sum(axis=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _dense_parts(instances.sample_kxor(9, 3, 0.5, seed=0))[:2],
+    lambda: _dense_parts(_weighted(instances.sample_kxor(9, 3, 0.5, seed=1),
+                                   1))[:2],
+    lambda: _symmetric_with_diagonal(45, 2),
+    # 2^150 is past float32's range
+    lambda: tuple(2.0 ** 150 * x for x in _symmetric_with_diagonal(45, 2)),
+], ids=["signs", "weighted", "diagonal", "past-float32"])
+def test_lanczos_guide_matches_the_eigensolve(make):
+    # with at least as many steps as rows the Krylov space is the whole
+    # space, so the top Ritz value is the top eigenvalue up to the
+    # single-precision products
+    sym, degs = make()
+    a, d = certify._kept_rows(sym, degs)
+    assert d.size <= certify.LANCZOS_STEPS
+    thetas = np.array(certify.WITNESS_THETAS)
+    want = [np.linalg.eigvalsh(a / np.sqrt(np.outer(w, w)))[-1]
+            for w in thetas[:, None] + np.outer(1.0 - thetas, d)]
+    np.testing.assert_allclose(certify._lanczos_top(a, d, thetas), want,
+                               rtol=1e-5)
+
+
+@pytest.mark.parametrize("steps", [1, certify.LANCZOS_STEPS])
+def test_every_factorization_is_float64_with_the_shifted_diagonal(
+        monkeypatch, steps):
+    # the guide runs in single precision; what counts is the float64
+    # Cholesky of diag(w - c) - S, every probe of the ladder included
+    S, degs = _symmetric_with_diagonal(40, 3)
+    shifts, factorized = [], []
+    shift, cholesky = certify._cholesky_shift, np.linalg.cholesky
+
+    def record_shift(w, diag, entry_err):
+        shifts.append((w.copy(), shift(w, diag, entry_err)))
+        return shifts[-1][1]
+
+    def record_cholesky(H):
+        factorized.append(H.copy())
+        return cholesky(H)
+
+    monkeypatch.setattr(certify, "LANCZOS_STEPS", steps)
+    monkeypatch.setattr(certify, "_cholesky_shift", record_shift)
+    monkeypatch.setattr(np.linalg, "cholesky", record_cholesky)
+    w, record = certify.diagonal_witness(S.copy(), degs)
+    assert len(factorized) == len(shifts) == record["cholesky_probes"]
+    assert (record["cholesky_probes"] > 1) == (steps == 1)
+    off = ~np.eye(S.shape[0], dtype=bool)
+    for H, (w_probe, c) in zip(factorized, shifts):
+        assert H.dtype == np.float64
+        np.testing.assert_array_equal(H[off], -S[off])
+        np.testing.assert_array_equal(H.diagonal(),
+                                      (w_probe - c) - S.diagonal())
+    np.testing.assert_array_equal(shifts[-1][0], w)
+    assert shifts[-1][1] == record["shift"]
+
+
+def _verified(S, w):
+    """diag(w) - S is PSD, by a float64 eigensolve."""
+    return np.linalg.eigvalsh(np.diag(w) - S).min() >= 0.0
+
+
+def test_witness_past_the_single_precision_range():
+    # 2^150 is past float32's range: the guide's copy is scaled by a power
+    # of two, so a guided rung still verifies
+    sym, degs, _ = _dense_parts(instances.sample_kxor(12, 3, 0.3, seed=1))
+    sym, degs = certify._kept_rows(sym, degs)
+    big = 2.0 ** 150
+    big_w, big_record = certify.diagonal_witness(big * sym, big * degs)
+    assert big_record["theta"] in certify.WITNESS_THETAS
+    assert big_record["cholesky_probes"] <= len(certify.WITNESS_MARGINS)
+    assert _verified(big * sym, big_w)
+    # a block beside one 2^300 times larger leaves no single-precision
+    # scale for both, so every direction's run goes non-finite and the
+    # Gershgorin point, verified in float64, is the only rung
+    wide = np.zeros((2 * degs.size,) * 2)
+    wide[:degs.size, :degs.size] = 2.0 ** 300 * sym
+    wide[degs.size:, degs.size:] = sym
+    wide_degs = np.concatenate((2.0 ** 300 * degs, degs))
+    wide_w, wide_record = certify.diagonal_witness(wide.copy(), wide_degs)
+    assert wide_record["estimate"] == np.inf
+    assert wide_record["cholesky_probes"] == 1
+    for part in (slice(0, degs.size), slice(degs.size, None)):
+        assert _verified(wide[part, part], wide_w[part])
+
+
 def _witness_dominance_cases():
     cases = [instances.sample_kxor(n, 3, p, seed=seed)
              for n in (9, 12, 14) for p in (0.2, 0.5) for seed in range(15)]
@@ -992,20 +1091,23 @@ def test_refutations_rerun_byte_identical():
 
 
 def test_refutation_golden_digests():
-    # Pinned fixed-seed certificates (numpy 2.4 with OpenBLAS 0.3.31 on
-    # x86-64; the witness's Lanczos estimate is recorded, so another BLAS
-    # may round it differently). Library certificates carry no timestamp;
-    # the CLI adds one. A change that moves a bound on purpose recomputes
-    # these pins and says so; any other change must keep them. The CSP
-    # case rescales by W = 0.625, so it covers the u sum |w| allowance and
-    # nonzero entry rounding errors.
+    # Pinned fixed-seed certificates (numpy 2.4.6 with OpenBLAS 0.3.31 on
+    # x86-64; the witness's Lanczos estimate is recorded, and it comes from
+    # float32 products, so another BLAS may round it differently).
+    # Reruns are byte-identical at a fixed BLAS thread count; these two
+    # certificates are also the same at 1, 2 and 4 OpenBLAS threads, which
+    # larger instances need not be. Library certificates carry no
+    # timestamp; the CLI adds one. A change that moves a bound on purpose
+    # recomputes these pins and says so; any other change must keep them.
+    # The CSP case rescales by W = 0.625, so it covers the u sum |w|
+    # allowance and nonzero entry rounding errors.
     I = instances.sample_kxor(30, 3, 0.02, seed=3)
     J = instances.sample_csp(instances.predicate_table("3sat"), 20, 3, 0.03,
                              seed=1)
     assert _digest(refute.refute_xor(I, z=6)) == (
-        "3dc794391ba85ee230a1fc8c4748dd527af41f2c320309210936a0e57e2b019a")
+        "186e915ce5dab4a3a577da3c2b35c010c98ea10dab50461c6a1421c04d6bd24a")
     assert _digest(refute.refute_csp(J, z=6)) == (
-        "8dd140ea0070789c20f89849101d70a92074acf03d4751b9d6688c5f2fd8cc27")
+        "3512c3e8cd3092d71cb343338695746de041f0f504df9e896ff28530aab717ee")
 
 
 def test_refutations_never_read_the_clause_dict(monkeypatch):
