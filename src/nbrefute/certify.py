@@ -47,6 +47,15 @@ gamma_{N+1} ||R||_F^2 <= gamma_{N+1}/(1 - gamma_{N+1}) tr H, and it also
 covers the rounding made forming H and, for non-integer weights, the
 entries of S, each with a margin. Such a witness is sound with rounding
 included.
+
+The factorization is LAPACK's dpotrf, the routine np.linalg.cholesky calls,
+run in place on the witness block (linalg.cholesky_in_place), so the
+backward error above is the one it makes. It reads H's upper triangle and
+consumes it when it runs through; a failed probe copies the triangle back
+from the lower one before the next rung. For weights other than +-1 the
+block's two triangles can differ in the last bit (A'_sym pairs the same
+rows of V in different BLAS calls); entry_err bounds the error of every
+entry, so the shift covers whichever triangle is read.
 """
 
 import math
@@ -370,31 +379,42 @@ def _cholesky_shift(w, diag, entry_err):
 
 def _factorizes(neg, diag, w, c):
     """Whether Cholesky of diag(w) - S - c Id runs to completion; neg
-    holds -S off its diagonal, which is overwritten."""
+    holds -S off its diagonal, which is overwritten. The factorization
+    (linalg.cholesky_in_place) reads neg's upper triangle in its own
+    buffer and consumes it on success; on failure the strict upper
+    triangle is copied back from the lower one, row by row (index arrays
+    would hold as many indices as entries), ready for the next probe."""
     idx = np.arange(w.size)
     neg[idx, idx] = (w - c) - diag
-    try:
-        np.linalg.cholesky(neg)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    if linalg.cholesky_in_place(neg):
+        return True
+    for i in range(w.size - 1):
+        neg[i, i + 1:] = neg[i + 1:, i]
+    return False
 
 
 def diagonal_witness(sym, degs, entry_err=0.0):
     """(w, record): weights w_u = a + b deg_u on the rows of nonzero degree
     with diag(w) - S PSD there for S = sym, verified by one Cholesky
-    (module docstring). sym is overwritten: pass a copy to keep it.
-    entry_err bounds the spectral norm of the rounding error in its
-    entries. The record holds a, b, the direction theta, the verified
-    scale, the Lanczos estimate, the shift, sym's dimension, the rows kept
-    and the Cholesky probes made. All-zero degs are a ValueError.
+    (module docstring). sym is overwritten: pass a copy to keep it. The
+    factorization works on the kept rows in place (a view of sym when
+    they are a leading range, else a copy), so beside them the float32
+    guide copy, freed first, is the only block-size allocation; on return
+    their upper triangle may hold the factor. entry_err bounds the
+    spectral norm of the rounding error in sym's entries, either
+    triangle's. The record
+    holds a, b, the direction theta, the verified scale, the Lanczos
+    estimate, the shift, sym's dimension, the rows kept and the Cholesky
+    probes made. All-zero degs are a ValueError.
 
     Guide: along each direction theta of WITNESS_THETAS, Lanczos estimates
     the least scale s with s W_theta - S PSD, W_theta = diag(theta + (1 -
     theta) deg), from float32 products (_lanczos_top); the direction
     minimising s tr W_theta wins. Its rounding moves only which rungs are
     tried. Verify: s (1 + delta) W_theta for delta in WITNESS_MARGINS, then
-    the Gershgorin point, until the float64 Cholesky runs through."""
+    the Gershgorin point, until the float64 Cholesky runs through; each
+    failed probe restores the upper triangle before the next (_factorizes).
+    """
     dim = degs.size
     neg, degs = _kept_rows(sym, degs)
     thetas = np.array(WITNESS_THETAS)

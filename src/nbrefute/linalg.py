@@ -14,14 +14,18 @@ reduces to the handful of primitives in this module:
   * power_bound         its rescaled binary powering, for any product
   * real_eigenvalues    real spectrum of a square matrix
   * det_shift / frobenius / min_eig_symmetric
+  * cholesky_in_place   whether LAPACK's Cholesky of a matrix runs to
+                        completion, factored in the matrix's own buffer
 
-All functions are pure, operate on float64 numpy arrays, and are safe to call
+All functions but cholesky_in_place, which factors its argument in place,
+are pure; all operate on float64 numpy arrays and are safe to call
 concurrently. Reruns at a fixed BLAS thread count are byte-identical;
 another thread count can move the last bits of a BLAS product, and so of
 a result (the digest of an n = 60 refutation, walks.rho_B_experiment's
 rho).
 """
 
+import ctypes
 import math
 
 import numpy as np
@@ -273,3 +277,98 @@ def min_eig_symmetric(M):
             f"{SYMMETRY_TOL}")
     w = np.linalg.eigvalsh((M + M.T) / 2.0)
     return float(w[0])
+
+
+# LAPACK dpotrf under the names numpy's builds export it: scipy-openblas
+# (numpy 2 wheels) and plain OpenBLAS, each with 64-bit and 32-bit integers.
+_POTRF_SYMBOLS = ("scipy_dpotrf_64_", "dpotrf_64_", "scipy_dpotrf_",
+                  "dpotrf_")
+
+
+def _call_potrf(routine, a):
+    """LAPACK info of routine('L') on the Fortran view of a's rows, which
+    is a's upper triangle read row by row. The integers are 64-bit and
+    zero-initialised, so a routine with 32-bit integers reads the same
+    values on a little-endian machine (the check at import sees to that)."""
+    dim = ctypes.c_int64(a.shape[0])
+    lda = ctypes.c_int64(max(1, a.strides[0] // a.itemsize))
+    info = ctypes.c_int64(0)
+    routine(b"L", ctypes.byref(dim), a.ctypes.data, ctypes.byref(lda),
+            ctypes.byref(info), 1)
+    return info.value
+
+
+def _resolve_potrf():
+    """(name, routine) of dpotrf in the LAPACK numpy.linalg links, if one
+    resolves and reproduces np.linalg.cholesky on a tiny positive definite
+    block (a leading view, so lda > n) and refuses a tiny indefinite one;
+    else (None, None)."""
+    try:
+        from numpy.linalg import _umath_linalg
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, AttributeError, OSError):
+        return None, None
+    for name in _POTRF_SYMBOLS:
+        routine = getattr(lib, name, None)
+        if routine is not None:
+            break
+    else:
+        return None, None
+    # the trailing size_t is the length of "L", for LAPACKs built by gfortran
+    int64 = ctypes.POINTER(ctypes.c_int64)
+    routine.argtypes = [ctypes.c_char_p, int64, ctypes.c_void_p, int64, int64,
+                        ctypes.c_size_t]
+    routine.restype = None
+    pd = np.array([[4.0, 2.0, 0.5], [2.0, 5.0, 1.0], [0.5, 1.0, 3.0]])
+    buf, want = np.full((3, 4), 7.0), np.full((3, 4), 7.0)
+    buf[:, :3] = pd
+    want[:, :3] = np.tril(pd, -1) + np.linalg.cholesky(pd).T
+    if (_call_potrf(routine, buf[:, :3]) != 0
+            or not np.array_equal(buf, want)
+            or _call_potrf(routine, np.array([[1.0, 2.0], [2.0, 1.0]])) <= 0):
+        return None, None
+    return name, routine
+
+
+# The resolved symbol (None where np.linalg.cholesky stands in) and routine.
+POTRF_SYMBOL, _POTRF = _resolve_potrf()
+
+
+def cholesky_in_place(a):
+    """Whether LAPACK's Cholesky (dpotrf) of the square float64 matrix a
+    runs to completion, every pivot finite and positive. It reads a's
+    upper triangle with the diagonal, row by row, and may overwrite it:
+    with the factor R, R^T R = a, on success, and with partial work on
+    failure. The strict lower triangle is never read or written. a's rows
+    must be contiguous (a C-ordered array or a leading block of one, so
+    lda may exceed the order) and writable; no copy of a is made.
+
+    The routine is the one np.linalg.cholesky calls, found in numpy's own
+    LAPACK at import (POTRF_SYMBOL), and on a symmetric a its factor equals
+    np.linalg.cholesky(a).T bit for bit. Where none resolves,
+    np.linalg.cholesky(a.T) stands in: the same routine on the same
+    triangle in the same layout, so the same verdict, from a work copy and
+    a returned factor beside a, which it leaves as it is. OpenBLAS stops
+    only at a pivot <= 0, which a NaN is not, so a NaN or infinite entry
+    runs through to a non-finite pivot: that counts as a failure here."""
+    if (not isinstance(a, np.ndarray) or a.dtype != np.float64
+            or a.ndim != 2 or a.shape[0] != a.shape[1]):
+        raise ValueError("expected a square float64 ndarray")
+    if a.shape[0] > 1 and (a.strides[1] != a.itemsize
+                           or a.strides[0] < a.shape[0] * a.itemsize):
+        raise ValueError("cholesky_in_place needs contiguous rows")
+    if not a.flags.writeable:
+        raise ValueError("cholesky_in_place needs a writable array")
+    if _POTRF is None:
+        try:
+            pivots = np.linalg.cholesky(a.T).diagonal()
+        except np.linalg.LinAlgError:
+            return False
+    else:
+        info = _call_potrf(_POTRF, a)
+        if info < 0:
+            raise ValueError(f"dpotrf refused argument {-info}")
+        if info:
+            return False
+        pivots = a.diagonal()
+    return bool(np.isfinite(pivots).all())

@@ -214,3 +214,92 @@ def test_symmetric_degrees_accepts_both_forms():
         assert dense.dtype == np.float64
         np.testing.assert_array_equal(dense, A.to_dense())
         np.testing.assert_array_equal(degs, [1.0, 3.0, 2.0])
+
+
+def _cholesky_cases():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((300, 300))
+    ones = np.ones((4, 1))
+    return {
+        "pd": X @ X.T + 300.0 * np.eye(300),
+        "singular-psd": ones @ ones.T,
+        "indefinite": X + X.T,
+        "pd-1x1": np.array([[2.0]]),
+        "zero-1x1": np.array([[0.0]]),
+        "negative-1x1": np.array([[-1.0]]),
+    }
+
+
+def _numpy_verdict(a):
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", list(_cholesky_cases()))
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "fallback"])
+@pytest.mark.parametrize("pad", [0, 3], ids=["contiguous", "leading-view"])
+def test_cholesky_in_place_matches_numpy(monkeypatch, name, direct, pad):
+    # the verdict of np.linalg.cholesky, whether numpy's dpotrf is called
+    # in place or np.linalg.cholesky stands in; on a leading block of a
+    # wider array (lda > n) nothing outside the block is touched
+    a = _cholesky_cases()[name]
+    if not direct:
+        monkeypatch.setattr(linalg, "_POTRF", None)
+    n = a.shape[0]
+    buf = np.full((n + pad, n + pad), 7.0)
+    buf[:n, :n] = a
+    block = buf[:n, :n]
+    verdict = linalg.cholesky_in_place(block)
+    assert verdict == _numpy_verdict(a)
+    np.testing.assert_array_equal(np.tril(block, -1), np.tril(a, -1))
+    assert (buf[n:] == 7.0).all() and (buf[:, n:] == 7.0).all()
+    if verdict and direct and linalg.POTRF_SYMBOL is not None:
+        # the factor is numpy's, bit for bit, in the upper triangle
+        np.testing.assert_array_equal(np.triu(block),
+                                      np.linalg.cholesky(a).T)
+    if not direct:
+        np.testing.assert_array_equal(block, a)
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "fallback"])
+def test_cholesky_in_place_reads_the_upper_triangle(monkeypatch, direct):
+    # a symmetric positive definite upper triangle decides, whatever the
+    # strict lower triangle holds
+    if not direct:
+        monkeypatch.setattr(linalg, "_POTRF", None)
+    a = np.array([[4.0, 1.0, 0.0], [-9.0, 3.0, 1.0], [5.0, 8.0, 2.0]])
+    assert linalg.cholesky_in_place(a.copy())
+    assert not linalg.cholesky_in_place(a.T.copy())
+
+
+@pytest.mark.parametrize("a", [
+    np.eye(3).T[:, ::-1],
+    np.asfortranarray(np.arange(6.0).reshape(2, 3)[:, :2]),
+    np.eye(3, dtype=np.float32),
+    np.eye(3)[:2],
+    np.eye(3).tolist(),
+], ids=["reversed", "column-view", "float32", "non-square", "list"])
+def test_cholesky_in_place_refuses_other_layouts(a):
+    with pytest.raises(ValueError):
+        linalg.cholesky_in_place(a)
+
+
+def test_cholesky_in_place_resolves_nothing_without_a_symbol(monkeypatch):
+    monkeypatch.setattr(linalg, "_POTRF_SYMBOLS", ("no_such_dpotrf_",))
+    assert linalg._resolve_potrf() == (None, None)
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "fallback"])
+def test_cholesky_in_place_fails_on_non_finite_entries(monkeypatch, entry,
+                                                       direct):
+    # OpenBLAS's dpotrf runs through a NaN pivot, and np.linalg.cholesky
+    # returns its NaN factor; a verdict must not count that as positive
+    if not direct:
+        monkeypatch.setattr(linalg, "_POTRF", None)
+    a = 4.0 * np.eye(3)
+    a[0, 2] = a[2, 0] = entry
+    assert not linalg.cholesky_in_place(a)

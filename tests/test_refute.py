@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -875,8 +876,9 @@ def test_diagonal_witness_check_is_not_vacuous():
     def factorizes(sigma):
         a_w, b_w = sigma * w["theta"], sigma * (1.0 - w["theta"])
         weights = a_w + b_w * d
+        # the factorization consumes a triangle of what it is given
         return certify._factorizes(
-            neg, np.zeros(d.size), weights,
+            neg.copy(), np.zeros(d.size), weights,
             certify._cholesky_shift(weights, np.zeros(d.size), 0.0))
 
     assert factorizes(w["scale"])
@@ -941,6 +943,13 @@ def test_diagonal_witness_refuses_all_zero_degrees():
         certify.diagonal_witness(np.zeros((3, 3)), np.zeros(3))
 
 
+def test_diagonal_witness_verifies_nothing_with_a_nan_entry():
+    # the factorization runs through a NaN pivot; that is no verification
+    S = np.array([[0.0, 1.0, np.nan], [1.0, 0.0, 1.0], [np.nan, 1.0, 0.0]])
+    with pytest.raises(np.linalg.LinAlgError, match="no diagonal witness"):
+        certify.diagonal_witness(S, np.full(3, 2.0))
+
+
 def test_diagonal_witness_falls_back_to_gershgorin(monkeypatch):
     # one Lanczos step is a Rayleigh quotient of the random start, far
     # below the least feasible scale, so every guided rung fails and the
@@ -996,7 +1005,7 @@ def test_every_factorization_is_float64_with_the_shifted_diagonal(
     # Cholesky of diag(w - c) - S, every probe of the ladder included
     S, degs = _symmetric_with_diagonal(40, 3)
     shifts, factorized = [], []
-    shift, cholesky = certify._cholesky_shift, np.linalg.cholesky
+    shift, cholesky = certify._cholesky_shift, linalg.cholesky_in_place
 
     def record_shift(w, diag, entry_err):
         shifts.append((w.copy(), shift(w, diag, entry_err)))
@@ -1008,7 +1017,7 @@ def test_every_factorization_is_float64_with_the_shifted_diagonal(
 
     monkeypatch.setattr(certify, "LANCZOS_STEPS", steps)
     monkeypatch.setattr(certify, "_cholesky_shift", record_shift)
-    monkeypatch.setattr(np.linalg, "cholesky", record_cholesky)
+    monkeypatch.setattr(linalg, "cholesky_in_place", record_cholesky)
     w, record = certify.diagonal_witness(S.copy(), degs)
     assert len(factorized) == len(shifts) == record["cholesky_probes"]
     assert (record["cholesky_probes"] > 1) == (steps == 1)
@@ -1020,6 +1029,87 @@ def test_every_factorization_is_float64_with_the_shifted_diagonal(
                                       (w_probe - c) - S.diagonal())
     np.testing.assert_array_equal(shifts[-1][0], w)
     assert shifts[-1][1] == record["shift"]
+
+
+def _witness_blocks():
+    """Blocks for the witness with their degrees: a signed one, one with a
+    nonzero diagonal, the same with its upper triangle one ulp off the
+    lower (as A'_sym can be for weights other than +-1), and a graph whose
+    kept rows are not a leading range."""
+    S, degs = _symmetric_with_diagonal(40, 3)
+    upper = np.triu(np.ones(S.shape, dtype=bool), 1)
+    A = walks.sample_gamma_graph(24, 3.0, 0)
+    A[12] = A[:, 12] = 0.0
+    return [
+        _dense_parts(instances.sample_kxor(12, 3, 0.5, seed=2))[:2],
+        (S, degs),
+        (np.where(upper, np.nextafter(S, np.inf), S), degs),
+        (A, np.abs(A).sum(axis=1)),
+    ]
+
+
+# Ladders whose first probes fail: one Lanczos step fails them at the
+# first pivot, a scale 1% under the estimate only after most of the
+# factorization has been written.
+_FAILING_LADDERS = {
+    "guided": {},
+    "one-step": {"LANCZOS_STEPS": 1},
+    "under-scale": {"WITNESS_MARGINS": (-1e-2, 1e-2)},
+}
+
+
+@pytest.mark.parametrize("ladder", list(_FAILING_LADDERS))
+@pytest.mark.parametrize("case", range(4),
+                         ids=["signs", "diagonal", "asymmetric", "gap"])
+def test_witness_is_the_same_without_the_direct_routine(
+        monkeypatch, case, ladder):
+    # np.linalg.cholesky in place of the in-place dpotrf gives the same
+    # weights and record, also when failed probes restore the triangle
+    for name, value in _FAILING_LADDERS[ladder].items():
+        monkeypatch.setattr(certify, name, value)
+    S, degs = _witness_blocks()[case]
+    w, record = certify.diagonal_witness(S.copy(), degs)
+    monkeypatch.setattr(linalg, "_POTRF", None)
+    fallback_w, fallback_record = certify.diagonal_witness(S.copy(), degs)
+    np.testing.assert_array_equal(fallback_w, w)
+    assert fallback_record == record
+    assert (record["cholesky_probes"] > 1) == (ladder != "guided")
+
+
+def test_a_failed_probe_restores_the_triangle(monkeypatch):
+    # a probe that fails deep into the factorization has overwritten most
+    # of the upper triangle; the next probe still sees -S off the diagonal
+    monkeypatch.setattr(certify, "WITNESS_MARGINS", (-1e-2, 1e-2))
+    S, degs = _symmetric_with_diagonal(40, 3)
+    probes, cholesky = [], linalg.cholesky_in_place
+
+    def record_cholesky(H):
+        before = H.copy()
+        verdict = cholesky(H)
+        probes.append((before, verdict, np.count_nonzero(H != before)))
+        return verdict
+
+    monkeypatch.setattr(linalg, "cholesky_in_place", record_cholesky)
+    certify.diagonal_witness(S.copy(), degs)
+    assert [verdict for _, verdict, _ in probes] == [False, True]
+    assert probes[0][2] > S.size // 4
+    off = ~np.eye(S.shape[0], dtype=bool)
+    for H, _, _ in probes:
+        np.testing.assert_array_equal(H[off], -S[off])
+
+
+def test_witness_holds_no_copy_of_the_block():
+    # the factorization works in the block's own buffer, so the witness
+    # allocates less than one more block: the guide's float32 copy is
+    # half of one, and np.linalg.cholesky's returned factor was a whole
+    S, degs = _symmetric_with_diagonal(1000, 4)
+    tracemalloc.start()
+    try:
+        certify.diagonal_witness(S, degs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.75 * S.nbytes
 
 
 def _verified(S, w):
