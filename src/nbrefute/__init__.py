@@ -5,7 +5,7 @@ Submodules:
   linalg          dense kernels, the matrix validator, the power bound and
                   exact brute-force oracles
   nonbacktracking every form of the oriented-edge operator (bundle, explicit,
-                  companion, vertex-space power), the determinant identity
+                  companion), the determinant identity
   certify         lambda and infinity-to-one norm certificates, and the
                   Cholesky-verified diagonal witness
   instances       k-XOR / CSP instance sampling, evaluation, Fourier

@@ -1,33 +1,25 @@
-"""Sound certificates for PSD lower bounds and the infinity-to-one norm,
-and the Cholesky-verified diagonal witness of a symmetric matrix.
+"""Sound certificates for the infinity-to-one norm, the scale parameter
+lambda, and the Cholesky-verified diagonal witness of a symmetric matrix.
 
-The certified chain: a scale parameter lambda >= 1 dominating the absolute
-real spectrum of the oriented-edge operator B + L - J (built from +A and -A;
-the two values coincide through an exact signed-diagonal similarity) yields
+Norm certificate. For sign vectors x and y put u = (x + y)/2 and
+v = (x - y)/2: each u_i and v_i is 0 or +-1, and u_i^2 + v_i^2 = 1. For a
+symmetric A,
 
-  A  >=  -lambda Id - (1/lambda)(D - Id)       (PSD witness)
-  norm_inf_to_one(A)  <=  2 sum_u |lambda + (deg_u - 1)/lambda|
+  x^T A y = u^T A u - v^T A v = [u; v]^T S [u; v],  S = block-diag(A, -A),
 
-lambda bounds the absolute real spectrum of an operator M that shares the
-eigenvalues of B + L - J outside [-1, 1]; nonbacktracking builds every
-form of it. The route, chosen by edge count and deterministic, only
-picks M:
+so for any diagonal W = diag(w) with W - A and W + A PSD, that is
+diag(w, w) - S PSD,
 
-  * edge route (2m <= EDGE_ROUTE_CAP): M = B + L - J itself (2m x 2m),
-    on A's vertices of nonzero degree only. Relabelling them in
-    increasing order keeps the canonical edge order and every sign
-    convention of nonbacktracking.incidence, so M is the same matrix.
-  * companion route (larger graphs): M is the 2n x 2n
-    nonbacktracking.companion_matrix.
+  norm_inf_to_one(A) = max_{x, y} x^T A y <= sum_i w_i (u_i^2 + v_i^2)
+                     = tr W.
 
-The +-1 eigenvalues sit below the lambda floor of 1, so both operators
-certify the same inequality. mode="gelfand" (the default) bounds M by the
-Frobenius power bound ||M^z||_F^(1/z) on linalg.power_bound's rescaled
-schedule, rigorous up to floating point; the edge route powers M in
-vertex space (nonbacktracking.edge_power_norm). mode="eig" reads M's
-largest absolute real eigenvalue from an uncertified dense eigensolve
-(of nonbacktracking.edge_operator on the edge route), inflates it by
-(1 + EIG_MARGIN) and marks the certificate sound=False.
+inf_to_one_certificate takes w from the diagonal witness of S with A's
+degrees repeated. The two halves share the cone point and so get the same
+w, and tr W is half the exact sum of both, rounded up. The paper's weights
+lambda + (deg_u - 1)/lambda are one point of that cone, so the certificate
+needs no lambda. lambda_certificate computes the paper's lambda for its
+PSD witness A >= -lambda Id - (1/lambda)(D - Id) (lowner_witness); no
+certificate reads it.
 
 Diagonal witness. Given a symmetric S and row degrees deg at least its
 absolute row sums (a graph's degrees, for S = +-A), diagonal_witness finds
@@ -174,47 +166,52 @@ def _max_abs_real_eig(M):
     return float(np.abs(real).max()) if real.size else 0.0
 
 
-def _dense_lambda(A, mode, z):
-    """(lambda, degrees) of A, validated by linalg.symmetric_degrees,
-    computed for the sign of A whose first nonzero entry is positive: M is
-    B + L - J on A's vertices of nonzero degree when 2m <= EDGE_ROUTE_CAP
-    (powered in vertex space in gelfand mode), else the companion matrix of
-    A, bounded per mode (module docstring)."""
+def _graph(A, mode, z):
+    """(A as a dense array, its degrees), validated by
+    linalg.symmetric_degrees, after checking mode and z; a graph with no
+    edges is a ValueError."""
     dense, degs = linalg.symmetric_degrees(A)
-    m = np.count_nonzero(np.triu(dense, 1))
     if mode not in ("eig", "gelfand"):
         raise ValueError(f"unknown mode {mode!r}; use 'eig' or 'gelfand'")
     if int(z) < 1:
         raise ValueError(f"power count must be >= 1, got {z}")
-    if m == 0:
+    if not degs.any():
         raise ValueError("empty graph: no edges to certify")
-    if _leads_negative(dense):
-        dense = -dense
-    if 2 * m > EDGE_ROUTE_CAP:
-        M = nonbacktracking.companion_matrix(dense, degs)
-    else:
-        dense = _kept_rows(dense, degs)[0]
-        if mode == "gelfand":
-            return max(1.0, nonbacktracking.edge_power_norm(dense, z)), degs
-        M = nonbacktracking.edge_operator(dense)
-    if mode == "eig":
-        raw = _max_abs_real_eig(M) * (1.0 + EIG_MARGIN)
-    else:
-        raw = linalg.spectral_radius_upper(M, z)
-    return max(1.0, float(raw)), degs
+    return dense, degs
 
 
 def lambda_certificate(A, mode="gelfand", z=16):
     """Scale parameter lambda >= 1 dominating |real spectrum| of B + L - J
-    for both +A and -A.
+    for both +A and -A: equal by a signed-diagonal similarity, and equal
+    in floating point too, as it is computed for the sign of A whose first
+    nonzero entry is positive.
 
-    mode="gelfand": power-norm bound, rigorous up to floating point.
-    mode="eig": dense eigensolve, NOT certified; the value is inflated by
-    (1 + 1e-6) and downstream certificates are flagged sound=False.
+    The operator M is B + L - J itself (nonbacktracking.edge_operator,
+    2m x 2m) on A's rows of nonzero degree when 2m <= EDGE_ROUTE_CAP, else
+    the 2n x 2n nonbacktracking.companion_matrix, which has the same
+    eigenvalues outside [-1, 1], so the same lambda. Relabelling the kept
+    rows in increasing order keeps the canonical edge order and every sign
+    convention of nonbacktracking.incidence, so M is the same matrix.
+
+    mode="gelfand": linalg.spectral_radius_upper(M, z), the Frobenius
+    power bound ||M^z||_F^(1/z), rigorous up to floating point.
+    mode="eig": M's largest absolute real eigenvalue from a dense
+    eigensolve, NOT certified, inflated by (1 + EIG_MARGIN).
 
     Raises ValueError on an empty graph (no edges).
     """
-    return _dense_lambda(A, mode, z)[0]
+    dense, degs = _graph(A, mode, z)
+    if _leads_negative(dense):
+        dense = -dense
+    if 2 * np.count_nonzero(np.triu(dense, 1)) > EDGE_ROUTE_CAP:
+        M = nonbacktracking.companion_matrix(dense, degs)
+    else:
+        M = nonbacktracking.edge_operator(_kept_rows(dense, degs)[0])
+    if mode == "eig":
+        raw = _max_abs_real_eig(M) * (1.0 + EIG_MARGIN)
+    else:
+        raw = linalg.spectral_radius_upper(M, z)
+    return max(1.0, float(raw))
 
 
 def lowner_witness(A, lam):
@@ -233,32 +230,27 @@ def lowner_witness(A, lam):
 
 
 def inf_to_one_certificate(A, mode="gelfand", z=16):
-    """Certificate for norm_inf_to_one(A) <= 2 sum_u |lambda + (deg_u-1)/lambda|.
-
-    Steps record lambda for both signs of A (equal by the signed-diagonal
-    similarity) and the final trace bound. sound=True in gelfand mode.
+    """Certificate for norm_inf_to_one(A) <= tr W: one cholesky step whose
+    W = diag(w) is the diagonal witness of block-diag(A, -A) (module
+    docstring), sound with rounding included. Negation is exact, so the
+    block holds A's entries without error. Both modes give this
+    certificate; mode and z are only checked. Raises ValueError on an
+    empty graph (no edges).
     """
-    return _trace_certificate(*_dense_lambda(A, mode, z), mode)
-
-
-def _trace_certificate(lam, degs, mode):
-    method = "eigensolve" if mode == "eig" else "gelfand"
-    bound = 2.0 * float(np.abs(lam + (degs - 1.0) / lam).sum())
-    steps = [
-        {"name": "lambda_plus",
-         "claim": "lambda dominates the absolute real spectrum of the "
-                  "oriented-edge operator built from +A",
-         "value": lam, "method": method},
-        {"name": "lambda_minus",
-         "claim": "lambda dominates the absolute real spectrum of the "
-                  "oriented-edge operator built from -A (identical value "
-                  "by signed-diagonal similarity)",
-         "value": lam, "method": method},
-        {"name": "trace_bound",
-         "claim": "norm_inf_to_one(A) <= 2 * sum_u |lambda + (deg_u - 1)/lambda|",
-         "value": bound, "method": "exact"},
-    ]
-    return Certificate("inf_to_one", degs.size, steps)
+    dense, degs = _graph(A, mode, z)
+    n = degs.size
+    sym = np.zeros((2 * n, 2 * n))
+    sym[:n, :n] = dense
+    np.negative(dense, out=sym[n:, n:])
+    w, witness = diagonal_witness(sym, np.concatenate((degs, degs)))
+    step = {"name": "trace_bound",
+            "claim": "norm_inf_to_one(A) <= tr W for the diagonal W = "
+                     "diag(a + b deg_u) on rows of nonzero degree, with "
+                     "W - A and W + A PSD, verified by Cholesky of "
+                     "diag(w, w) - block-diag(A, -A) - c Id",
+            "value": round_up(0.5 * exact_sum(w)), "method": "cholesky",
+            "witness": witness}
+    return Certificate("inf_to_one", n, [step])
 
 
 def gamma(k):

@@ -11,7 +11,6 @@ reduces to the handful of primitives in this module:
                         weight per pair; symmetric_degrees densifies it
   * brute_inf_to_one    exact infinity-to-one norm by sign enumeration
   * spectral_radius_upper   Frobenius power bound ||M^z||_F^(1/z)
-  * power_bound         its rescaled binary powering, for any product
   * real_eigenvalues    real spectrum of a square matrix
   * det_shift / frobenius / min_eig_symmetric
   * cholesky_in_place   whether LAPACK's Cholesky of a matrix runs to
@@ -178,12 +177,20 @@ def spectral_radius_upper(M, z):
     The Frobenius norm is submultiplicative, so the returned value is
     always >= rho(M) in exact arithmetic. The bound need not improve
     monotonically with z; callers may take a minimum over several z.
-    M^z is formed by power_bound's schedule, holding M, one power and one
-    product at a time; M is never written.
+    M^z is formed by binary powering over the bits of z from the top: a
+    squaring per bit, times M for each set bit (4 products for z = 16, 3
+    for z = 6), holding M, one power and one product at a time; M is
+    never written. Before every product and before the norm, a power whose
+    largest absolute entry lies outside [_RESCALE_BELOW, _RESCALE_ABOVE]
+    and is nonzero is divided by it, with the factor kept as a logarithm,
+    so the computation neither overflows nor silently underflows to zero.
 
     Args:
       M: square 2d array.
       z: power count, >= 1.
+
+    Raises ValueError if the norm is not finite (a product overflowed
+    despite the rescaling), so that NaN never passes for a bound.
     """
     M = _square(M)
     z = int(z)
@@ -191,32 +198,17 @@ def spectral_radius_upper(M, z):
         raise ValueError(f"power count must be >= 1, got {z}")
     if M.shape[0] == 0:
         return 0.0
-    return power_bound(M, z, np.matmul, lambda P: np.abs(P).max(), frobenius)
-
-
-def power_bound(base, z, multiply, peak, norm):
-    """norm(base^z)^(1/z) for z >= 1, with base^z formed by binary
-    powering over the bits of z from the top: a squaring per bit, times
-    base for each set bit (4 products for z = 16, 3 for z = 6). Before
-    every product and before the norm, a power P whose peak(P), the
-    magnitude of its largest entry or of a proxy for it, lies outside
-    [_RESCALE_BELOW, _RESCALE_ABOVE] and is nonzero is replaced by P / peak(P) with the
-    factor kept as a logarithm, so the computation neither overflows nor
-    silently underflows to zero. multiply(X, Y) is the product X Y, never
-    written into X or Y; powers support division by a scalar. Raises
-    ValueError if the norm is not finite (a product overflowed despite
-    the rescaling), so that NaN never passes for a bound."""
-    P = base
+    P = M
     log_scale = 0.0
     for op in "".join("S" + "M" * int(bit) for bit in bin(z)[3:]):
-        P, log_scale = _rescaled(P, log_scale, peak)
+        P, log_scale = _rescaled(P, log_scale)
         if op == "S":
-            P = multiply(P, P)
+            P = P @ P
             log_scale *= 2.0
         else:
-            P = multiply(P, base)
-    P, log_scale = _rescaled(P, log_scale, peak)
-    v = norm(P)
+            P = P @ M
+    P, log_scale = _rescaled(P, log_scale)
+    v = frobenius(P)
     if not np.isfinite(v):
         raise ValueError(f"power bound overflowed: norm of the rescaled "
                          f"power is {v}")
@@ -225,11 +217,11 @@ def power_bound(base, z, multiply, peak, norm):
     return float(np.exp((np.log(v) + log_scale) / z))
 
 
-def _rescaled(P, log_scale, peak):
-    """(P / s, log_scale + log s) for s = peak(P) when s lies outside
+def _rescaled(P, log_scale):
+    """(P / s, log_scale + log s) for s = max |P| when s lies outside
     [_RESCALE_BELOW, _RESCALE_ABOVE] and is nonzero; else unchanged. P is
     never written."""
-    s = peak(P)
+    s = np.abs(P).max()
     if s > _RESCALE_ABOVE or 0.0 < s < _RESCALE_BELOW:
         return P / s, log_scale + np.log(s)
     return P, log_scale

@@ -1,6 +1,6 @@
 """The oriented-edge operator B + L - J of a symmetric weighted graph in
-every form the package uses: the matrix bundle, the explicit operator, its
-vertex-space companion, and its powers held in vertex space.
+every form the package uses: the matrix bundle, the explicit operator and
+its vertex-space companion.
 
 A symmetric zero-diagonal weight matrix A on n vertices with m weighted edges
 induces 2m oriented edges. This module builds the bundle of matrices living
@@ -37,31 +37,7 @@ incidence builds S and T alone, in canonical edge order, from the upper
 triangle of a dense matrix the caller has validated, in one vectorized
 pass: the small endpoint of each pair carries the weight's sign on both
 orientations. build assembles the rest of the bundle around them;
-edge_operator and edge_power_norm never form J, L or B.
-
-Vertex-space power (edge_power_norm). With U = [T^t | S^t] (2m x 2n),
-the incidence identities give
-
-  B + L - J = -J + U E U^t,  E = [[0, Id], [0, 0]],
-  J U = U Pi,                Pi = [[0, Id], [Id, 0]],
-  U^t U = G = [[D, A], [A, D]],
-
-so every product of powers keeps the form alpha J^p + U Z U^t:
-
-  (alpha J^a + U X U^t)(beta J^b + U Y U^t)
-      = alpha beta J^(a+b) + U (alpha Pi^a Y + beta X Pi^b + X G Y) U^t.
-
-The power schedule therefore runs on (alpha, p, Z) with Z of size
-2n x 2n, and F = U Z U^t + alpha J^p is formed once, as the only
-2m x 2m array, for its Frobenius norm. ||F||_F^2 is not expanded into a
-trace of vertex-space products: when the powers decay, those terms are
-far larger than their sum and cancel catastrophically. U is first divided
-by the power of two 2^k just above its largest entry sqrt(max |w|), and E
-multiplied by 4^k, both exactly. Then every row of U has two entries
-below 1, so max |Z| tracks the largest entry of the power itself, and
-the entries of G sum to less than 8m, so X G Y of two powers rescaled
-below linalg._RESCALE_ABOVE stays finite whatever the weights. On sparse
-graphs (forests, matchings: 2n > m) the vertex space is the larger one.
+edge_operator never forms J, L or B.
 """
 
 import typing
@@ -185,49 +161,6 @@ def companion_matrix(dense, degs):
     E = np.diag(degs - 1.0)
     return np.block([[dense, -E],
                      [np.eye(n), np.zeros((n, n))]])
-
-
-class _VertexPower(typing.NamedTuple):
-    """alpha J^p + U Z U^t, a power of B + L - J held in vertex space."""
-    alpha: float
-    p: int
-    Z: np.ndarray
-
-    def __truediv__(self, s):
-        return _VertexPower(self.alpha / s, self.p, self.Z / s)
-
-
-def edge_power_norm(dense, z):
-    """||(B + L - J)^z||_F^(1/z) of the graph with weights dense, powered
-    as alpha J^p + U Z U^t on linalg.power_bound's schedule, with U
-    scaled exactly to entries below 1 (module docstring); F = U Z U^t +
-    alpha J^p is the one 2m x 2m array."""
-    _, S, T = incidence(dense)
-    n = dense.shape[0]
-    U = np.concatenate([T, S]).T
-    k = np.frexp(np.abs(U).max())[1]
-    U = np.ldexp(U, -k)
-    G = U.T @ U
-    swap = np.r_[n:2 * n, 0:n]
-
-    def multiply(x, y):
-        Z = x.Z @ G @ y.Z
-        Z += x.alpha * (y.Z[swap] if x.p else y.Z)
-        Z += y.alpha * (x.Z[:, swap] if y.p else x.Z)
-        return _VertexPower(x.alpha * y.alpha, x.p ^ y.p, Z)
-
-    def norm(P):
-        F = U @ P.Z @ U.T
-        ids = np.arange(F.shape[0])
-        F[ids, ids ^ P.p] += P.alpha
-        # a dot of the flat view: no second 2m x 2m array
-        return float(np.linalg.norm(F))
-
-    E = np.zeros((2 * n, 2 * n))
-    E[np.arange(n), np.arange(n, 2 * n)] = np.ldexp(1.0, 2 * k)
-    return linalg.power_bound(
-        _VertexPower(-1.0, 1, E), z, multiply,
-        lambda P: max(abs(P.alpha), np.abs(P.Z).max()), norm)
 
 
 def ihara_bass_residual(A, u, matrices=None):

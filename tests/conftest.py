@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 
 
@@ -21,6 +23,14 @@ def nonempty_weighted_graph(rng, n, **kwargs):
         dense = random_weighted_graph(rng, n, **kwargs)
         if np.count_nonzero(dense):
             return dense
+
+
+def graph_corpus(count, max_n, seed):
+    """count random weighted graphs on 2, 3, ..., max_n, 2, ... vertices."""
+    rng = np.random.default_rng(seed)
+    sizes = itertools.cycle(range(2, max_n + 1))
+    return [nonempty_weighted_graph(rng, n)
+            for n, _ in zip(sizes, range(count))]
 
 
 def complete_graph(n):

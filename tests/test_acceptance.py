@@ -3,7 +3,6 @@ tolerance inline and printing a one-line summary. Criteria 1-9 finish in
 about a minute together; criterion 10 refutes eighty instances at n = 60
 and dominates the runtime (about 150 s on two cores; marked slow)."""
 
-import itertools
 import math
 import time
 
@@ -12,14 +11,7 @@ import pytest
 
 from nbrefute import certify, instances, linalg, nonbacktracking, refute, walks
 
-from conftest import complete_graph, nonempty_weighted_graph
-
-
-def graph_corpus(count, max_n, seed):
-    rng = np.random.default_rng(seed)
-    sizes = itertools.cycle(range(2, max_n + 1))
-    return [nonempty_weighted_graph(rng, n)
-            for n, _ in zip(sizes, range(count))]
+from conftest import complete_graph, graph_corpus, nonempty_weighted_graph
 
 
 def test_criterion_01_determinant_identity():

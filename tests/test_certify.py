@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -137,11 +138,51 @@ def test_inf_to_one_certificate_audits_clean():
 
 
 def test_certificate_soundness_flags():
+    # the norm certificate reads no lambda: both modes give the same
+    # certificate, one Cholesky-verified step, sound with rounding included
     dense = complete_graph(4)
-    sound = certify.inf_to_one_certificate(dense, mode="gelfand")
-    unsound = certify.inf_to_one_certificate(dense, mode="eig")
-    assert sound.sound is True
-    assert unsound.sound is False
+    gelfand = certify.inf_to_one_certificate(dense, mode="gelfand")
+    eig = certify.inf_to_one_certificate(dense, mode="eig")
+    assert gelfand.sound is True and eig.sound is True
+    assert gelfand.to_json_dict() == eig.to_json_dict()
+    assert [s["method"] for s in gelfand.steps] == ["cholesky"]
+
+
+def _norm_witness(dense):
+    """(W, bound) of the norm certificate of dense: W = diag(w) with w the
+    witness weights a + b deg_u, zero on rows of degree 0."""
+    cert = certify.inf_to_one_certificate(dense)
+    w = cert.steps[0]["witness"]
+    degs = np.abs(dense).sum(axis=1)
+    W = np.diag(np.where(degs > 0, w["a"] + w["b"] * degs, 0.0))
+    return W, cert.final_bound
+
+
+def test_norm_certificate_witness_dominates_both_signs():
+    # W - A and W + A are PSD, and tr W is the bound, at least the exact
+    # norm; the last graphs have isolated vertices before their last row,
+    # so the witness factors a copy of the kept rows of block-diag(A, -A)
+    rng = np.random.default_rng(16)
+    graphs = [nonempty_weighted_graph(rng, int(rng.integers(2, 11)))
+              for _ in range(20)]
+    sparse = np.zeros((9, 9))
+    sparse[1, 4] = sparse[4, 1] = 1.5
+    sparse[4, 6] = sparse[6, 4] = -0.7
+    sparse[6, 1] = sparse[1, 6] = 0.3
+    graphs += [sparse, np.pad(complete_graph(4), ((2, 3), (2, 3)))]
+    for dense in graphs:
+        W, bound = _norm_witness(dense)
+        assert np.linalg.eigvalsh(W - dense).min() >= -1e-9
+        assert np.linalg.eigvalsh(W + dense).min() >= -1e-9
+        assert bound >= np.trace(W) * (1.0 - 1e-15)
+        assert bound >= linalg.brute_inf_to_one(dense)
+
+
+def test_norm_certificate_rejects_edgeless_graphs():
+    for mode in ("gelfand", "eig"):
+        with pytest.raises(ValueError, match="empty graph: no edges to "
+                                             "certify"):
+            certify.inf_to_one_certificate(np.zeros((4, 4)), mode=mode)
 
 
 def test_certificate_json_roundtrip():
@@ -287,7 +328,7 @@ def test_swap_block_power_bound_survives_rescale():
 
 def _explicit_power_bound(dense, z):
     """||(B + L - J)^z||_F^(1/z) by np.linalg.matrix_power of the built
-    bundle's operator: the reference for the vertex-space route. The
+    bundle's operator: the reference for the gelfand edge route. The
     operator is first divided by a power of two near its spectral radius,
     which changes no rounding, so heavy weights at large z stay finite."""
     G = nonbacktracking.build(dense)
@@ -315,11 +356,11 @@ def test_vertex_power_bound_matches_explicit_power():
         dense = nonempty_weighted_graph(rng, n, density=rng.uniform(0.2, 1))
         for z in (1, 2, 3, 6, 12, 16):
             np.testing.assert_allclose(
-                max(1.0, nonbacktracking.edge_power_norm(dense, z)),
+                certify.lambda_certificate(dense, z=z),
                 max(1.0, _explicit_power_bound(dense, z)), rtol=1e-12)
         heavy = 1e3 * dense
         np.testing.assert_allclose(
-            max(1.0, nonbacktracking.edge_power_norm(heavy, 200)),
+            certify.lambda_certificate(heavy, z=200),
             max(1.0, _explicit_power_bound(heavy, 200)), rtol=1e-12)
 
 
@@ -331,14 +372,14 @@ def test_vertex_power_bound_is_zero_on_signed_forests():
         dense = _random_forest(rng, int(rng.integers(2, 17)))
         if not dense.any():
             continue
-        assert nonbacktracking.edge_power_norm(dense, 16) == 0.0
+        assert linalg.spectral_radius_upper(
+            nonbacktracking.edge_operator(dense), 16) == 0.0
         assert _explicit_power_bound(dense, 16) == 0.0
         assert certify.lambda_certificate(dense, z=16) == 1.0
 
 
 def _cap_graph():
-    """1024 edges on 64 vertices: 2m is the edge route's cap, and the
-    route powers in the 128-dimensional vertex space."""
+    """1024 edges on 64 vertices: 2m is the edge route's cap."""
     n, edges = 64, 1024
     rng = np.random.default_rng(13)
     iu, iv = np.triu_indices(n, 1)
@@ -348,24 +389,29 @@ def _cap_graph():
     return dense + dense.T
 
 
+@functools.lru_cache(maxsize=None)
+def _cap_plus_bound():
+    """||(B + L)^16||_F^(1/16) of the cap graph, B + L = T^t S."""
+    _, S, T = nonbacktracking.incidence(_cap_graph())
+    return linalg.spectral_radius_upper(T.T @ S, 16)
+
+
 def test_vertex_power_bound_at_the_edge_cap():
     dense = _cap_graph()
     lam = certify.lambda_certificate(dense, z=16)
-    assert lam == max(1.0, nonbacktracking.edge_power_norm(dense, 16))
     np.testing.assert_allclose(
         lam, max(1.0, _explicit_power_bound(dense, 16)), rtol=1e-12)
 
 
 @pytest.mark.parametrize("scale", [1e-60, 1e100, 1e160])
 def test_vertex_power_bound_survives_extreme_weights(scale):
-    # U is normalized to entries below 1, so neither X G Y nor U Z U^t
-    # overflows at weights where the explicit 2m x 2m power on the same
-    # schedule, the reference here, is still finite (up to about 1e185)
-    dense = scale * _cap_graph()
-    np.testing.assert_allclose(
-        nonbacktracking.edge_power_norm(dense, 16),
-        linalg.spectral_radius_upper(nonbacktracking.edge_operator(dense), 16),
-        rtol=1e-12)
+    # the rescaled schedule neither overflows nor underflows at these
+    # weights; at 1e-60 the powers are those of -J, so lambda is
+    # ||J^16||_F^(1/16) = (2m)^(1/32), and the heavy operators are
+    # scale * (B + L) up to J, far below their rounding
+    lam = certify.lambda_certificate(scale * _cap_graph(), z=16)
+    want = 2048.0 ** (1.0 / 32.0) if scale < 1.0 else scale * _cap_plus_bound()
+    np.testing.assert_allclose(lam, want, rtol=1e-12)
 
 
 def test_edge_operator_equals_built_bundle():

@@ -832,7 +832,7 @@ def test_edge_route_reads_only_touched_vertices(monkeypatch):
     I = instances.sample_kxor(30, 3, 0.002, seed=0)
     refute.refute_xor(I, z=6)
     main, _ = dense_reference.split(dense_reference.flatten(I))
-    certify.inf_to_one_certificate(main.base, z=6)
+    certify.lambda_certificate(main.base, z=6)
     touched = np.count_nonzero(np.abs(main.base).sum(axis=1))
     assert touched < main.dim
     # the refutation chain no longer goes through lambda at all
