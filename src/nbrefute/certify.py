@@ -19,7 +19,8 @@ w, and tr W is half the exact sum of both, rounded up. The paper's weights
 lambda + (deg_u - 1)/lambda are one point of that cone, so the certificate
 needs no lambda. lambda_certificate computes the paper's lambda for its
 PSD witness A >= -lambda Id - (1/lambda)(D - Id) (lowner_witness); no
-certificate reads it.
+certificate reads it. Every certificate step is an exact sum (method
+exact) or a diagonal witness (cholesky); validate refuses any other method.
 
 Diagonal witness. Given a symmetric S and row degrees deg at least its
 absolute row sums (a graph's degrees, for S = +-A), diagonal_witness finds
@@ -61,7 +62,7 @@ from . import nonbacktracking
 EIG_MARGIN = 1e-6
 # Maximum oriented-edge count (2m) for the edge route.
 EDGE_ROUTE_CAP = 2048
-VALID_METHODS = ("exact", "eigensolve", "gelfand", "cholesky")
+VALID_METHODS = ("exact", "cholesky")
 # Directions w = theta + (1 - theta) deg the witness search compares (the
 # bound is nearly flat in theta below 0.95 on random 3-XOR instances), and
 # the Lanczos steps that estimate the scale along each.
@@ -78,14 +79,14 @@ EXACT_SUM_CAP = 1 << 26
 class Certificate:
     """Ordered list of certified steps; the last step's value is the bound.
 
-    Each step is a dict with keys name, claim, value, method. The sound flag
-    is True exactly when no step relies on an uncertified eigensolve.
+    Each step is a dict with keys name, claim, value, method. sound is
+    computed: True exactly when every method is in VALID_METHODS.
     Extra fields (meta, informative) carry pipeline metadata for the
     refutation certificates.
     """
 
-    def __init__(self, kind, n, steps, final_bound=None, sound=None,
-                 meta=None, informative=None):
+    def __init__(self, kind, n, steps, final_bound=None, meta=None,
+                 informative=None):
         self.kind = str(kind)
         self.n = int(n)
         self.steps = [dict(s) for s in steps]
@@ -94,11 +95,12 @@ class Certificate:
                 raise ValueError("certificate needs at least one step")
             final_bound = self.steps[-1]["value"]
         self.final_bound = float(final_bound)
-        if sound is None:
-            sound = all(s.get("method") != "eigensolve" for s in self.steps)
-        self.sound = bool(sound)
         self.meta = dict(meta) if meta else {}
         self.informative = informative
+
+    @property
+    def sound(self):
+        return all(s.get("method") in VALID_METHODS for s in self.steps)
 
     def validate(self):
         """Check internal consistency; raises ValueError on violations."""
@@ -118,8 +120,6 @@ class Certificate:
                 raise ValueError(f"non-finite step value in {s['name']!r}")
         if self.final_bound != self.steps[-1]["value"]:
             raise ValueError("final_bound does not equal the last step value")
-        if self.sound and any(s["method"] == "eigensolve" for s in self.steps):
-            raise ValueError("sound certificate contains an eigensolve step")
 
     def to_json_dict(self):
         out = {
@@ -137,7 +137,7 @@ class Certificate:
 
     @classmethod
     def from_json_dict(cls, d):
-        # Deliberately lenient: stored final_bound/sound are kept as-is so a
+        # Deliberately lenient: a stored final_bound is kept as-is so a
         # tampered certificate can be loaded and then failed by an audit.
         # Flags must be JSON booleans: bool() would read "false" as True.
         sound, informative = d["sound"], d.get("informative")
@@ -147,9 +147,12 @@ class Certificate:
         if informative is not None and not isinstance(informative, bool):
             raise ValueError(f"certificate field 'informative' is not a "
                              f"boolean: {informative!r}")
-        return cls(d["kind"], d["n"], d["steps"],
-                   final_bound=d["final_bound"], sound=sound,
+        cert = cls(d["kind"], d["n"], d["steps"], final_bound=d["final_bound"],
                    meta=d.get("meta"), informative=informative)
+        if cert.sound != sound:
+            raise ValueError(f"certificate field 'sound' is {sound}, but its "
+                             f"steps make it {cert.sound}")
+        return cert
 
 
 def _leads_negative(dense):
@@ -224,9 +227,11 @@ def lowner_witness(A, lam):
     if lam < 1.0:
         raise ValueError(f"lambda must be at least 1, got {lam}")
     dense, degs = linalg.symmetric_degrees(A)
+    if not degs.size:
+        raise ValueError("empty matrix has no eigenvalues")
     witness = (dense + lam * np.eye(degs.size)
                + (1.0 / lam) * np.diag(degs - 1.0))
-    return linalg.min_eig_symmetric(witness)
+    return float(np.linalg.eigvalsh((witness + witness.T) / 2.0)[0])
 
 
 def inf_to_one_certificate(A, mode="gelfand", z=16):
@@ -448,9 +453,14 @@ def audit(A, cert):
 
     Returns a report dict; passed means final_bound >= brute value. When the
     brute oracle refuses A's size (linalg.Infeasible) the report is marked
-    not auditable instead of guessing.
+    not auditable instead of guessing. A certificate of another kind, or
+    for another dimension than A's, is a ValueError.
     """
     dense, _ = linalg.symmetric_degrees(A)
+    if cert.kind != "inf_to_one" or cert.n != len(dense):
+        raise ValueError(f"cannot audit a {cert.kind!r} certificate for n = "
+                         f"{cert.n} against a {len(dense)} x {len(dense)} "
+                         f"matrix")
     try:
         brute = linalg.brute_inf_to_one(dense)
     except linalg.Infeasible as exc:

@@ -33,6 +33,7 @@ Conventions used throughout:
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -120,11 +121,12 @@ class XorInstance:
 
     @classmethod
     def from_json_dict(cls, d):
-        supports = [tuple(c["vars"]) for c in d["clauses"]]
-        weights = [c["weight"] for c in d["clauses"]]
+        supports = [tuple(_number(i, "vars") for i in c["vars"])
+                    for c in d["clauses"]]
+        weights = [_number(c["weight"], "weight", False) for c in d["clauses"]]
         meta = d.get("meta", {})
-        return cls(d["n"], d["k"], (supports, weights),
-                   p=meta.get("p"), seed=meta.get("seed"))
+        return cls(_number(d["n"], "n"), _number(d["k"], "k"),
+                   (supports, weights), p=meta.get("p"), seed=meta.get("seed"))
 
 
 class CspInstance:
@@ -191,11 +193,13 @@ class CspInstance:
 
     @classmethod
     def from_json_dict(cls, d):
-        constraints = [(tuple(c["vars"]), tuple(c["neg"]))
+        constraints = [(tuple(_number(i, "vars") for i in c["vars"]),
+                        tuple(_number(i, "neg") for i in c["neg"]))
                        for c in d["constraints"]]
+        table = [_number(v, "truth_table") for v in d["truth_table"]]
         meta = d.get("meta", {})
-        return cls(d["n"], d["k"], d["truth_table"], constraints,
-                   p=meta.get("p"), seed=meta.get("seed"))
+        return cls(_number(d["n"], "n"), _number(d["k"], "k"), table,
+                   constraints, p=meta.get("p"), seed=meta.get("seed"))
 
 
 class FourierExpansion:
@@ -232,6 +236,16 @@ def _provenance(I):
     """The JSON meta of I: its p and seed, where set."""
     return {key: v for key, v in (("p", I.p), ("seed", I.seed))
             if v is not None}
+
+
+def _number(v, field, integral=True):
+    """v from an instance file's field; a boolean, a string or (integral) a
+    fraction, which the constructors would convert, is a ValueError."""
+    if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+            or integral and v % 1 != 0):
+        raise ValueError(f"instance field {field!r} holds {v!r}, not "
+                         f"{'an integer' if integral else 'a number'}")
+    return v
 
 
 def _int_rows(items, width, arity_error):

@@ -4,15 +4,15 @@ Everything downstream (edge operators, certificates, refutation pipelines)
 reduces to the handful of primitives in this module:
 
   * Infeasible          the ValueError of a refusal by size
-  * symmetric_degrees   validates a weighted graph and returns the one form
-                        the package computes on: a dense symmetric
-                        zero-diagonal array and its degree vector
+  * symmetric_degrees   the one matrix validator: returns a weighted graph
+                        in the one form the package computes on, a dense
+                        symmetric zero-diagonal array, and its degrees
   * SymWeightedMatrix   an accepted input form of the same graph, one
                         weight per pair; symmetric_degrees densifies it
   * brute_inf_to_one    exact infinity-to-one norm by sign enumeration
   * spectral_radius_upper   Frobenius power bound ||M^z||_F^(1/z)
   * real_eigenvalues    real spectrum of a square matrix
-  * det_shift / frobenius / min_eig_symmetric
+  * det_shift           determinant of a square matrix
   * cholesky_in_place   whether LAPACK's Cholesky of a matrix runs to
                         completion, factored in the matrix's own buffer
 
@@ -200,31 +200,23 @@ def spectral_radius_upper(M, z):
         return 0.0
     P = M
     log_scale = 0.0
-    for op in "".join("S" + "M" * int(bit) for bit in bin(z)[3:]):
-        P, log_scale = _rescaled(P, log_scale)
+    # the last op, ".", is the norm
+    for op in "".join("S" + "M" * int(bit) for bit in bin(z)[3:]) + ".":
+        s = np.abs(P).max()
+        if s > _RESCALE_ABOVE or 0.0 < s < _RESCALE_BELOW:
+            P, log_scale = P / s, log_scale + np.log(s)
         if op == "S":
             P = P @ P
             log_scale *= 2.0
-        else:
+        elif op == "M":
             P = P @ M
-    P, log_scale = _rescaled(P, log_scale)
-    v = frobenius(P)
+    v = float(np.sqrt((P * P).sum()))
     if not np.isfinite(v):
         raise ValueError(f"power bound overflowed: norm of the rescaled "
                          f"power is {v}")
     if v == 0.0:
         return 0.0
     return float(np.exp((np.log(v) + log_scale) / z))
-
-
-def _rescaled(P, log_scale):
-    """(P / s, log_scale + log s) for s = max |P| when s lies outside
-    [_RESCALE_BELOW, _RESCALE_ABOVE] and is nonzero; else unchanged. P is
-    never written."""
-    s = np.abs(P).max()
-    if s > _RESCALE_ABOVE or 0.0 < s < _RESCALE_BELOW:
-        return P / s, log_scale + np.log(s)
-    return P, log_scale
 
 
 def real_eigenvalues(M):
@@ -250,25 +242,6 @@ def det_shift(M):
     """Determinant (LU with partial pivoting); the workhorse for evaluating
     shifted-identity determinants on both sides of the edge/vertex identity."""
     return float(np.linalg.det(_square(M)))
-
-
-def frobenius(M):
-    M = np.asarray(M, dtype=float)
-    return float(np.sqrt((M * M).sum()))
-
-
-def min_eig_symmetric(M):
-    """Smallest eigenvalue of a symmetric matrix (rejects asymmetric input)."""
-    M = _square(M)
-    if M.shape[0] == 0:
-        raise ValueError("empty matrix has no eigenvalues")
-    asym = np.abs(M - M.T).max()
-    if asym > SYMMETRY_TOL:
-        raise ValueError(
-            f"matrix is not symmetric: max asymmetry {asym:.3e} exceeds "
-            f"{SYMMETRY_TOL}")
-    w = np.linalg.eigvalsh((M + M.T) / 2.0)
-    return float(w[0])
 
 
 # LAPACK dpotrf under the names numpy's builds export it: scipy-openblas

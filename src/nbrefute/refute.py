@@ -222,20 +222,6 @@ def _step(name, claim, value, method="exact", **extra):
             **extra}
 
 
-def _trace_bound_step(sym, degs, entry_err, prefix):
-    """b1 = tr W = 2 sum_lo w_u, rounded up, for the witness w of diag(w) -
-    A'_sym PSD (module docstring); sym is A'_sym, overwritten, and degs the
-    degrees of A''s lo rows. The name starts with prefix or "main_"."""
-    w, witness = certify.diagonal_witness(sym, degs, entry_err)
-    return _step(
-        (prefix or "main_") + "trace_bound",
-        "max_y y^T A' y <= tr W over sign vectors y = x^(k-1), for the "
-        "swap-invariant diagonal W = diag(a + b deg_u) on rows of nonzero "
-        "degree; W - A' PSD on swap-symmetric vectors, verified by "
-        "Cholesky of W_sym - A'_sym - c Id",
-        _up(2.0 * certify.exact_sum(w)), "cholesky", witness=witness)
-
-
 def _degree_d_step(M, d):
     """The step bounding y^T M y' for M = flatten_degree_d(I, d), not all
     zero: ||M||_1, tr M + tr W or tr W, rounded up (module docstring)."""
@@ -262,7 +248,9 @@ def _degree_d_step(M, d):
 
 def _xor_chain(I, prefix):
     """The XOR chain's steps through b2 and sqrt(n (b1 + b2)), rounded up,
-    with names that start with prefix."""
+    with names that start with prefix (the witness step's with prefix or
+    "main_"): b1 = tr W = 2 sum_lo w_u for the witness w of diag(w) -
+    A'_sym PSD (module docstring)."""
     sym, degs, b2, entry_err = _swap_parts(I)
     b2 = _up(b2)
     if not degs.any():
@@ -270,8 +258,15 @@ def _xor_chain(I, prefix):
         steps = [_step(f"{prefix}main_empty", "the split kept no entries, "
                        "so max_y y^T A' y = 0", 0.0)]
     else:
-        steps = [_trace_bound_step(sym, degs, entry_err, prefix)]
-        b1 = steps[0]["value"]
+        w, witness = certify.diagonal_witness(sym, degs, entry_err)
+        b1 = _up(2.0 * certify.exact_sum(w))
+        steps = [_step(
+            (prefix or "main_") + "trace_bound",
+            "max_y y^T A' y <= tr W over sign vectors y = x^(k-1), for the "
+            "swap-invariant diagonal W = diag(a + b deg_u) on rows of "
+            "nonzero degree; W - A' PSD on swap-symmetric vectors, verified "
+            "by Cholesky of W_sym - A'_sym - c Id", b1, "cholesky",
+            witness=witness)]
     steps.append(_step(f"{prefix}residual_bound",
                        "max_y y^T A'' y <= sum of |entries| of A''", b2))
     return steps, _up(math.sqrt(_up(I.n * _up(b1 + b2))))
@@ -312,7 +307,7 @@ def _refutation(kind, I, steps, raw, claim, z, **extra_meta):
                                informative=bool(bound < 1.0))
 
 
-def flatten_degree_d(I, d, fourier=None):
+def flatten_degree_d(I, d):
     """Degree-d coefficient matrix of a CSP instance: an n^floor(d/2) by
     n^ceil(d/2) matrix M with, for every constraint (alpha, c) and every
     size-d index set S, the value chat_S prod_{i in S} c_i added at the row
@@ -322,8 +317,7 @@ def flatten_degree_d(I, d, fourier=None):
     k = I.k
     if not (1 <= d < k):
         raise ValueError(f"degree d must satisfy 1 <= d < k, got {d}")
-    if fourier is None:
-        fourier = instances.fourier_decompose(I.truth_table)
+    fourier = instances.fourier_decompose(I.truth_table)
     a = d // 2
     rows, cols = I.n ** a, I.n ** (d - a)
     items = sorted((S, v) for S, v in fourier.degree_part(d).items()
@@ -359,7 +353,7 @@ def refute_csp(I, mode="gelfand", z=16):
                    "to every assignment's value", p0)]
     total = 0.0
     for d in range(1, k):
-        M = flatten_degree_d(I, d, fourier)
+        M = flatten_degree_d(I, d)
         if M.any():
             steps.append(_degree_d_step(M, d))
             total = _up(total + steps[-1]["value"])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nbrefute import certify, instances, linalg, nonbacktracking
+from nbrefute import certify, instances, linalg, nonbacktracking, refute
 
 import dense_reference
 from conftest import (MALFORMED_GRAPHS, complete_graph,
@@ -125,6 +125,11 @@ def test_lowner_witness_rejects_small_lambda():
         certify.lowner_witness(complete_graph(3), 0.5)
 
 
+def test_lowner_witness_rejects_the_empty_graph():
+    with pytest.raises(ValueError, match="empty matrix has no eigenvalues"):
+        certify.lowner_witness(np.zeros((0, 0)), 1.0)
+
+
 def test_inf_to_one_certificate_audits_clean():
     rng = np.random.default_rng(4)
     for _ in range(15):
@@ -203,6 +208,53 @@ def test_certificate_validate_rejects_bad_method():
     ])
     with pytest.raises(ValueError, match="method"):
         cert.validate()
+
+
+def _step(method):
+    return {"name": "s", "claim": "c", "value": 1.0, "method": method}
+
+
+def test_certificate_sound_is_computed_from_the_steps():
+    # the keyword form a caller builds a certificate with, no sound flag
+    cert = certify.Certificate("inf_to_one", 2, [_step("exact")],
+                               final_bound=1.0)
+    assert certify.VALID_METHODS == ("exact", "cholesky")
+    assert cert.sound is True and cert.to_json_dict()["sound"] is True
+    cert.validate()
+    for method in ("gelfand", "eigensolve"):
+        old = certify.Certificate("inf_to_one", 2,
+                                  [_step("exact"), _step(method)])
+        assert old.sound is False
+        with pytest.raises(ValueError, match=f"unknown step method "
+                                             f"'{method}'"):
+            old.validate()
+
+
+@pytest.mark.parametrize("method, sound", [
+    ("gelfand", True), ("gelfand", False), ("eigensolve", True),
+    ("eigensolve", False), ("exact", False), ("cholesky", False)])
+def test_certificate_load_refuses_old_steps_and_wrong_sound(method, sound):
+    # a loaded gelfand step once validated and counted as sound
+    d = certify.Certificate("inf_to_one", 2, [_step(method)]).to_json_dict()
+    d["sound"] = sound
+    if sound != (method in certify.VALID_METHODS):
+        with pytest.raises(ValueError, match="field 'sound' is"):
+            certify.Certificate.from_json_dict(d)
+    else:
+        loaded = certify.Certificate.from_json_dict(d)
+        with pytest.raises(ValueError, match="unknown step method"):
+            loaded.validate()
+
+
+def test_audit_refuses_another_kind_or_size():
+    # a K4 norm certificate once passed against K3, and a refutation
+    # certificate was reported as failed instead of refused
+    k4 = certify.inf_to_one_certificate(complete_graph(4))
+    with pytest.raises(ValueError, match="for n = 4 against a 3 x 3"):
+        certify.audit(complete_graph(3), k4)
+    xor = refute.refute_xor(instances.sample_kxor(3, 3, 1.0, seed=0))
+    with pytest.raises(ValueError, match="'xor_refutation'"):
+        certify.audit(complete_graph(3), xor)
 
 
 def test_certificate_validate_rejects_bound_mismatch():
@@ -349,7 +401,7 @@ def _random_forest(rng, n):
     return dense
 
 
-def test_vertex_power_bound_matches_explicit_power():
+def test_gelfand_lambda_matches_explicit_power():
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(3, 17))
@@ -364,7 +416,7 @@ def test_vertex_power_bound_matches_explicit_power():
             max(1.0, _explicit_power_bound(heavy, 200)), rtol=1e-12)
 
 
-def test_vertex_power_bound_is_zero_on_signed_forests():
+def test_gelfand_power_bound_is_zero_on_signed_forests():
     # a +-1 forest on at most 16 vertices has no nonbacktracking walk of
     # 16 steps: both powers are exactly zero in integer arithmetic
     rng = np.random.default_rng(12)
@@ -396,7 +448,7 @@ def _cap_plus_bound():
     return linalg.spectral_radius_upper(T.T @ S, 16)
 
 
-def test_vertex_power_bound_at_the_edge_cap():
+def test_gelfand_lambda_at_the_edge_cap():
     dense = _cap_graph()
     lam = certify.lambda_certificate(dense, z=16)
     np.testing.assert_allclose(
@@ -404,7 +456,7 @@ def test_vertex_power_bound_at_the_edge_cap():
 
 
 @pytest.mark.parametrize("scale", [1e-60, 1e100, 1e160])
-def test_vertex_power_bound_survives_extreme_weights(scale):
+def test_gelfand_lambda_survives_extreme_weights(scale):
     # the rescaled schedule neither overflows nor underflows at these
     # weights; at 1e-60 the powers are those of -J, so lambda is
     # ||J^16||_F^(1/16) = (2m)^(1/32), and the heavy operators are

@@ -291,6 +291,60 @@ def test_audit_non_boolean_flag_is_exit_2(tmp_path, capsys, field, value):
     assert f"certificate field '{field}' is not a boolean" in stderr
 
 
+@pytest.mark.parametrize("method, sound, message", [
+    ("gelfand", True, "certificate field 'sound' is True, but"),
+    ("gelfand", False, "unknown step method 'gelfand'"),
+    ("eigensolve", True, "certificate field 'sound' is True, but"),
+    ("exact", False, "certificate field 'sound' is False, but")])
+def test_audit_old_step_or_wrong_sound_is_exit_2(tmp_path, capsys, method,
+                                                 sound, message):
+    # a gelfand step or a sound flag the steps do not give is bad input
+    inst, cert = _xor_files(tmp_path, capsys)
+    d = json.loads(cert.read_text())
+    d["steps"][-1]["method"] = method
+    d["sound"] = sound
+    cert.write_text(json.dumps(d))
+    code, stdout, stderr = run(capsys, "audit", "--in", str(inst),
+                               "--cert", str(cert))
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr
+
+
+def _csp_file(tmp_path, capsys):
+    inst = tmp_path / "csp.json"
+    run(capsys, "gen", "--kind", "csp", "--n", "8", "--p", "0.05",
+        "--seed", "1", "--out", str(inst))
+    return inst
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("xor", "n", 8.9), ("xor", "k", "3"), ("xor", "vars", 0.9),
+    ("xor", "weight", True), ("xor", "weight", "-1"),
+    ("csp", "n", True), ("csp", "vars", 2.5), ("csp", "neg", -1.2),
+    ("csp", "truth_table", True), ("csp", "truth_table", "1")])
+def test_refute_non_integral_instance_field_is_exit_2(tmp_path, capsys, kind,
+                                                      field, value):
+    # each value once loaded, truncated or converted, as another instance
+    inst = (_xor_files(tmp_path, capsys)[0] if kind == "xor"
+            else _csp_file(tmp_path, capsys))
+    d = json.loads(inst.read_text())
+    items = d["clauses" if kind == "xor" else "constraints"]
+    if field in ("n", "k"):
+        d[field] = value
+    elif field == "truth_table":
+        d[field][1] = value
+    elif field == "weight":
+        items[0][field] = value
+    else:
+        items[0][field][1] = value
+    inst.write_text(json.dumps(d))
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert f"instance field '{field}' holds {value!r}, not " in stderr
+
+
 @pytest.mark.parametrize("value", ["abc", True])
 def test_audit_non_numeric_step_value_is_exit_2(tmp_path, capsys, value):
     inst, cert = _xor_files(tmp_path, capsys)

@@ -242,7 +242,7 @@ def test_flatten_degree_d_matches_value_oracle():
     fourier = instances.fourier_decompose(J.truth_table)
     rng = np.random.default_rng(8)
     for d in (1, 2):
-        M = refute.flatten_degree_d(J, d, fourier)
+        M = refute.flatten_degree_d(J, d)
         a = d // 2
         b = d - a
         assert M.shape == (5 ** a, 5 ** b)
@@ -313,7 +313,7 @@ def test_flatten_degree_d_matches_loop(J):
     parity = np.array_equal(J.truth_table,
                             instances.predicate_table("parity", J.k))
     for d in range(1, J.k):
-        M = refute.flatten_degree_d(J, d, fourier)
+        M = refute.flatten_degree_d(J, d)
         want = flatten_degree_d_loop(J, d, fourier)
         np.testing.assert_array_equal(M, want)
         # bit for bit, the signs of zeros included
@@ -763,13 +763,22 @@ def test_degree_k_bound_covers_rescale_rounding():
 
 
 def _dense_witness(I):
-    """A'_sym, the lo degrees and the witness step refute._trace_bound_step
-    builds on them, from the dense split of flatten(I) (None when the split
+    """A'_sym, the lo degrees and the main_trace_bound step written out
+    from the diagonal witness on them and its exact trace 2 sum_lo w_u,
+    rounded up, from the dense split of flatten(I) (None when the split
     keeps nothing)."""
     sym, degs, _ = _dense_parts(I)
     if not degs.any():
         return sym, degs, None
-    return sym, degs, refute._trace_bound_step(sym.copy(), degs, 0.0, "")
+    w, witness = certify.diagonal_witness(sym.copy(), degs)
+    return sym, degs, {
+        "name": "main_trace_bound",
+        "claim": "max_y y^T A' y <= tr W over sign vectors y = x^(k-1), "
+                 "for the swap-invariant diagonal W = diag(a + b deg_u) on "
+                 "rows of nonzero degree; W - A' PSD on swap-symmetric "
+                 "vectors, verified by Cholesky of W_sym - A'_sym - c Id",
+        "value": _up(2.0 * certify.exact_sum(w)), "method": "cholesky",
+        "witness": witness}
 
 
 def _up(x):
