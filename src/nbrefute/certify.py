@@ -1,5 +1,6 @@
 """Sound certificates for the infinity-to-one norm, the scale parameter
-lambda, and the Cholesky-verified diagonal witness of a symmetric matrix.
+lambda, and the Cholesky-verified diagonal witness of a symmetric matrix;
+audit checks a certificate of every kind against brute force.
 
 Norm certificate. For sign vectors x and y put u = (x + y)/2 and
 v = (x - y)/2: each u_i and v_i is 0 or +-1, and u_i^2 + v_i^2 = 1. For a
@@ -56,6 +57,7 @@ import numbers
 
 import numpy as np
 
+from . import instances
 from . import linalg
 from . import nonbacktracking
 
@@ -448,25 +450,41 @@ def diagonal_witness(sym, degs, entry_err=0.0):
                "rows": degs.size, "cholesky_probes": probes}
 
 
-def audit(A, cert):
-    """Cross-check a certificate against the exact brute-force norm.
-
-    Returns a report dict; passed means final_bound >= brute value. When the
-    brute oracle refuses A's size (linalg.Infeasible) the report is marked
-    not auditable instead of guessing. A certificate of another kind, or
-    for another dimension than A's, is a ValueError.
-    """
-    dense, _ = linalg.symmetric_degrees(A)
-    if cert.kind != "inf_to_one" or cert.n != len(dense):
-        raise ValueError(f"cannot audit a {cert.kind!r} certificate for n = "
-                         f"{cert.n} against a {len(dense)} x {len(dense)} "
-                         f"matrix")
+def audit(subject, cert):
+    """Check a certificate, validated first, against the brute-force value
+    of its subject: a graph (any matrix linalg.symmetric_degrees accepts)
+    for inf_to_one, else an XorInstance or a CspInstance. The report holds
+    kind, n, certified_bound, sound_chain and auditable, then
+    brute_force_opt and passed (final_bound at least that value, less 1e-12
+    for a refutation) or, when linalg.Infeasible refuses the size, the
+    reason. An invalid certificate, or one of another kind or n than its
+    subject, is a ValueError; other oracle errors propagate."""
+    cert.validate()
+    # kind -> (subject, oracle, slack), per call so a wrapped oracle is seen
+    table = {"inf_to_one": (np.ndarray, linalg.brute_inf_to_one, 0.0),
+             "xor_refutation": (instances.XorInstance, instances.brute_opt,
+                                1e-12),
+             "csp_refutation": (instances.CspInstance,
+                                instances.csp_brute_opt, 1e-12)}
+    if cert.kind not in table:
+        raise ValueError(f"cannot audit certificate of kind {cert.kind!r}")
+    subject_type, oracle, slack = table[cert.kind]
+    if isinstance(subject, (instances.XorInstance, instances.CspInstance)):
+        n, against = subject.n, f"an instance with n = {subject.n}"
+    else:
+        subject = linalg.symmetric_degrees(subject)[0]
+        n, against = len(subject), f"a {len(subject)} x {len(subject)} matrix"
+    if not isinstance(subject, subject_type):
+        raise ValueError(f"cannot audit a {cert.kind!r} certificate against "
+                         f"a {type(subject).__name__}")
+    if cert.n != n:
+        raise ValueError(f"cannot audit a certificate for n = {cert.n} "
+                         f"against {against}")
+    report = {"kind": cert.kind, "n": cert.n,
+              "certified_bound": cert.final_bound, "sound_chain": cert.sound}
     try:
-        brute = linalg.brute_inf_to_one(dense)
+        opt = oracle(subject)
     except linalg.Infeasible as exc:
-        return {"auditable": False, "status": "not auditable",
-                "reason": str(exc), "final_bound": cert.final_bound}
-    passed = bool(cert.final_bound >= brute)
-    slack = cert.final_bound / brute if brute > 0 else float("inf")
-    return {"auditable": True, "passed": passed, "brute_value": brute,
-            "final_bound": cert.final_bound, "slack": slack}
+        return {**report, "auditable": False, "reason": str(exc)}
+    return {**report, "auditable": True, "brute_force_opt": opt,
+            "passed": bool(cert.final_bound >= opt - slack)}

@@ -91,9 +91,9 @@ def cmd_audit(args):
     inst = _load_instance(args.infile)
     with _well_formed("certificate", args.cert):
         cert = certify.Certificate.from_json_dict(_load_json(args.cert))
-    report = refute.audit_refutation(inst, cert)
+    report = certify.audit(inst, cert)
     print(json.dumps(report, indent=2, sort_keys=True))
-    if not report.get("auditable", False):
+    if not report["auditable"]:
         return 4
     return 0 if report["passed"] else 3
 

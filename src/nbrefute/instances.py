@@ -250,8 +250,8 @@ def _number(v, field, integral=True):
 
 def _int_rows(items, width, arity_error):
     """items, integer sequences or an array, as a new (len(items), width)
-    int64 array. When they do not fit, the first item for which
-    arity_error gives a message is named in the ValueError."""
+    int64 array. The first item that does not fit, by arity_error's
+    message or an integer past int64, is named in the ValueError."""
     try:
         return np.array(items, dtype=np.int64).reshape(len(items), width)
     except ValueError:
@@ -259,6 +259,10 @@ def _int_rows(items, width, arity_error):
             if message:
                 raise ValueError(message) from None
         raise
+    except OverflowError:
+        rows = np.array(items, dtype=object).reshape(len(items), -1)
+        i = np.flatnonzero(((rows < -2 ** 63) | (rows >= 2 ** 63)).any(1))[0]
+        raise ValueError(f"row {i} {items[i]} overflows int64") from None
 
 
 def _ints(seq):

@@ -408,42 +408,5 @@ def refute_csp(I, mode="gelfand", z=16):
 
 
 def audit_refutation(I, cert):
-    """Check a refutation certificate against the exact brute-force optimum.
-
-    Returns a report dict with the recomputed optimum, the certified bound,
-    and whether the bound dominates. A certificate of another kind or size
-    of instance is a ValueError. Instances the oracle refuses by size
-    (linalg.Infeasible) yield auditable=False instead of a verdict; any
-    other oracle error, such as an instance with nothing to evaluate,
-    propagates.
-    """
-    cert.validate()
-    if cert.kind == "xor_refutation":
-        compute, kind = instances.brute_opt, instances.XorInstance
-    elif cert.kind == "csp_refutation":
-        compute, kind = instances.csp_brute_opt, instances.CspInstance
-    else:
-        raise ValueError(
-            f"cannot audit certificate of kind {cert.kind!r}")
-    if not isinstance(I, kind):
-        raise ValueError(f"cannot audit a {cert.kind!r} certificate against "
-                         f"a {type(I).__name__}")
-    if cert.n != I.n:
-        raise ValueError(f"cannot audit a certificate for n = {cert.n} "
-                         f"against an instance with n = {I.n}")
-    report = {
-        "kind": cert.kind,
-        "n": cert.n,
-        "certified_bound": cert.final_bound,
-        "sound_chain": cert.sound,
-    }
-    try:
-        opt = compute(I)
-    except linalg.Infeasible as exc:
-        report["auditable"] = False
-        report["reason"] = str(exc)
-        return report
-    report["auditable"] = True
-    report["brute_force_opt"] = opt
-    report["passed"] = bool(cert.final_bound >= opt - 1e-12)
-    return report
+    """certify.audit under the name the refutation tests and perfbench use."""
+    return certify.audit(I, cert)

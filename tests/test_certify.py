@@ -273,8 +273,40 @@ def test_certificate_from_json_keeps_corrupted_bound():
     d["final_bound"] = 0.001
     loaded = certify.Certificate.from_json_dict(d)
     assert loaded.final_bound == 0.001
-    report = certify.audit(complete_graph(4), loaded)
-    assert not report["passed"]
+    with pytest.raises(ValueError, match="final_bound does not equal"):
+        certify.audit(complete_graph(4), loaded)
+
+
+def test_audit_validates_the_certificate_first():
+    # an invalid norm certificate once got a verdict: this one passed
+    # against the brute value 12, and the one whose final_bound is not its
+    # last step's value failed
+    gelfand = certify.Certificate("inf_to_one", 4, [
+        {"name": "s", "claim": "c", "value": 100.0, "method": "gelfand"}])
+    assert not gelfand.sound
+    with pytest.raises(ValueError, match="unknown step method 'gelfand'"):
+        certify.audit(complete_graph(4), gelfand)
+    tampered = certify.inf_to_one_certificate(complete_graph(4))
+    tampered.final_bound = 100.0
+    with pytest.raises(ValueError, match="final_bound does not equal"):
+        certify.audit(complete_graph(4), tampered)
+
+
+def test_audit_reports_every_kind_alike():
+    norm = certify.audit(complete_graph(4),
+                         certify.inf_to_one_certificate(complete_graph(4)))
+    I = instances.sample_kxor(8, 3, 0.3, seed=0)
+    xor = refute.refute_xor(I)
+    J = instances.sample_csp(instances.predicate_table("3sat"), 8, 3, 0.02,
+                             seed=1)
+    csp = refute.refute_csp(J)
+    report = certify.audit(I, xor)
+    assert set(norm) == set(report) == {
+        "kind", "n", "certified_bound", "sound_chain", "auditable",
+        "brute_force_opt", "passed"}
+    assert norm["passed"] and report["passed"]
+    assert refute.audit_refutation(I, xor) == report
+    assert refute.audit_refutation(J, csp) == certify.audit(J, csp)
 
 
 def test_audit_reports_infeasible_sizes():

@@ -6,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from nbrefute import (cli, instances, linalg, nonbacktracking, refute,
-                      walks)
+from nbrefute import (certify, cli, instances, linalg, nonbacktracking,
+                      refute, walks)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
     __file__))), "src")
@@ -345,6 +345,37 @@ def test_refute_non_integral_instance_field_is_exit_2(tmp_path, capsys, kind,
     assert f"instance field '{field}' holds {value!r}, not " in stderr
 
 
+@pytest.mark.parametrize("kind, field", [
+    ("xor", "vars"), ("csp", "vars"), ("csp", "neg")])
+def test_refute_integer_past_int64_is_exit_2(tmp_path, capsys, kind, field):
+    # an index or sign of 10**20 once crashed the int64 conversion with an
+    # uncaught OverflowError (exit 1)
+    inst = (_xor_files(tmp_path, capsys)[0] if kind == "xor"
+            else _csp_file(tmp_path, capsys))
+    d = json.loads(inst.read_text())
+    d["clauses" if kind == "xor" else "constraints"][1][field][1] = 10 ** 20
+    inst.write_text(json.dumps(d))
+    code, stdout, stderr = run(capsys, "refute", "--in", str(inst),
+                               "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: row 1 (")
+    assert "100000000000000000000" in stderr
+    assert stderr.endswith(" overflows int64\n")
+
+
+def test_refute_variable_count_past_int64_is_exit_4(tmp_path, capsys):
+    # n is a plain int: the swap block's cap refuses it by size
+    inst, _ = _xor_files(tmp_path, capsys)
+    d = json.loads(inst.read_text())
+    d["n"] = 10 ** 20
+    inst.write_text(json.dumps(d))
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 4
+    assert "exceeds cap" in stderr
+
+
 @pytest.mark.parametrize("value", ["abc", True])
 def test_audit_non_numeric_step_value_is_exit_2(tmp_path, capsys, value):
     inst, cert = _xor_files(tmp_path, capsys)
@@ -520,3 +551,19 @@ def test_audit_certificate_of_other_size_is_exit_2(tmp_path, capsys):
     assert stdout == ""
     assert stderr == ("error: cannot audit a certificate for n = 8 "
                       "against an instance with n = 9\n")
+
+
+def test_audit_norm_certificate_against_instance_is_exit_2(tmp_path,
+                                                            capsys):
+    # refused by kind, not read as a matrix (a TypeError would exit 1);
+    # the sizes agree, so only the kind can refuse it
+    inst, _ = _xor_files(tmp_path, capsys)
+    cert = tmp_path / "norm.json"
+    norm = certify.inf_to_one_certificate(np.ones((8, 8)) - np.eye(8))
+    cert.write_text(json.dumps(norm.to_json_dict()))
+    code, stdout, stderr = run(capsys, "audit", "--in", str(inst),
+                               "--cert", str(cert))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: cannot audit a 'inf_to_one' "
+                             "certificate against a XorInstance")
