@@ -29,10 +29,13 @@ weights w_u = a + b deg_u (a, b >= 0) with diag(w) - S PSD on the rows of
 nonzero degree (S is zero on the rest); the last point it tries is
 diagonally dominant. The cone holds the paper's lambda + (deg_u -
 1)/lambda as the point a = lambda - 1/lambda, b = 1/lambda. An uncertified
-Lanczos estimate, whose products run in single precision, picks the
-direction and scale; only a float64 Cholesky factorization counts. If
-floating-point Cholesky of H = fl(diag(w) - S - c Id) runs to completion,
-diag(w) - S is PSD in exact arithmetic for the shift c of _cholesky_shift.
+Lanczos estimate picks the direction and scale. Its products run in single
+precision, and it stops once its top Ritz values settle; by Cauchy
+interlacing they are then at most those of a run to the step cap, to
+which it goes on only when the first rung fails. Only a float64 Cholesky
+factorization counts. If floating-point Cholesky of H = fl(diag(w) - S -
+c Id) runs to completion, diag(w) - S is PSD in exact arithmetic for the
+shift c of _cholesky_shift.
 That is the test of Rump, "Verification of positive definiteness", BIT 46
 (2006), Thm 2.3; the shift here is derived from the backward error of
 Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3, which
@@ -73,6 +76,10 @@ LANCZOS_STEPS = 60
 # Relative margins over the estimated scale, tried in order; the Gershgorin
 # point (1 + last margin) deg + last margin * mean(deg) ends the ladder.
 WITNESS_MARGINS = (1e-3, 1e-2, 1e-1)
+# The guide checks its estimates every LANCZOS_CHECK steps from twice that,
+# and stops once they moved by at most a tenth of the first margin.
+LANCZOS_CHECK = 4
+LANCZOS_SETTLE = WITNESS_MARGINS[0] / 10
 UNIT_ROUNDOFF = 2.0 ** -53
 # exact_sum's entry bound: each of its per-exponent bins stays below 2^53.
 EXACT_SUM_CAP = 1 << 26
@@ -307,18 +314,28 @@ def _kept_rows(a, d):
 
 
 def _lanczos_top(a, d, thetas):
-    """Top Ritz value of W^(-1/2) a W^(-1/2), W = diag(theta + (1 - theta)
-    d), for every theta at once, after LANCZOS_STEPS steps from a fixed
-    start: a lower estimate of the largest eigenvalue, never certified,
-    or +inf where the run went non-finite. One Lanczos vector per row: a
-    is symmetric, and v a streams it faster than a v^T does.
+    """Yields (steps, top): the top Ritz value of W^(-1/2) a W^(-1/2), W =
+    diag(theta + (1 - theta) d), for every theta at once, after that many
+    Lanczos steps from a fixed start: a lower estimate of the largest
+    eigenvalue, never certified, or +inf where the run went non-finite.
+    One Lanczos vector per row: a is symmetric, and v a streams it faster
+    than a v^T does.
+
+    Every LANCZOS_CHECK steps from 2 LANCZOS_CHECK it takes the top Ritz
+    values of the leading tridiagonal; once every finite one moved by at
+    most LANCZOS_SETTLE relative since the last check, it yields them,
+    settled. Resumed, it runs the same recurrence on to the cap,
+    min(LANCZOS_STEPS, dim), and yields the capped values: the only ones
+    when it never settled. A settled tridiagonal is the leading block of
+    the capped one, so by Cauchy interlacing its top Ritz values are at
+    most the capped ones.
 
     The products read one float32 copy of a / 4^e, 4^e near max d, made
-    here and freed on return: they are bound by reading a, and half the
-    bytes take about two thirds of the time. 2^e in the scale restores
-    the operator exactly, and a block past float32's range fits. The
-    recurrence and the eigensolve stay in float64."""
-    steps = min(LANCZOS_STEPS, d.size)
+    here and freed when the run ends or is dropped: they are bound by
+    reading a, and half the bytes take about two thirds of the time. 2^e in
+    the scale restores the operator exactly, and a block past float32's
+    range fits. The recurrence and the eigensolves stay in float64."""
+    cap = min(LANCZOS_STEPS, d.size)
     e = math.frexp(float(d.max()))[1] // 2
     single = np.multiply(a, math.ldexp(1.0, -2 * e),
                          out=np.empty(a.shape, np.float32))
@@ -329,29 +346,52 @@ def _lanczos_top(a, d, thetas):
     prev = np.zeros_like(v)
     scaled = np.empty(v.shape, np.float32)
     product = np.empty_like(scaled)
-    alphas = np.zeros((steps, thetas.size, 1))
-    betas = np.zeros((steps, thetas.size, 1))
-    # a run that goes non-finite is caught below, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
+    alphas = np.zeros((cap, thetas.size))
+    betas = np.zeros((cap, thetas.size))
+    last, settled = None, False
+    for j in range(cap):
+        # a run that goes non-finite is caught by _top_ritz, not warned
+        # about
+        with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(scale, v, out=scaled)
             np.matmul(scaled, single, out=product)
             x = np.multiply(product, scale)
-            alphas[j] = np.einsum("ij,ij->i", v, x)[:, None]
-            x -= alphas[j] * v
+            alphas[j] = np.einsum("ij,ij->i", v, x)
+            x -= alphas[j, :, None] * v
             if j:
-                x -= betas[j - 1] * prev
-            betas[j] = np.sqrt(np.einsum("ij,ij->i", x, x))[:, None]
-            # a zero residual leaves v = 0, and the steps after it add zeros
-            prev, v = v, x / np.maximum(betas[j], np.finfo(float).tiny)
+                x -= betas[j - 1, :, None] * prev
+            betas[j] = np.sqrt(np.einsum("ij,ij->i", x, x))
+            # a zero residual leaves v = 0, and the steps after it add
+            # zeros
+            prev, v = v, x / np.maximum(betas[j, :, None],
+                                        np.finfo(float).tiny)
+        steps = j + 1
+        if (settled or steps < 2 * LANCZOS_CHECK or steps % LANCZOS_CHECK
+                or steps == cap):
+            continue
+        top = _top_ritz(alphas[:steps], betas[:steps - 1])
+        finite = np.isfinite(top)
+        if last is not None and np.all(
+                np.abs(top[finite] - last[finite])
+                <= LANCZOS_SETTLE * np.abs(top[finite])):
+            settled = True
+            yield steps, top
+        last = top
+    yield cap, _top_ritz(alphas, betas[:-1])
+
+
+def _top_ritz(alphas, betas):
+    """Top eigenvalue of each direction's tridiagonal, with alphas (steps x
+    directions) on its diagonal and betas beside it; +inf where an entry
+    is not finite."""
     # the scaled operator has norm at most 1/(1 - theta) <= 20, so a
     # smaller residual means the Krylov space was invariant: the Ritz
     # values split into independent runs
-    betas[betas < 1e-10] = 0.0
-    i = np.arange(steps)
-    tri = np.zeros((thetas.size, steps, steps))
-    tri[:, i, i] = alphas[:, :, 0].T
-    tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = betas[:-1, :, 0].T
+    betas = np.where(betas < 1e-10, 0.0, betas)
+    i = np.arange(alphas.shape[0])
+    tri = np.zeros((alphas.shape[1],) + (i.size,) * 2)
+    tri[:, i, i] = alphas.T
+    tri[:, i[1:], i[:-1]] = tri[:, i[:-1], i[1:]] = betas.T
     lost = ~np.isfinite(tri).all(axis=(1, 2))
     tri[lost] = 0.0
     top = np.linalg.eigvalsh(tri)[:, -1]
@@ -398,56 +438,78 @@ def diagonal_witness(sym, degs, entry_err=0.0):
     (module docstring). sym is overwritten: pass a copy to keep it. The
     factorization works on the kept rows in place (a view of sym when
     they are a leading range, else a copy), so beside them the float32
-    guide copy, freed first, is the only block-size allocation; on return
-    their upper triangle may hold the factor. entry_err bounds the
-    spectral norm of the rounding error in sym's entries, either
-    triangle's. The record
-    holds a, b, the direction theta, the verified scale, the Lanczos
-    estimate, the shift, sym's dimension, the rows kept and the Cholesky
-    probes made. All-zero degs are a ValueError.
+    guide copy, which lives until the first probe's verdict, is the only
+    block-size allocation; on return their upper triangle may hold the
+    factor. entry_err bounds the spectral norm of the rounding error in
+    sym's entries, either triangle's. The record holds a, b, the direction
+    theta, the verified scale, the Lanczos estimate and the steps behind
+    it, the shift, sym's dimension, the rows kept and the Cholesky probes
+    made. All-zero degs are a ValueError.
 
     Guide: along each direction theta of WITNESS_THETAS, Lanczos estimates
     the least scale s with s W_theta - S PSD, W_theta = diag(theta + (1 -
-    theta) deg), from float32 products (_lanczos_top); the direction
-    minimising s tr W_theta wins. Its rounding moves only which rungs are
-    tried. Verify: s (1 + delta) W_theta for delta in WITNESS_MARGINS, then
-    the Gershgorin point, until the float64 Cholesky runs through; each
-    failed probe restores the upper triangle before the next (_factorizes).
+    theta) deg), from float32 products, stopping once the estimates settle
+    (_lanczos_top); the direction minimising s tr W_theta wins. Its
+    rounding moves only which rungs are tried. Verify: s (1 + delta)
+    W_theta for delta in WITNESS_MARGINS, then the Gershgorin point, until
+    the float64 Cholesky runs through; each failed probe restores the
+    upper triangle before the next (_factorizes). When the first probe
+    fails on a settled estimate, the guide runs on to its cap and the
+    ladder restarts from the capped estimate: the settled estimates are at
+    most the capped ones, so tr W is never above what the capped guide
+    alone gives, and a resumed witness is that guide's, one probe later.
     """
     dim = degs.size
     neg, degs = _kept_rows(sym, degs)
     thetas = np.array(WITNESS_THETAS)
-    s = _lanczos_top(neg, degs, thetas)
-    traces = thetas * degs.size + (1.0 - thetas) * degs.sum()
-    best = int(np.argmin(s * traces))
-    estimate = float(s[best])
-    # (theta, sigma, a, b) rungs: w = a + b deg = sigma (theta + (1 -
-    # theta) deg); the last is (1 + delta) deg + delta mean(deg),
-    # diagonally dominant with a margin that dwarfs the shift on every
-    # row, and the only one left when every direction's estimate went
-    # non-finite. It is given by a and b, as 1 - theta would round b away
-    # once delta mean(deg) passes 2^53.
-    theta = float(thetas[best])
-    ladder = [(theta, sigma, sigma * theta, sigma * (1.0 - theta))
-              for sigma in (estimate * (1.0 + delta)
-                            for delta in WITNESS_MARGINS)
-              if math.isfinite(sigma)]
-    a_w, b_w = (WITNESS_MARGINS[-1] * float(degs.mean()),
-                1.0 + WITNESS_MARGINS[-1])
-    ladder.append((a_w / (a_w + b_w), a_w + b_w, a_w, b_w))
+    guide = _lanczos_top(neg, degs, thetas)
+    steps, s = next(guide)
+    estimate, ladder = _ladder(s, thetas, degs)
     diag = neg.diagonal().copy()
     np.negative(neg, out=neg)
-    for probes, (theta, sigma, a_w, b_w) in enumerate(ladder, 1):
+    probes = 0
+    while ladder:
+        theta, sigma, a_w, b_w = ladder.pop(0)
         w = a_w + b_w * degs
         shift = _cholesky_shift(w, diag, entry_err)
+        probes += 1
         if _factorizes(neg, diag, w, shift):
             break
+        if guide is not None:
+            # the first verdict: a settled guide runs on to its cap, and
+            # the run, with its float32 copy, goes
+            capped = next(guide, None)
+            guide = None
+            if capped is not None:
+                steps, s = capped
+                estimate, ladder = _ladder(s, thetas, degs)
     else:
         raise np.linalg.LinAlgError(
             "no diagonal witness factorized, not even the Gershgorin point")
     return w, {"a": a_w, "b": b_w, "theta": theta, "scale": sigma,
-               "estimate": estimate, "shift": shift, "dim": dim,
-               "rows": degs.size, "cholesky_probes": probes}
+               "estimate": estimate, "lanczos_steps": steps, "shift": shift,
+               "dim": dim, "rows": degs.size, "cholesky_probes": probes}
+
+
+def _ladder(s, thetas, degs):
+    """(estimate, rungs) for the Lanczos estimates s along thetas: the
+    winning direction's estimate and the (theta, sigma, a, b) rungs w = a +
+    b deg = sigma (theta + (1 - theta) deg) of diagonal_witness, in order.
+    The last is (1 + delta) deg + delta mean(deg), diagonally dominant with
+    a margin that dwarfs the shift on every row, and the only one when
+    every direction's estimate went non-finite. It is given by a and b, as
+    1 - theta would round b away once delta mean(deg) passes 2^53."""
+    traces = thetas * degs.size + (1.0 - thetas) * degs.sum()
+    best = int(np.argmin(s * traces))
+    estimate, theta = float(s[best]), float(thetas[best])
+    rungs = [(theta, sigma, sigma * theta, sigma * (1.0 - theta))
+             for sigma in (estimate * (1.0 + delta)
+                           for delta in WITNESS_MARGINS)
+             if math.isfinite(sigma)]
+    a_w, b_w = (WITNESS_MARGINS[-1] * float(degs.mean()),
+                1.0 + WITNESS_MARGINS[-1])
+    rungs.append((a_w / (a_w + b_w), a_w + b_w, a_w, b_w))
+    return estimate, rungs
 
 
 def audit(subject, cert):

@@ -985,26 +985,71 @@ def _symmetric_with_diagonal(dim, seed):
     return S, np.abs(S).sum(axis=1)
 
 
-@pytest.mark.parametrize("make", [
-    lambda: _dense_parts(instances.sample_kxor(9, 3, 0.5, seed=0))[:2],
-    lambda: _dense_parts(_weighted(instances.sample_kxor(9, 3, 0.5, seed=1),
-                                   1))[:2],
-    lambda: _symmetric_with_diagonal(45, 2),
+# Blocks with at most LANCZOS_STEPS rows, as (S, deg) thunks.
+_SMALL_GUIDE_BLOCKS = {
+    "signs": lambda: _dense_parts(instances.sample_kxor(9, 3, 0.5,
+                                                        seed=0))[:2],
+    "weighted": lambda: _dense_parts(_weighted(
+        instances.sample_kxor(9, 3, 0.5, seed=1), 1))[:2],
+    "diagonal": lambda: _symmetric_with_diagonal(45, 2),
     # 2^150 is past float32's range
-    lambda: tuple(2.0 ** 150 * x for x in _symmetric_with_diagonal(45, 2)),
-], ids=["signs", "weighted", "diagonal", "past-float32"])
-def test_lanczos_guide_matches_the_eigensolve(make):
+    "past-float32": lambda: tuple(2.0 ** 150 * x
+                                  for x in _symmetric_with_diagonal(45, 2)),
+}
+
+
+def _criterion_10_block(mult, seed):
+    """The witness block of criterion 10's 3-XOR instance at n = 60."""
+    I = instances.sample_kxor(60, 3, mult * 60 ** -1.5, seed=seed)
+    return refute._swap_parts(I)[:2]
+
+
+@pytest.mark.parametrize("name", list(_SMALL_GUIDE_BLOCKS))
+def test_lanczos_guide_matches_the_eigensolve(name):
     # with at least as many steps as rows the Krylov space is the whole
-    # space, so the top Ritz value is the top eigenvalue up to the
+    # space, so the capped top Ritz value is the top eigenvalue up to the
     # single-precision products
-    sym, degs = make()
+    sym, degs = _SMALL_GUIDE_BLOCKS[name]()
     a, d = certify._kept_rows(sym, degs)
     assert d.size <= certify.LANCZOS_STEPS
     thetas = np.array(certify.WITNESS_THETAS)
     want = [np.linalg.eigvalsh(a / np.sqrt(np.outer(w, w)))[-1]
             for w in thetas[:, None] + np.outer(1.0 - thetas, d)]
-    np.testing.assert_allclose(certify._lanczos_top(a, d, thetas), want,
-                               rtol=1e-5)
+    *_, (steps, capped) = certify._lanczos_top(a, d, thetas)
+    assert steps == d.size
+    np.testing.assert_allclose(capped, want, rtol=1e-5)
+
+
+@pytest.mark.parametrize("make", [*_SMALL_GUIDE_BLOCKS.values(),
+                                  lambda: _criterion_10_block(40, 1)],
+                         ids=[*_SMALL_GUIDE_BLOCKS, "n60"])
+def test_settled_guide_is_at_most_the_capped_one(make):
+    # the settled tridiagonal is the leading block of the capped one, so by
+    # Cauchy interlacing no direction's settled estimate is above its
+    # capped one
+    sym, degs = make()
+    a, d = certify._kept_rows(sym, degs)
+    (steps, settled), (cap, capped) = certify._lanczos_top(
+        a, d, np.array(certify.WITNESS_THETAS))
+    assert cap == min(certify.LANCZOS_STEPS, d.size)
+    assert 2 * certify.LANCZOS_CHECK < steps < cap
+    assert steps % certify.LANCZOS_CHECK == 0
+    assert (settled <= capped).all()
+
+
+def test_a_failed_settled_rung_resumes_to_the_capped_witness(monkeypatch):
+    # criterion 10's instance at mult 20, seed 5: the settled estimate is
+    # 1.4e-3 under the capped one, so the first rung fails; the guide runs
+    # on to the cap and the ladder restarts, to the witness a guide that
+    # never stops gives, one probe later
+    sym, degs = _criterion_10_block(20, 5)
+    w, record = certify.diagonal_witness(sym.copy(), degs)
+    monkeypatch.setattr(certify, "LANCZOS_SETTLE", -1.0)
+    capped_w, capped = certify.diagonal_witness(sym, degs)
+    np.testing.assert_array_equal(w, capped_w)
+    assert record["lanczos_steps"] == certify.LANCZOS_STEPS
+    assert record["cholesky_probes"] == capped["cholesky_probes"] + 1
+    assert record == {**capped, "cholesky_probes": record["cholesky_probes"]}
 
 
 @pytest.mark.parametrize("steps", [1, certify.LANCZOS_STEPS])
@@ -1087,7 +1132,9 @@ def test_witness_is_the_same_without_the_direct_routine(
 
 def test_a_failed_probe_restores_the_triangle(monkeypatch):
     # a probe that fails deep into the factorization has overwritten most
-    # of the upper triangle; the next probe still sees -S off the diagonal
+    # of the upper triangle; the next probe still sees -S off the diagonal.
+    # The first fails on the settled estimate, the second on the capped
+    # one the ladder restarts from.
     monkeypatch.setattr(certify, "WITNESS_MARGINS", (-1e-2, 1e-2))
     S, degs = _symmetric_with_diagonal(40, 3)
     probes, cholesky = [], linalg.cholesky_in_place
@@ -1100,7 +1147,7 @@ def test_a_failed_probe_restores_the_triangle(monkeypatch):
 
     monkeypatch.setattr(linalg, "cholesky_in_place", record_cholesky)
     certify.diagonal_witness(S.copy(), degs)
-    assert [verdict for _, verdict, _ in probes] == [False, True]
+    assert [verdict for _, verdict, _ in probes] == [False, False, True]
     assert probes[0][2] > S.size // 4
     off = ~np.eye(S.shape[0], dtype=bool)
     for H, _, _ in probes:
@@ -1204,9 +1251,9 @@ def test_refutation_golden_digests():
     J = instances.sample_csp(instances.predicate_table("3sat"), 20, 3, 0.03,
                              seed=1)
     assert _digest(refute.refute_xor(I, z=6)) == (
-        "186e915ce5dab4a3a577da3c2b35c010c98ea10dab50461c6a1421c04d6bd24a")
+        "83de94a497e0ddedc9a59b2d211ec426b9f82e18f8731fb1463dcee436f58bf8")
     assert _digest(refute.refute_csp(J, z=6)) == (
-        "3512c3e8cd3092d71cb343338695746de041f0f504df9e896ff28530aab717ee")
+        "ff9b1be3f462080cb6ef7f4f209c32da45117a5d1cc5f418fe2e4a539593b41c")
 
 
 def test_refutations_never_read_the_clause_dict(monkeypatch):
