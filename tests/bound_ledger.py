@@ -6,6 +6,10 @@ The corpus:
     seeds 1-3 (refute_xor);
   * 3-SAT at (n, p) = (20, 0.05), (40, 0.01) and (40, 0.03), seeds 1-3
     (refute_csp);
+  * majority-3, whose expansion has only odd degrees, at n = 20, p = 0.05,
+    seeds 1-2 (refute_csp);
+  * the 5-ary table default_rng(0).integers(0, 2, size=32) at n = 8,
+    p = 0.002, seeds 1-2 (refute_csp);
   * 5-XOR at n = 8, p = 0.3, seeds 1-2 (refute_xor);
   * criterion 5's 60 graphs through inf_to_one_certificate, gelfand mode;
   * the two instances of test_refutation_golden_digests, at z = 6.
@@ -56,6 +60,15 @@ def corpus():
         for seed in (1, 2, 3):
             J = instances.sample_csp(table, n, 3, p, seed)
             items.append((f"3sat/n{n}/p{p}/s{seed}",
+                          lambda J=J: refute.refute_csp(J)))
+    majority = np.array([float(sum(instances.assignment_from_index(i, 3)) > 0)
+                         for i in range(8)])
+    table5 = np.random.default_rng(0).integers(0, 2, size=32)
+    for family, P, n, k, p in (("majority3", majority, 20, 3, 0.05),
+                               ("table5", table5, 8, 5, 0.002)):
+        for seed in (1, 2):
+            J = instances.sample_csp(P, n, k, p, seed)
+            items.append((f"{family}/n{n}/p{p}/s{seed}",
                           lambda J=J: refute.refute_csp(J)))
     for seed in (1, 2):
         I = instances.sample_kxor(8, 5, 0.3, seed)
