@@ -50,20 +50,21 @@ the rounding of A''s entries and of the rescale w / W (0 when exact),
 and the closed-form steps (b2, N, U, and the CSP chain's degree-d terms,
 degree-k bound and total) by rounding every operation up by one ulp.
 
-The CSP(P) chain decomposes P into its multilinear expansion. Its
-degree-d part (0 < d < k) is y^T M y' for M = flatten_degree_d(I, d) and
-sign vectors y = x^floor(d/2), y' = x^ceil(d/2) (_degree_d_step). One
-row (d = 1) is at most ||M||_1, its exact maximum. A square M is at most
-tr M + tr W, as y^T M y = tr M + y^T S y for S the off-diagonal part of
-(M + M^T)/2; another shape is at most tr W, as y^T M y' = z^T S z for z
-= [y; y'] and S = [[0, M/2], [M^T/2, 0]]. W is S's diagonal witness with
-entry_err 0: each entry of M sums at most m C(k, d) terms chat_S (+-1),
-every chat_S a multiple of 2^-k of magnitude at most 1, so M, M + M^T
-and their halves are exact while m 2^(2k+1) < 2^53. The degree-k part
-goes through the XOR chain after aggregating constraints by support into
-a rescaled weighted XOR instance, built from arrays. Both read the
-instance's arrays and add in constraint order (bincount), as a loop over
-the constraints would.
+The CSP(P) chain decomposes P into its multilinear expansion and bounds
+its degrees d < k in pairs (2j - 1, 2j), j = 1 .. (k - 1)/2, one step
+each (_degree_pair_step). For M = flatten_degree_d(I, 2j - 1), M' =
+flatten_degree_d(I, 2j), y = x^(j-1) and y' = x^j, the pair's part is
+y^T M y' + y'^T M' y' = tr M' + z^T S z for z = [y; y'] and S = [[0,
+M/2], [M^T/2, S']], S' the off-diagonal part of (M' + M'^T)/2: at most tr
+M' + tr W for S's diagonal witness W, one maximum over x for both
+degrees, or tr M' + ||M||_1, exact when S is a star (S' = 0, M one row).
+W has entry_err 0: each entry of M or M' sums at most m C(k, d) terms
+chat_S (+-1), every chat_S a multiple of 2^-k of magnitude at most 1, so
+M, M' + M'^T and their halves are exact while m 2^(2k+1) < 2^53. The
+degree-k part goes through the XOR chain after aggregating constraints by
+support into a rescaled weighted XOR instance, built from arrays. Both
+read the instance's arrays and add in constraint order (bincount), as a
+loop over the constraints would.
 """
 
 import itertools
@@ -222,26 +223,25 @@ def _step(name, claim, value, method="exact", **extra):
             **extra}
 
 
-def _degree_d_step(M, d):
-    """The step bounding y^T M y' for M = flatten_degree_d(I, d), not all
-    zero: ||M||_1, tr M + tr W or tr W, rounded up (module docstring)."""
-    name, (rows, cols) = f"degree_{d}_matrix_bound", M.shape
-    if rows == 1:
-        return _step(name, "the degree-1 part is a linear form in x, at most "
-                     "||M||_1", _up(certify.exact_sum(np.abs(M))))
-    if rows == cols:
-        trace, sym = M.diagonal(), 0.5 * (M + M.T)
-        np.fill_diagonal(sym, 0.0)
-    else:
-        trace, sym = np.zeros(0), np.zeros((rows + cols, rows + cols))
-        sym[:rows, rows:], sym[rows:, :rows] = 0.5 * M, 0.5 * M.T
-    claim = (f"the degree-{d} part is tr M + y^T S y (M square) or z^T S z "
-             f"(z = [y; y']), either form in S <= tr W for W - S PSD")
-    degs = np.abs(sym).sum(axis=1)
-    if not degs.any():
-        return _step(name, claim + "; S = 0", _up(certify.exact_sum(trace)))
-    w, witness = certify.diagonal_witness(sym, degs)
-    return _step(name, claim + ", verified by Cholesky of W - S - c Id",
+def _degree_pair_step(M, M2, j):
+    """The step bounding y^T M y' + y'^T M2 y' for M = flatten_degree_d(I,
+    2j - 1) and M2 = flatten_degree_d(I, 2j), not both zero: tr M2 plus
+    ||M||_1 (S a star or empty) or tr W, rounded up (module docstring)."""
+    rows, cols = M.shape
+    sym = np.zeros((rows + cols, rows + cols))
+    sym[:rows, rows:], sym[rows:, :rows] = 0.5 * M, 0.5 * M.T
+    sym[rows:, rows:] = 0.5 * (M2 + M2.T)
+    np.fill_diagonal(sym, 0.0)
+    name, trace = f"degree_{2 * j - 1}_{2 * j}_bound", M2.diagonal()
+    claim = (f"the degree-{2 * j - 1} and degree-{2 * j} parts are tr M' + "
+             f"z^T S z for z = [y; y'] and S = [[0, M/2], [M^T/2, S']]")
+    if not sym[rows:, rows:].any() and (rows == 1 or not M.any()):
+        return _step(name, claim + "; S is a star or 0, at most ||M||_1",
+                     _up(certify.exact_sum(np.concatenate(
+                         (trace, np.abs(M).ravel())))))
+    w, witness = certify.diagonal_witness(sym, np.abs(sym).sum(axis=1))
+    return _step(name, claim + ", z^T S z <= tr W for W - S PSD, verified "
+                 "by Cholesky of W - S - c Id",
                  _up(certify.exact_sum(np.concatenate((trace, w)))),
                  "cholesky", witness=witness)
 
@@ -334,9 +334,9 @@ def flatten_degree_d(I, d):
 def refute_csp(I, mode="gelfand", z=16):
     """Certified upper bound on the optimum of a CSP(P) instance.
 
-    U = chat_empty + (1/m) [ sum_{0<d<k} degree-d bound + degree-k bound ]
-    where the degree-d bounds are exact sums or Cholesky-verified diagonal
-    witnesses (module docstring), and the degree-k part aggregates
+    U = chat_empty + (1/m) [ sum_j degree-(2j-1, 2j) bound + degree-k bound ]
+    where the degree-pair bounds are exact sums or Cholesky-verified
+    diagonal witnesses (module docstring), and the degree-k part aggregates
     non-degenerate constraints by support into a weighted XOR instance
     (rescaled so |weights| <= 1, the factor carried as a step), runs the
     XOR polynomial bound on it, and adds |chat_k| for each constraint
@@ -352,10 +352,10 @@ def refute_csp(I, mode="gelfand", z=16):
     steps = [_step("mean_value", "the predicate mean contributes chat_empty "
                    "to every assignment's value", p0)]
     total = 0.0
-    for d in range(1, k):
-        M = flatten_degree_d(I, d)
-        if M.any():
-            steps.append(_degree_d_step(M, d))
+    for j in range(1, (k + 1) // 2):
+        M, M2 = flatten_degree_d(I, 2 * j - 1), flatten_degree_d(I, 2 * j)
+        if M.any() or M2.any():
+            steps.append(_degree_pair_step(M, M2, j))
             total = _up(total + steps[-1]["value"])
     chat_k = fourier.coefficient(tuple(range(k)))
     if chat_k == 0.0:

@@ -13,6 +13,7 @@ from nbrefute import (certify, instances, linalg, nonbacktracking, refute,
                       walks)
 
 import dense_reference
+import exact_reference
 
 
 def kept_entry(F, row, col):
@@ -340,6 +341,19 @@ def _sign_powers(n, reps):
 
 
 _SAT = instances.predicate_table("3sat")
+_MAJORITY = np.array([float(sum(instances.assignment_from_index(i, 3)) > 0)
+                      for i in range(8)])
+
+
+def _bordered_block(M, M2):
+    """S = [[0, M/2], [M^T/2, S']] for S' the off-diagonal part of (M2 +
+    M2^T)/2: the degree pair's block, built from refute's docstring."""
+    rows, cols = M.shape
+    S = np.zeros((rows + cols, rows + cols))
+    S[:rows, rows:], S[rows:, :rows] = M / 2, M.T / 2
+    S[rows:, rows:] = (M2 + M2.T) / 2
+    np.fill_diagonal(S, 0.0)
+    return S
 
 
 @pytest.mark.parametrize("J", [
@@ -349,31 +363,52 @@ _SAT = instances.predicate_table("3sat")
     instances.sample_csp(_random_table(3, 5), 9, 3, 0.05, seed=3),
     instances.sample_csp(_random_table(5, 6), 8, 5, 0.002, seed=4),
     instances.sample_csp(_random_table(5, 7), 7, 5, 0.003, seed=5),
-    # every scope is (i, i, i): M_2 is diagonal, so S = 0
+    # every scope is (i, i, i): M_2 is diagonal, so S is a star
     instances.CspInstance(5, 3, _SAT, [((i, i, i), (1, -1, 1))
                                        for i in range(4)]),
+    # majority has odd degrees only: M_2 = 0, so S is a star
+    instances.sample_csp(_MAJORITY, 12, 3, 0.02, seed=6),
 ], ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
 def test_degree_d_bounds_dominate_enumerated_forms(J):
-    # every degree-d step is at least max y^T M_d y' over x, in each of
-    # the three shapes: one row, square, and the dilation (odd d >= 3)
+    # every pair step (2j - 1, 2j) is at least max y^T M y' + y'^T M' y'
+    # over x: the exact ones (a star or S = 0) equal it rounded up, and a
+    # witness of dim <= 42 is exactly PD, and not at 0.99 w when its first
+    # rung verified
     steps = {s["name"]: s for s in refute.refute_csp(J, z=6).steps}
-    for d in range(1, J.k):
-        M = refute.flatten_degree_d(J, d)
-        step = steps.get(f"degree_{d}_matrix_bound")
-        assert (step is None) == (not M.any())
+    assert not [name for name in steps if name.endswith("matrix_bound")]
+    for j in range(1, (J.k + 1) // 2):
+        M = refute.flatten_degree_d(J, 2 * j - 1)
+        M2 = refute.flatten_degree_d(J, 2 * j)
+        step = steps.get(f"degree_{2 * j - 1}_{2 * j}_bound")
+        assert (step is None) == (not M.any() and not M2.any())
         if step is None:
             continue
-        y, y2 = _sign_powers(J.n, d // 2), _sign_powers(J.n, d - d // 2)
-        top = float(np.einsum("ij,ij->i", y @ M, y2).max())
-        assert step["value"] >= top, (d, step["value"], top)
-        if d == 1 or np.array_equal(M, np.diag(np.diag(M))):
+        y, y2 = _sign_powers(J.n, j - 1), _sign_powers(J.n, j)
+        top = float((np.einsum("ij,ij->i", y @ M, y2)
+                     + np.einsum("ij,ij->i", y2 @ M2, y2)).max())
+        assert step["value"] >= top, (j, step["value"], top)
+        S = _bordered_block(M, M2)
+        star = not S[M.shape[0]:, M.shape[0]:].any() and (
+            j == 1 or not M.any())
+        if star:
             assert step["method"] == "exact" and "witness" not in step
-            # both the l1 norm and the trace are the exact maximum
+            # tr M' + ||M||_1 is the exact maximum
             assert step["value"] == math.nextafter(top, math.inf)
-        else:
-            assert step["method"] == "cholesky"
-            dim = M.shape[0] if M.shape[0] == M.shape[1] else sum(M.shape)
-            assert step["witness"]["dim"] == dim
+            continue
+        assert step["method"] == "cholesky"
+        witness = step["witness"]
+        assert witness["dim"] == sum(M.shape)
+        degs = np.abs(S).sum(axis=1)
+        keep = np.flatnonzero(degs)
+        w = witness["a"] + witness["b"] * degs[keep]
+        assert step["value"] == certify.round_up(certify.exact_sum(
+            np.concatenate((M2.diagonal(), w))))
+        if witness["dim"] <= 42:
+            S = S[np.ix_(keep, keep)]
+            assert exact_reference.is_positive_definite(np.diag(w) - S)
+            if witness["cholesky_probes"] == 1:
+                assert not exact_reference.is_positive_definite(
+                    np.diag(0.99 * w) - S)
 
 
 @pytest.mark.parametrize("refute_fn, I", [
@@ -1253,7 +1288,7 @@ def test_refutation_golden_digests():
     assert _digest(refute.refute_xor(I, z=6)) == (
         "83de94a497e0ddedc9a59b2d211ec426b9f82e18f8731fb1463dcee436f58bf8")
     assert _digest(refute.refute_csp(J, z=6)) == (
-        "ff9b1be3f462080cb6ef7f4f209c32da45117a5d1cc5f418fe2e4a539593b41c")
+        "cb5aa90a891e6d1754cc42de442ed834be67ba51f17d28e7af64cc88690a2b8e")
 
 
 def test_refutations_never_read_the_clause_dict(monkeypatch):
