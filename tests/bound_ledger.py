@@ -8,6 +8,8 @@ The corpus:
     (refute_csp);
   * majority-3, whose expansion has only odd degrees, at n = 20, p = 0.05,
     seeds 1-2 (refute_csp);
+  * 3-parity, whose expansion has degrees 0 and 3 only, at n = 20,
+    p = 0.05, seeds 1-2 (refute_csp);
   * the 5-ary table default_rng(0).integers(0, 2, size=32) at n = 8,
     p = 0.002, seeds 1-2 (refute_csp);
   * 5-XOR at n = 8, p = 0.3, seeds 1-2 (refute_xor);
@@ -65,6 +67,8 @@ def corpus():
                          for i in range(8)])
     table5 = np.random.default_rng(0).integers(0, 2, size=32)
     for family, P, n, k, p in (("majority3", majority, 20, 3, 0.05),
+                               ("parity3", instances.predicate_table(
+                                   "parity"), 20, 3, 0.05),
                                ("table5", table5, 8, 5, 0.002)):
         for seed in (1, 2):
             J = instances.sample_csp(P, n, k, p, seed)
