@@ -50,21 +50,22 @@ the rounding of A''s entries and of the rescale w / W (0 when exact),
 and the closed-form steps (b2, N, U, and the CSP chain's degree-d terms,
 degree-k bound and total) by rounding every operation up by one ulp.
 
-The CSP(P) chain decomposes P into its multilinear expansion and bounds
-its degrees d < k in pairs (2j - 1, 2j), j = 1 .. (k - 1)/2, one step
-each (_degree_pair_step). For M = flatten_degree_d(I, 2j - 1), M' =
+The CSP(P) chain decomposes P into its multilinear expansion, reduces
+each constraint's degree-k term by x_i^2 = 1 to its indices of odd
+multiplicity, of odd degree d' (_top_terms), and bounds the degrees d < k
+in pairs (2j - 1, 2j), j = 1 .. (k - 1)/2, one step each
+(_degree_pair_step). For M = flatten_degree_d(I, 2j - 1) plus the terms
+with d' = 2j - 1 (one bincount at their ranks), M' =
 flatten_degree_d(I, 2j), y = x^(j-1) and y' = x^j, the pair's part is
 y^T M y' + y'^T M' y' = tr M' + z^T S z for z = [y; y'] and S = [[0,
 M/2], [M^T/2, S']], S' the off-diagonal part of (M' + M'^T)/2: at most tr
 M' + tr W for S's diagonal witness W, one maximum over x for both
 degrees, or tr M' + ||M||_1, exact when S is a star (S' = 0, M one row).
-W has entry_err 0: each entry of M or M' sums at most m C(k, d) terms
-chat_S (+-1), every chat_S a multiple of 2^-k of magnitude at most 1, so
-M, M' + M'^T and their halves are exact while m 2^(2k+1) < 2^53. The
-degree-k part goes through the XOR chain after aggregating constraints by
-support into a rescaled weighted XOR instance, built from arrays. Both
-read the instance's arrays and add in constraint order (bincount), as a
-loop over the constraints would.
+W has entry_err 0: each entry sums at most m (C(k, d) + 1) terms chat_S
+(+-1), each a multiple of 2^-k of magnitude at most 1, so M, M' + M'^T and
+their halves are exact while m 2^(2k+1) < 2^53. The terms with d' = k go
+through the XOR chain, aggregated by support into a rescaled weighted XOR
+instance. All add in constraint order (bincount), as a loop would.
 """
 
 import itertools
@@ -84,9 +85,9 @@ _up = certify.round_up
 
 
 def _require_odd_arity(k):
-    if k % 2 == 0:
-        raise ValueError(
-            f"even arity k={k} is unsupported: flattening needs odd k")
+    if k % 2 == 0 or k < 3:
+        raise ValueError(f"arity k={k} is unsupported: the refutation's "
+                         f"flattening needs odd k >= 3")
 
 
 def _require_gelfand(mode):
@@ -331,16 +332,31 @@ def flatten_degree_d(I, d):
                        minlength=rows * cols).reshape(rows, cols)
 
 
+def _top_terms(I, chat_k):
+    """Per constraint, its degree-k term chat_k prod(c) x^alpha reduced by
+    x_i^2 = 1 (a still-unpaired sorted position t - 1 cancels position t of
+    equal index): the reduced degree d' (odd, as k is), the base-n rank of
+    the d' sorted indices left, and the weight chat_k prod(c)."""
+    scopes = np.sort(I.scopes, axis=1)
+    odd = np.ones(scopes.shape, dtype=bool)
+    for t in range(1, I.k):
+        pair = odd[:, t - 1] & (scopes[:, t - 1] == scopes[:, t])
+        odd[:, t - 1:t + 1] ^= pair[:, None]
+    later = np.cumsum(odd[:, ::-1], axis=1)[:, ::-1] - odd
+    rank = np.where(odd, scopes * I.n ** later, 0).sum(axis=1)
+    return odd.sum(axis=1), rank, chat_k * np.prod(I.signs, axis=1)
+
+
 def refute_csp(I, mode="gelfand", z=16):
     """Certified upper bound on the optimum of a CSP(P) instance.
 
     U = chat_empty + (1/m) [ sum_j degree-(2j-1, 2j) bound + degree-k bound ]
-    where the degree-pair bounds are exact sums or Cholesky-verified
-    diagonal witnesses (module docstring), and the degree-k part aggregates
-    non-degenerate constraints by support into a weighted XOR instance
-    (rescaled so |weights| <= 1, the factor carried as a step), runs the
-    XOR polynomial bound on it, and adds |chat_k| for each constraint
-    whose scope repeats an index. mode and z are as for refute_xor.
+    where the pair bounds are exact sums or Cholesky-verified diagonal
+    witnesses, with each degree-k term that reduces to degree 2j - 1 in its
+    pair (module docstring), and the degree-k part runs the XOR polynomial
+    bound on the unreduced terms, aggregated by support into a weighted XOR
+    instance (rescaled so |weights| <= 1, the factor carried as a step).
+    mode and z are as for refute_xor.
     """
     _require_gelfand(mode)
     _require_odd_arity(I.k)
@@ -351,56 +367,40 @@ def refute_csp(I, mode="gelfand", z=16):
     p0 = fourier.coefficient(())
     steps = [_step("mean_value", "the predicate mean contributes chat_empty "
                    "to every assignment's value", p0)]
+    degree, rank, weight = _top_terms(I, fourier.coefficient(tuple(range(k))))
     total = 0.0
     for j in range(1, (k + 1) // 2):
         M, M2 = flatten_degree_d(I, 2 * j - 1), flatten_degree_d(I, 2 * j)
+        fold = degree == 2 * j - 1
+        M += np.bincount(rank[fold], weight[fold], M.size).reshape(M.shape)
         if M.any() or M2.any():
             steps.append(_degree_pair_step(M, M2, j))
             total = _up(total + steps[-1]["value"])
-    chat_k = fourier.coefficient(tuple(range(k)))
-    if chat_k == 0.0:
-        steps.append(_step("degree_k_skipped", "the top Fourier coefficient "
-                           "vanishes, so the degree-k part contributes "
-                           "nothing", 0.0))
-        bound_k = 0.0
-    else:
-        # repeats sit side by side once sorted; bincount sums each
-        # support's weights in constraint order
-        scopes = np.sort(I.scopes, axis=1)
-        repeats = (scopes[:, 1:] == scopes[:, :-1]).any(axis=1)
-        degenerate = int(repeats.sum())
+    # support sums in constraint order, all 0 (so no step) for chat_k = 0
+    top = degree == k
+    ranks, inverse = np.unique(rank[top], return_inverse=True)
+    w = np.bincount(inverse.reshape(-1), weight[top], len(ranks))
+    ranks, w = ranks[w != 0.0], w[w != 0.0]
+    bound_k = 0.0
+    if w.size:
+        W = float(np.abs(w).max())
+        steps.append(_step("degree_k_rescale", "aggregated support weights "
+                           "are divided by their max magnitude before "
+                           "flattening; the factor multiplies the resulting "
+                           "bound", W))
         place = n ** np.arange(k - 1, -1, -1)
-        ranks, inverse = np.unique(scopes[~repeats] @ place,
-                                   return_inverse=True)
-        w = np.bincount(inverse.reshape(-1), minlength=len(ranks),
-                        weights=chat_k * np.prod(I.signs[~repeats], axis=1))
-        ranks, w = ranks[w != 0.0], w[w != 0.0]
-        bound_k = 0.0
-        if w.size:
-            W = float(np.abs(w).max())
-            steps.append(_step("degree_k_rescale", "aggregated support "
-                               "weights are divided by their max magnitude "
-                               "before flattening; the factor multiplies "
-                               "the resulting bound", W))
-            chain, poly = _xor_chain(instances.XorInstance(
-                n, k, (ranks[:, None] // place % n, w / W)), "degree_k_")
-            steps += chain
-            bound_k = _up(_up(W * poly) / math.factorial(k))
-            # w / W is exact for W a power of two, else within u |w| / W
-            # (w sums chat_k, so no quotient underflows)
-            if math.frexp(W)[0] != 0.5:
-                bound_k = _up(bound_k + _up(certify.UNIT_ROUNDOFF
-                                            * certify.exact_sum(np.abs(w))))
-            steps.append(_step("degree_k_bound", "the non-degenerate "
-                               "degree-k contribution is at most W * "
-                               "sqrt(n (b1 + b2)) / k! + u sum |w_S| (0 "
-                               "for W a power of two)", bound_k))
-        if degenerate:
-            extra = _up(abs(chat_k) * degenerate)
-            bound_k = _up(bound_k + extra)
-            steps.append(_step("degree_k_degenerate", "each constraint whose "
-                               "scope repeats an index contributes at most "
-                               "|chat_k|", extra))
+        chain, poly = _xor_chain(instances.XorInstance(
+            n, k, (ranks[:, None] // place % n, w / W)), "degree_k_")
+        steps += chain
+        bound_k = _up(_up(W * poly) / math.factorial(k))
+        # w / W is exact for W a power of two, else within u |w| / W (w
+        # sums chat_k, so no quotient underflows)
+        if math.frexp(W)[0] != 0.5:
+            bound_k = _up(bound_k + _up(certify.UNIT_ROUNDOFF
+                                        * certify.exact_sum(np.abs(w))))
+        steps.append(_step("degree_k_bound", "terms over k distinct indices "
+                           "add at most W * sqrt(n (b1 + b2)) / k! + u sum "
+                           "|w_S| (0 for W a power of two)", bound_k))
     return _refutation("csp_refutation", I, steps,
                        _up(p0 + _up(_up(total + bound_k) / I.m)),
                        "opt(I) <= chat_empty + (sum of degree bounds) / m, "

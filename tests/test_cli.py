@@ -402,6 +402,18 @@ def test_refute_non_finite_weight_is_exit_2(tmp_path, capsys):
     assert "has non-finite weight nan" in stderr
 
 
+def test_refute_unary_csp_is_exit_2(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    code, _, _ = run(capsys, "gen", "--kind", "csp", "--k", "1", "--n", "6",
+                     "--p", "0.5", "--truth-table", "0,1", "--out", str(inst))
+    assert code == 0
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 2
+    assert stderr == ("error: arity k=1 is unsupported: the refutation's "
+                      "flattening needs odd k >= 3\n")
+
+
 def test_refute_repeated_clause_is_exit_2(tmp_path, capsys):
     inst, _ = _xor_files(tmp_path, capsys)
     d = json.loads(inst.read_text())

@@ -135,6 +135,16 @@ def test_refute_csp_rejects_even_arity_up_front(monkeypatch, k):
         refute.refute_csp(J)
 
 
+def test_refute_csp_rejects_arity_one_up_front(monkeypatch):
+    monkeypatch.setattr(instances, "fourier_decompose", _fail_if_called)
+    J = instances.sample_csp([0.0, 1.0], 6, 1, 0.5, seed=0)
+    assert J.m > 0
+    with pytest.raises(ValueError, match="arity k=1 is unsupported: the "
+                                         "refutation's flattening needs odd "
+                                         "k >= 3"):
+        refute.refute_csp(J)
+
+
 def test_flatten_dimension_cap():
     I = instances.XorInstance(82, 3, {(0, 1, 2): 1.0})
     with pytest.raises(ValueError, match="flatten infeasible"):
@@ -373,11 +383,11 @@ def test_degree_d_bounds_dominate_enumerated_forms(J):
     # every pair step (2j - 1, 2j) is at least max y^T M y' + y'^T M' y'
     # over x: the exact ones (a star or S = 0) equal it rounded up, and a
     # witness of dim <= 42 is exactly PD, and not at 0.99 w when its first
-    # rung verified
+    # rung verified; M holds the degree-k terms that reduce to degree 2j - 1
     steps = {s["name"]: s for s in refute.refute_csp(J, z=6).steps}
     assert not [name for name in steps if name.endswith("matrix_bound")]
     for j in range(1, (J.k + 1) // 2):
-        M = refute.flatten_degree_d(J, 2 * j - 1)
+        M = folded_degree_d(J, 2 * j - 1)
         M2 = refute.flatten_degree_d(J, 2 * j)
         step = steps.get(f"degree_{2 * j - 1}_{2 * j}_bound")
         assert (step is None) == (not M.any() and not M2.any())
@@ -462,8 +472,11 @@ def test_refute_csp_handles_degenerate_scopes():
         ((2, 3, 4), (1, -1, 1)),
     ])
     cert = refute.refute_csp(J)
-    names = [s["name"] for s in cert.steps]
-    assert "degree_k_degenerate" in names
+    values = {s["name"]: s["value"] for s in cert.steps}
+    # x_0 x_0 x_1 = x_1: chat_3 = 1/2 lands in M = flatten_degree_d(J, 1),
+    # a star, whose exact bound is ||M||_1 rounded up
+    assert values["degree_1_2_bound"] == math.nextafter(0.5, math.inf)
+    assert "degree_k_degenerate" not in values
     opt = instances.csp_brute_opt(J)
     assert cert.final_bound >= opt - 1e-12
 
@@ -476,8 +489,9 @@ def test_refute_csp_dictator_skips_top_degree():
         ((3, 4, 5), (-1, 1, 1)),
     ])
     cert = refute.refute_csp(J)
-    names = [s["name"] for s in cert.steps]
-    assert "degree_k_skipped" in names
+    # chat_k = 0 leaves every support weight 0, so no degree-k step
+    assert not [s for s in cert.steps if s["name"].startswith("degree_k_")]
+    assert cert.final_bound == 1.0
     assert cert.final_bound >= instances.csp_brute_opt(J) - 1e-12
 
 
@@ -548,35 +562,70 @@ def _dense_parts(I):
     return dense[np.ix_(lo, lo)] + dense[np.ix_(lo, hi)], degs[hi], b2
 
 
-def _degree_k_chain(J):
-    """refute_csp(J)'s certificate, the rescaled weighted XOR instance it
-    hands to the XOR chain for the degree-k part of J, and that chain's
-    polynomial bound."""
-    seen = []
-    real = refute._xor_chain
+def _csp_chain(J):
+    """refute_csp(J)'s certificate, the pair matrices {j: (M, M')} it
+    hands to _degree_pair_step, and the rescaled weighted XOR instances
+    it hands to the XOR chain for the degree-k part of J (one or none),
+    each with that chain's polynomial bound."""
+    pairs, chains = {}, []
+    real_pair, real_chain = refute._degree_pair_step, refute._xor_chain
+
+    def pair_step(M, M2, j):
+        pairs[j] = M, M2
+        return real_pair(M, M2, j)
+
+    def xor_chain(I, *args):
+        steps, poly = real_chain(I, *args)
+        chains.append((I, poly))
+        return steps, poly
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(refute, "_xor_chain",
-                   lambda I, *args: seen.append((I, real(I, *args)))
-                   or seen[-1][1])
+        mp.setattr(refute, "_degree_pair_step", pair_step)
+        mp.setattr(refute, "_xor_chain", xor_chain)
         cert = refute.refute_csp(J)
-    I, (_, poly) = seen[0]
+    return cert, pairs, chains
+
+
+def _degree_k_chain(J):
+    """refute_csp(J)'s certificate, its degree-k XOR instance and that
+    chain's polynomial bound."""
+    cert, _, [(I, poly)] = _csp_chain(J)
     return cert, I, poly
+
+
+def reduced_top_terms(J):
+    """The per-constraint reference for refute_csp's reduction of each
+    degree-k term chat_k prod(c) x^alpha by x_i^2 = 1: (the sorted indices
+    of odd multiplicity in alpha, chat_k prod(c)), in constraint order."""
+    chat = instances.fourier_decompose(J.truth_table).coefficient(
+        tuple(range(J.k)))
+    return [(tuple(sorted(i for i, count in Counter(alpha).items()
+                          if count % 2)), chat * math.prod(c))
+            for alpha, c in J.constraints]
+
+
+def folded_degree_d(J, d):
+    """flatten_degree_d(J, d) plus, one constraint at a time, the degree-k
+    terms that reduce to degree d, each at the base-n rank of its indices."""
+    M = refute.flatten_degree_d(J, d)
+    for key, w in reduced_top_terms(J):
+        if len(key) == d:
+            M.flat[np.ravel_multi_index(key, (J.n,) * d)] += w
+    return M
 
 
 def degree_k_loop(J):
     """The per-constraint reference for refute_csp's degree-k part: the
-    support weights sum_alpha chat_k prod(c) in constraint order, zero sums
-    dropped, and the count of scopes that repeat an index."""
-    chat = instances.fourier_decompose(J.truth_table).coefficient(
-        tuple(range(J.k)))
-    weights, degenerate = {}, 0
-    for alpha, c in J.constraints:
-        if len(set(alpha)) != J.k:
-            degenerate += 1
-            continue
-        key = tuple(sorted(alpha))
-        weights[key] = weights.get(key, 0.0) + chat * math.prod(c)
-    return {key: w for key, w in weights.items() if w != 0.0}, degenerate
+    support weights of the terms over k distinct indices, summed in
+    constraint order, zero sums dropped, and the reduced monomials of the
+    rest."""
+    weights, reduced = {}, []
+    for key, w in reduced_top_terms(J):
+        if len(key) == J.k:
+            weights[key] = weights.get(key, 0.0) + w
+        else:
+            reduced.append((key, w))
+    return {key: w for key, w in weights.items() if w != 0.0}, reduced
 
 
 @pytest.mark.parametrize("J", [
@@ -587,17 +636,61 @@ def degree_k_loop(J):
     instances.sample_csp(_random_table(5, 7), 7, 5, 0.01, seed=2),
 ], ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
 def test_degree_k_aggregation_matches_loop(J):
-    weights, degenerate = degree_k_loop(J)
+    weights, reduced = degree_k_loop(J)
     # in the k = 3 cases the +-chat_k terms of some supports sum to 0
-    assert degenerate > 0 and len(weights) > 1
+    assert reduced and len(weights) > 1
+    # a repeated index reduces the term to a lower odd degree
+    assert {len(key) % 2 for key, _ in reduced} == {1}
+    assert max(len(key) for key, _ in reduced) < J.k
     cert, I, _ = _degree_k_chain(J)
     values = {s["name"]: s["value"] for s in cert.steps}
     W = max(abs(w) for w in weights.values())
     assert values["degree_k_rescale"] == W
     assert I.clauses == {key: w / W for key, w in weights.items()}
-    chat = instances.fourier_decompose(J.truth_table).coefficient(
-        tuple(range(J.k)))
-    assert values["degree_k_degenerate"] == _up(abs(chat) * degenerate)
+    assert "degree_k_degenerate" not in values
+
+
+def _integers(a):
+    """a as int64, which it must hold exactly."""
+    r = np.rint(a)
+    np.testing.assert_array_equal(r, a)
+    return r.astype(np.int64)
+
+
+@pytest.mark.parametrize("J", [
+    instances.sample_csp(_SAT, 10, 3, 0.05, seed=0),
+    instances.sample_csp(instances.predicate_table("parity"), 12, 3, 0.02,
+                         seed=1),
+    instances.sample_csp(_MAJORITY, 12, 3, 0.02, seed=6),
+    instances.sample_csp(_random_table(5, 7), 7, 5, 0.003, seed=5),
+    # n = 2 < k: every scope repeats an index
+    instances.sample_csp(_SAT, 2, 3, 0.5, seed=0),
+], ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
+def test_csp_chain_parts_sum_to_the_value_exactly(J):
+    # m chat_empty + sum_j (y^T M y' + y'^T M' y') + sum_S w_S x^S is
+    # sum_i P(c_i o x^alpha_i) at every x, in integers after scaling by 2^k
+    scale = 2 ** J.k
+    cert, pairs, chains = _csp_chain(J)
+    x = _sign_powers(J.n, 1).astype(np.int64)
+    p0 = instances.fourier_decompose(J.truth_table).coefficient(())
+    total = np.full(len(x), J.m * _integers(scale * p0))
+    for j, (M, M2) in pairs.items():
+        y = _sign_powers(J.n, j - 1).astype(np.int64)
+        y2 = _sign_powers(J.n, j).astype(np.int64)
+        total += np.einsum("ij,ij->i", y @ _integers(scale * M), y2)
+        total += np.einsum("ij,ij->i", y2 @ _integers(scale * M2), y2)
+    for I, _ in chains:
+        # the chain's weights are w / W rounded, within u |w| / W, so W
+        # times them rounds back to w
+        W = next(s["value"] for s in cert.steps
+                 if s["name"] == "degree_k_rescale")
+        w = scale * W * I.weights
+        assert np.abs(w - np.rint(w)).max() < 1e-6
+        total += np.prod(x[:, I.supports], axis=2) @ np.rint(w).astype(
+            np.int64)
+    rows = (J.signs * x[:, J.scopes] > 0) @ (1 << np.arange(J.k - 1, -1, -1))
+    value = J.truth_table[rows].sum(axis=1)
+    np.testing.assert_array_equal(total, scale * _integers(value))
 
 
 def _degree_k_instance(J):
@@ -1288,7 +1381,7 @@ def test_refutation_golden_digests():
     assert _digest(refute.refute_xor(I, z=6)) == (
         "83de94a497e0ddedc9a59b2d211ec426b9f82e18f8731fb1463dcee436f58bf8")
     assert _digest(refute.refute_csp(J, z=6)) == (
-        "cb5aa90a891e6d1754cc42de442ed834be67ba51f17d28e7af64cc88690a2b8e")
+        "1188fc27a38a3ad09a3226a60dd1450d4cb3591677ac34c5b43fcadd5c2eb94c")
 
 
 def test_refutations_never_read_the_clause_dict(monkeypatch):
