@@ -10,8 +10,8 @@ The corpus:
     seeds 1-2 (refute_csp);
   * 3-parity, whose expansion has degrees 0 and 3 only, at n = 20,
     p = 0.05, seeds 1-2 (refute_csp);
-  * the 5-ary table default_rng(0).integers(0, 2, size=32) at n = 8,
-    p = 0.002, seeds 1-2 (refute_csp);
+  * the 5-ary table default_rng(0).integers(0, 2, size=32) and
+    majority-5, each at n = 8, p = 0.002, seeds 1-2 (refute_csp);
   * 5-XOR at n = 8, p = 0.3, seeds 1-2 (refute_xor);
   * criterion 5's 60 graphs through inf_to_one_certificate, gelfand mode;
   * the two instances of test_refutation_golden_digests, at z = 6.
@@ -63,13 +63,15 @@ def corpus():
             J = instances.sample_csp(table, n, 3, p, seed)
             items.append((f"3sat/n{n}/p{p}/s{seed}",
                           lambda J=J: refute.refute_csp(J)))
-    majority = np.array([float(sum(instances.assignment_from_index(i, 3)) > 0)
-                         for i in range(8)])
+    majority, majority5 = (
+        np.array([float(sum(instances.assignment_from_index(i, k)) > 0)
+                  for i in range(2 ** k)]) for k in (3, 5))
     table5 = np.random.default_rng(0).integers(0, 2, size=32)
     for family, P, n, k, p in (("majority3", majority, 20, 3, 0.05),
                                ("parity3", instances.predicate_table(
                                    "parity"), 20, 3, 0.05),
-                               ("table5", table5, 8, 5, 0.002)):
+                               ("table5", table5, 8, 5, 0.002),
+                               ("majority5", majority5, 8, 5, 0.002)):
         for seed in (1, 2):
             J = instances.sample_csp(P, n, k, p, seed)
             items.append((f"{family}/n{n}/p{p}/s{seed}",
