@@ -50,22 +50,23 @@ the rounding of A''s entries and of the rescale w / W (0 when exact),
 and the closed-form steps (b2, N, U, and the CSP chain's degree-d terms,
 degree-k bound and total) by rounding every operation up by one ulp.
 
-The CSP(P) chain decomposes P into its multilinear expansion, reduces
-each constraint's degree-k term by x_i^2 = 1 to its indices of odd
-multiplicity, of odd degree d' (_top_terms), and bounds the degrees d < k
-in pairs (2j - 1, 2j), j = 1 .. (k - 1)/2, one step each
-(_degree_pair_step). For M = flatten_degree_d(I, 2j - 1) plus the terms
-with d' = 2j - 1 (one bincount at their ranks), M' =
-flatten_degree_d(I, 2j), y = x^(j-1) and y' = x^j, the pair's part is
-y^T M y' + y'^T M' y' = tr M' + z^T S z for z = [y; y'] and S = [[0,
-M/2], [M^T/2, S']], S' the off-diagonal part of (M' + M'^T)/2: at most tr
-M' + tr W for S's diagonal witness W, one maximum over x for both
-degrees, or tr M' + ||M||_1, exact when S is a star (S' = 0, M one row).
-W has entry_err 0: each entry sums at most m (C(k, d) + 1) terms chat_S
-(+-1), each a multiple of 2^-k of magnitude at most 1, so M, M' + M'^T and
-their halves are exact while m 2^(2k+1) < 2^53. The terms with d' = k go
-through the XOR chain, aggregated by support into a rescaled weighted XOR
-instance. All add in constraint order (bincount), as a loop would.
+The CSP(P) chain decomposes P into its multilinear expansion and reduces
+every nonzero term chat_S prod_{i in S} c_i x^(alpha_S) of every
+constraint by x_i^2 = 1 to the sorted indices of odd multiplicity in
+alpha_S, of degree d' (_reduced_terms). The terms with d' = 0 sum to a
+constant c0; those with d' = k go through the XOR chain, aggregated by
+support into a rescaled weighted XOR instance; the rest are bounded in
+pairs (2j - 1, 2j), j = 1 .. (k - 1)/2, one step each
+(_degree_pair_step). For M and M' the terms with d' = 2j - 1 and 2j, each
+added at the base-n rank of its indices, y = x^(j-1) and y' = x^j, the
+pair's part is y^T M y' + y'^T M' y' = z^T S z for z = [y; y'] and S =
+[[0, M/2], [M^T/2, (M' + M'^T)/2]], whose diagonal is 0: a term's indices
+are distinct, so a row of M' is never its column. It is at most tr W for
+S's diagonal witness W, one maximum over x for both degrees, or ||M||_1,
+exact when S is a star (M' = 0, M one row); pair 1 adds c0. W has
+entry_err 0: each entry of M and M', and c0, sums at most m 2^k terms
+chat_S (+-1), each a multiple of 2^-k of magnitude at most 1, so they, M'
++ M'^T and its half are exact, in any order, while m 2^(2k+1) < 2^53.
 """
 
 import itertools
@@ -90,10 +91,20 @@ def _require_odd_arity(k):
                          f"flattening needs odd k >= 3")
 
 
-def _require_gelfand(mode):
+def _require_refutable(I, mode, items):
+    """The checks both pipelines make before any work: the mode, odd k, a
+    nonempty instance, and a swap block within BLOCK_DIM_CAP."""
     if mode != "gelfand":
         raise ValueError(f"unknown refutation mode {mode!r}; the only mode "
                          f"is 'gelfand'")
+    _require_odd_arity(I.k)
+    if I.m == 0:
+        raise ValueError(f"no {items} to refute")
+    q = I.n ** ((I.k - 1) // 2)
+    if q * (q + 1) // 2 > BLOCK_DIM_CAP:
+        raise linalg.Infeasible(
+            f"refutation infeasible: swap block dimension {q * (q + 1) // 2} "
+            f"exceeds cap {BLOCK_DIM_CAP}")
 
 
 def _unfolding(I):
@@ -161,10 +172,6 @@ def _swap_parts(I):
     blocks' once); and entry_err (_entry_errors)."""
     n, h = I.n, (I.k - 1) // 2
     q = n ** h
-    if q * (q + 1) // 2 > BLOCK_DIM_CAP:
-        raise linalg.Infeasible(
-            f"refutation infeasible: swap block dimension {q * (q + 1) // 2} "
-            f"exceeds cap {BLOCK_DIM_CAP}")
     digits, halves = _digits(n, I.k), _digits(n, h + 1)
     lo, hi = _swap_index(q)
     sym = np.zeros((lo.size, lo.size))
@@ -224,26 +231,26 @@ def _step(name, claim, value, method="exact", **extra):
             **extra}
 
 
-def _degree_pair_step(M, M2, j):
-    """The step bounding y^T M y' + y'^T M2 y' for M = flatten_degree_d(I,
-    2j - 1) and M2 = flatten_degree_d(I, 2j), not both zero: tr M2 plus
-    ||M||_1 (S a star or empty) or tr W, rounded up (module docstring)."""
+def _degree_pair_step(M, M2, j, c0):
+    """The step bounding c0 + y^T M y' + y'^T M2 y' for M and M2 the terms
+    of reduced degree 2j - 1 and 2j (M2 with a zero diagonal) and c0 those
+    of degree 0: c0 plus ||M||_1 (S a star or empty) or tr W, rounded up
+    (module docstring)."""
     rows, cols = M.shape
     sym = np.zeros((rows + cols, rows + cols))
     sym[:rows, rows:], sym[rows:, :rows] = 0.5 * M, 0.5 * M.T
     sym[rows:, rows:] = 0.5 * (M2 + M2.T)
-    np.fill_diagonal(sym, 0.0)
-    name, trace = f"degree_{2 * j - 1}_{2 * j}_bound", M2.diagonal()
-    claim = (f"the degree-{2 * j - 1} and degree-{2 * j} parts are tr M' + "
-             f"z^T S z for z = [y; y'] and S = [[0, M/2], [M^T/2, S']]")
-    if not sym[rows:, rows:].any() and (rows == 1 or not M.any()):
-        return _step(name, claim + "; S is a star or 0, at most ||M||_1",
-                     _up(certify.exact_sum(np.concatenate(
-                         (trace, np.abs(M).ravel())))))
+    name = f"degree_{2 * j - 1}_{2 * j}_bound"
+    claim = (f"the terms of reduced degree {2 * j - 1} and {2 * j} are "
+             f"z^T S z for z = [y; y'] and S = [[0, M/2], [M^T/2, (M' + "
+             f"M'^T)/2]], plus c0, those of degree 0, in pair 1")
+    if not M2.any() and (rows == 1 or not M.any()):
+        return _step(name, claim + "; S is a star or 0, at most c0 + ||M||_1",
+                     _up(certify.exact_sum(np.append(np.abs(M), c0))))
     w, witness = certify.diagonal_witness(sym, np.abs(sym).sum(axis=1))
     return _step(name, claim + ", z^T S z <= tr W for W - S PSD, verified "
                  "by Cholesky of W - S - c Id",
-                 _up(certify.exact_sum(np.concatenate((trace, w)))),
+                 _up(certify.exact_sum(np.append(w, c0))),
                  "cholesky", witness=witness)
 
 
@@ -282,10 +289,7 @@ def refute_xor(I, mode="gelfand", z=16):
     rounding included. mode must be "gelfand", the only refutation mode,
     and z is only recorded.
     """
-    _require_gelfand(mode)
-    _require_odd_arity(I.k)
-    if I.m == 0:
-        raise ValueError("no clauses to refute")
+    _require_refutable(I, mode, "clauses")
     steps, poly = _xor_chain(I, "")
     steps.append(_step("polynomial_bound",
                        "max_x <T, x^(k)> <= sqrt(n * (bound(A') + "
@@ -308,74 +312,66 @@ def _refutation(kind, I, steps, raw, claim, z, **extra_meta):
                                informative=bool(bound < 1.0))
 
 
-def flatten_degree_d(I, d):
-    """Degree-d coefficient matrix of a CSP instance: an n^floor(d/2) by
-    n^ceil(d/2) matrix M with, for every constraint (alpha, c) and every
-    size-d index set S, the value chat_S prod_{i in S} c_i added at the row
-    of alpha's first floor(d/2) sorted-S positions and the column of the
-    rest, whose flat index is the base-n rank of alpha's S-positions. One
-    bincount over constraints, then sorted sets, adds in a loop's order."""
-    k = I.k
-    if not (1 <= d < k):
-        raise ValueError(f"degree d must satisfy 1 <= d < k, got {d}")
-    fourier = instances.fourier_decompose(I.truth_table)
-    a = d // 2
-    rows, cols = I.n ** a, I.n ** (d - a)
-    items = sorted((S, v) for S, v in fourier.degree_part(d).items()
-                   if v != 0.0)
-    if not items:
-        return np.zeros((rows, cols))
-    sets, chats = map(np.array, zip(*items))
-    flat = I.scopes[:, sets] @ I.n ** np.arange(d - 1, -1, -1)
-    coef = chats * np.prod(I.signs[:, sets], axis=2)
-    return np.bincount(flat.ravel(), weights=coef.ravel(),
-                       minlength=rows * cols).reshape(rows, cols)
-
-
-def _top_terms(I, chat_k):
-    """Per constraint, its degree-k term chat_k prod(c) x^alpha reduced by
-    x_i^2 = 1 (a still-unpaired sorted position t - 1 cancels position t of
-    equal index): the reduced degree d' (odd, as k is), the base-n rank of
-    the d' sorted indices left, and the weight chat_k prod(c)."""
-    scopes = np.sort(I.scopes, axis=1)
-    odd = np.ones(scopes.shape, dtype=bool)
-    for t in range(1, I.k):
-        pair = odd[:, t - 1] & (scopes[:, t - 1] == scopes[:, t])
-        odd[:, t - 1:t + 1] ^= pair[:, None]
-    later = np.cumsum(odd[:, ::-1], axis=1)[:, ::-1] - odd
-    rank = np.where(odd, scopes * I.n ** later, 0).sum(axis=1)
-    return odd.sum(axis=1), rank, chat_k * np.prod(I.signs, axis=1)
+def _reduced_terms(I, fourier):
+    """Every nonzero term chat_S prod_{i in S} c_i x^(alpha_S), |S| >= 1,
+    of every constraint (alpha, c), reduced by x_i^2 = 1: its degree d',
+    the base-n rank of the d' sorted indices of odd multiplicity in
+    alpha_S, and its weight chat_S prod_{i in S} c_i. Per degree d, the d
+    columns of alpha_S are sorted by a min/max network and walked once: an
+    index equal to a still-unpaired predecessor cancels it, which undoes
+    its Horner step of the rank (// n) and takes 2 off d."""
+    n = I.n
+    terms = [(np.zeros(0, int), np.zeros(0, int), np.zeros(0))]
+    for d in range(1, I.k + 1):
+        items = sorted((S, v) for S, v in fourier.degree_part(d).items()
+                       if v != 0.0)
+        if not items:
+            continue
+        sets, chats = map(np.array, zip(*items))
+        cols = list(I.scopes[:, sets].reshape(-1, d).T)
+        for end in range(d - 1, 0, -1):
+            for t in range(end):
+                a, b = cols[t], cols[t + 1]
+                cols[t], cols[t + 1] = np.minimum(a, b), np.maximum(a, b)
+        rank, degree, unpaired = cols[0], np.full(len(cols[0]), d), True
+        for t in range(1, d):
+            pair = unpaired & (cols[t - 1] == cols[t])
+            rank = np.where(pair, rank // n, rank * n + cols[t])
+            degree -= 2 * pair
+            unpaired = ~pair
+        terms.append((degree, rank, (chats * np.prod(I.signs[:, sets],
+                                                     axis=2)).ravel()))
+    return map(np.concatenate, zip(*terms))
 
 
 def refute_csp(I, mode="gelfand", z=16):
     """Certified upper bound on the optimum of a CSP(P) instance.
 
     U = chat_empty + (1/m) [ sum_j degree-(2j-1, 2j) bound + degree-k bound ]
-    where the pair bounds are exact sums or Cholesky-verified diagonal
-    witnesses, with each degree-k term that reduces to degree 2j - 1 in its
-    pair (module docstring), and the degree-k part runs the XOR polynomial
-    bound on the unreduced terms, aggregated by support into a weighted XOR
-    instance (rescaled so |weights| <= 1, the factor carried as a step).
+    over every term reduced by x_i^2 = 1 (module docstring): the pair
+    bounds, the terms of degree 0 in pair 1's, are exact sums or
+    Cholesky-verified diagonal witnesses, and the degree-k part runs the
+    XOR polynomial bound on the terms still over k indices, aggregated by
+    support into a weighted XOR instance (rescaled so |weights| <= 1, the
+    factor carried as a step).
     mode and z are as for refute_xor.
     """
-    _require_gelfand(mode)
-    _require_odd_arity(I.k)
-    if I.m == 0:
-        raise ValueError("no constraints to refute")
+    _require_refutable(I, mode, "constraints")
     n, k = I.n, I.k
     fourier = instances.fourier_decompose(I.truth_table)
     p0 = fourier.coefficient(())
     steps = [_step("mean_value", "the predicate mean contributes chat_empty "
                    "to every assignment's value", p0)]
-    degree, rank, weight = _top_terms(I, fourier.coefficient(tuple(range(k))))
+    degree, rank, weight = _reduced_terms(I, fourier)
+    c0 = certify.exact_sum(weight[degree == 0])
     total = 0.0
     for j in range(1, (k + 1) // 2):
-        M, M2 = flatten_degree_d(I, 2 * j - 1), flatten_degree_d(I, 2 * j)
-        fold = degree == 2 * j - 1
-        M += np.bincount(rank[fold], weight[fold], M.size).reshape(M.shape)
-        if M.any() or M2.any():
-            steps.append(_degree_pair_step(M, M2, j))
+        M, M2 = (np.bincount(rank[degree == d], weight[degree == d], n ** d)
+                 .reshape(n ** (d // 2), -1) for d in (2 * j - 1, 2 * j))
+        if M.any() or M2.any() or c0:
+            steps.append(_degree_pair_step(M, M2, j, c0))
             total = _up(total + steps[-1]["value"])
+        c0 = 0.0
     # support sums in constraint order, all 0 (so no step) for chat_k = 0
     top = degree == k
     ranks, inverse = np.unique(rank[top], return_inverse=True)

@@ -376,6 +376,21 @@ def test_refute_variable_count_past_int64_is_exit_4(tmp_path, capsys):
     assert "exceeds cap" in stderr
 
 
+def test_refute_k5_csp_past_the_cap_is_exit_4(tmp_path, capsys):
+    # refused before the pair matrices are built (M' would be 60^4 doubles)
+    rng = np.random.default_rng(7)
+    J = instances.CspInstance(60, 5, instances.predicate_table("parity", 5), [
+        (tuple(a), tuple(c)) for a, c in zip(
+            rng.integers(0, 60, size=(40, 5)).tolist(),
+            rng.choice((-1, 1), size=(40, 5)).tolist())])
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(J.to_json_dict()))
+    code, _, stderr = run(capsys, "refute", "--in", str(inst),
+                          "--out", str(tmp_path / "o.json"))
+    assert code == 4
+    assert "swap block dimension 6481800 exceeds cap" in stderr
+
+
 @pytest.mark.parametrize("value", ["abc", True])
 def test_audit_non_numeric_step_value_is_exit_2(tmp_path, capsys, value):
     inst, cert = _xor_files(tmp_path, capsys)

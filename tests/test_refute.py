@@ -232,75 +232,11 @@ def test_refute_xor_informative_flag_tracks_bound():
     assert cert.informative is (cert.final_bound < 1.0)
 
 
-def degree_part_value_oracle(J, fourier, d, x):
-    """Direct evaluation of the degree-d Fourier slice summed over all
-    constraints at the assignment x."""
-    total = 0.0
-    part = fourier.degree_part(d)
-    for alpha, c in J.constraints:
-        for S, chat in part.items():
-            term = chat
-            for i in S:
-                term *= c[i] * x[alpha[i]]
-            total += term
-    return total
-
-
-def test_flatten_degree_d_matches_value_oracle():
-    table = instances.predicate_table("3sat")
-    J = instances.sample_csp(table, 5, 3, 0.05, seed=6)
-    assert J.m > 0
-    fourier = instances.fourier_decompose(J.truth_table)
-    rng = np.random.default_rng(8)
-    for d in (1, 2):
-        M = refute.flatten_degree_d(J, d)
-        a = d // 2
-        b = d - a
-        assert M.shape == (5 ** a, 5 ** b)
-        for _ in range(4):
-            x = rng.choice([-1.0, 1.0], size=5)
-            left = tensor_power(x, a)
-            right = tensor_power(x, b)
-            np.testing.assert_allclose(
-                left @ M @ right,
-                degree_part_value_oracle(J, fourier, d, x),
-                atol=1e-10)
-
-
-def test_flatten_degree_d_parity_is_zero():
-    table = instances.predicate_table("parity", 3)
-    J = instances.sample_csp(table, 5, 3, 0.05, seed=2)
-    for d in (1, 2):
-        assert np.count_nonzero(refute.flatten_degree_d(J, d)) == 0
-
-
-def flatten_degree_d_loop(J, d, fourier):
-    """The per-constraint reference for flatten_degree_d: for every
-    constraint and then every nonzero degree-d coefficient in sorted
-    order, add chat_S prod_{i in S} c_i at the entry of alpha's
-    S-positions."""
-    a = d // 2
-    M = np.zeros((J.n ** a, J.n ** (d - a)))
-    items = sorted(fourier.degree_part(d).items())
-    for alpha, c in J.constraints:
-        for S, chat in items:
-            if chat == 0.0:
-                continue
-            coef = chat
-            for i in S:
-                coef *= c[i]
-            rank = 0
-            for i in S:
-                rank = rank * J.n + alpha[i]
-            M[divmod(rank, M.shape[1])] += coef
-    return M
-
-
 def _random_table(k, seed):
     return np.random.default_rng(seed).integers(0, 2, size=2 ** k)
 
 
-def _flatten_cases():
+def _reduction_cases():
     sat = instances.predicate_table("3sat")
     rng = np.random.default_rng(31)
     # every scope repeats an index, and every constraint appears twice
@@ -317,28 +253,38 @@ def _flatten_cases():
     ]
 
 
-@pytest.mark.parametrize("J", _flatten_cases(),
+@pytest.mark.parametrize("J", _reduction_cases(),
                          ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
-def test_flatten_degree_d_matches_loop(J):
-    fourier = instances.fourier_decompose(J.truth_table)
+def test_pair_matrices_match_the_reduced_terms(J):
+    c0, want = reference_pairs(J)
+    _, pairs, _ = _csp_chain(J)
+    # parity's terms all have degree 3, which reduces to 3 or 1
     parity = np.array_equal(J.truth_table,
                             instances.predicate_table("parity", J.k))
-    for d in range(1, J.k):
-        M = refute.flatten_degree_d(J, d)
-        want = flatten_degree_d_loop(J, d, fourier)
-        np.testing.assert_array_equal(M, want)
+    assert not parity or c0 == 0.0 and not want[1][1].any()
+    for j, (M, M2) in want.items():
+        assert not M2.diagonal().any()
+        if j not in pairs:
+            assert not (M.any() or M2.any() or j == 1 and c0)
+            continue
+        got_M, got_M2, got_c0 = pairs[j]
         # bit for bit, the signs of zeros included
-        assert M.tobytes() == want.tobytes()
-        # parity has no degree-d part
-        assert np.any(M) != parity
+        assert got_M.tobytes() == M.tobytes()
+        assert got_M2.tobytes() == M2.tobytes()
+        assert got_c0 == (c0 if j == 1 else 0.0)
 
 
-def test_flatten_degree_d_range_errors():
-    table = instances.predicate_table("3sat")
-    J = instances.CspInstance(4, 3, table, [((0, 1, 2), (1, 1, 1))])
-    for d in (0, 3):
-        with pytest.raises(ValueError, match="degree d"):
-            refute.flatten_degree_d(J, d)
+def test_a_repeated_index_moves_a_degree_3_term_to_pair_1():
+    # P(z) = (1 + z_0 z_1 z_2) / 2 on scope (0, 0, 1, 2, 3): x_0 x_0 x_1 =
+    # x_1, so chat_{012} = 1/2 lands in pair (1, 2)'s M, a star
+    table = [(1 + math.prod(instances.assignment_from_index(i, 5)[:3])) / 2
+             for i in range(32)]
+    J = instances.CspInstance(4, 5, table, [((0, 0, 1, 2, 3), (1,) * 5)])
+    cert = refute.refute_csp(J)
+    values = {s["name"]: s["value"] for s in cert.steps}
+    assert "degree_3_4_bound" not in values
+    assert values["degree_1_2_bound"] == math.nextafter(0.5, math.inf)
+    assert cert.final_bound >= instances.csp_brute_opt(J)
 
 
 def _sign_powers(n, reps):
@@ -356,13 +302,12 @@ _MAJORITY = np.array([float(sum(instances.assignment_from_index(i, 3)) > 0)
 
 
 def _bordered_block(M, M2):
-    """S = [[0, M/2], [M^T/2, S']] for S' the off-diagonal part of (M2 +
-    M2^T)/2: the degree pair's block, built from refute's docstring."""
+    """S = [[0, M/2], [M^T/2, (M2 + M2^T)/2]]: the degree pair's block,
+    built from refute's docstring."""
     rows, cols = M.shape
     S = np.zeros((rows + cols, rows + cols))
     S[:rows, rows:], S[rows:, :rows] = M / 2, M.T / 2
     S[rows:, rows:] = (M2 + M2.T) / 2
-    np.fill_diagonal(S, 0.0)
     return S
 
 
@@ -373,36 +318,36 @@ def _bordered_block(M, M2):
     instances.sample_csp(_random_table(3, 5), 9, 3, 0.05, seed=3),
     instances.sample_csp(_random_table(5, 6), 8, 5, 0.002, seed=4),
     instances.sample_csp(_random_table(5, 7), 7, 5, 0.003, seed=5),
-    # every scope is (i, i, i): M_2 is diagonal, so S is a star
+    # every scope is (i, i, i): the degree-2 terms reduce to constants, so
+    # M' = 0 and S is a star
     instances.CspInstance(5, 3, _SAT, [((i, i, i), (1, -1, 1))
                                        for i in range(4)]),
-    # majority has odd degrees only: M_2 = 0, so S is a star
+    # majority has odd degrees only: M' = 0, so S is a star
     instances.sample_csp(_MAJORITY, 12, 3, 0.02, seed=6),
 ], ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
 def test_degree_d_bounds_dominate_enumerated_forms(J):
-    # every pair step (2j - 1, 2j) is at least max y^T M y' + y'^T M' y'
-    # over x: the exact ones (a star or S = 0) equal it rounded up, and a
-    # witness of dim <= 42 is exactly PD, and not at 0.99 w when its first
-    # rung verified; M holds the degree-k terms that reduce to degree 2j - 1
+    # every pair step (2j - 1, 2j) is at least the maximum of c0 + y^T M y'
+    # + y'^T M' y' over x (c0 in pair 1 only): the exact ones (a star or S
+    # = 0) equal it rounded up, and a witness of dim <= 42 is exactly PD,
+    # and not at 0.99 w when its first rung verified
     steps = {s["name"]: s for s in refute.refute_csp(J, z=6).steps}
     assert not [name for name in steps if name.endswith("matrix_bound")]
-    for j in range(1, (J.k + 1) // 2):
-        M = folded_degree_d(J, 2 * j - 1)
-        M2 = refute.flatten_degree_d(J, 2 * j)
+    c0, pairs = reference_pairs(J)
+    for j, (M, M2) in pairs.items():
+        c = c0 if j == 1 else 0.0
         step = steps.get(f"degree_{2 * j - 1}_{2 * j}_bound")
-        assert (step is None) == (not M.any() and not M2.any())
+        assert (step is None) == (not M.any() and not M2.any() and not c)
         if step is None:
             continue
         y, y2 = _sign_powers(J.n, j - 1), _sign_powers(J.n, j)
-        top = float((np.einsum("ij,ij->i", y @ M, y2)
-                     + np.einsum("ij,ij->i", y2 @ M2, y2)).max())
+        top = c + float((np.einsum("ij,ij->i", y @ M, y2)
+                         + np.einsum("ij,ij->i", y2 @ M2, y2)).max())
         assert step["value"] >= top, (j, step["value"], top)
         S = _bordered_block(M, M2)
-        star = not S[M.shape[0]:, M.shape[0]:].any() and (
-            j == 1 or not M.any())
-        if star:
+        assert not S.diagonal().any()
+        if not M2.any() and (j == 1 or not M.any()):
             assert step["method"] == "exact" and "witness" not in step
-            # tr M' + ||M||_1 is the exact maximum
+            # c0 + ||M||_1 is the exact maximum
             assert step["value"] == math.nextafter(top, math.inf)
             continue
         assert step["method"] == "cholesky"
@@ -412,7 +357,7 @@ def test_degree_d_bounds_dominate_enumerated_forms(J):
         keep = np.flatnonzero(degs)
         w = witness["a"] + witness["b"] * degs[keep]
         assert step["value"] == certify.round_up(certify.exact_sum(
-            np.concatenate((M2.diagonal(), w))))
+            np.append(w, c)))
         if witness["dim"] <= 42:
             S = S[np.ix_(keep, keep)]
             assert exact_reference.is_positive_definite(np.diag(w) - S)
@@ -473,8 +418,8 @@ def test_refute_csp_handles_degenerate_scopes():
     ])
     cert = refute.refute_csp(J)
     values = {s["name"]: s["value"] for s in cert.steps}
-    # x_0 x_0 x_1 = x_1: chat_3 = 1/2 lands in M = flatten_degree_d(J, 1),
-    # a star, whose exact bound is ||M||_1 rounded up
+    # x_0 x_0 x_1 = x_1: chat_3 = 1/2 lands in pair (1, 2)'s M, a star,
+    # whose exact bound is ||M||_1 rounded up
     assert values["degree_1_2_bound"] == math.nextafter(0.5, math.inf)
     assert "degree_k_degenerate" not in values
     opt = instances.csp_brute_opt(J)
@@ -563,16 +508,16 @@ def _dense_parts(I):
 
 
 def _csp_chain(J):
-    """refute_csp(J)'s certificate, the pair matrices {j: (M, M')} it
-    hands to _degree_pair_step, and the rescaled weighted XOR instances
-    it hands to the XOR chain for the degree-k part of J (one or none),
-    each with that chain's polynomial bound."""
+    """refute_csp(J)'s certificate, the pair matrices and constant {j: (M,
+    M', c0)} it hands to _degree_pair_step, and the rescaled weighted XOR
+    instances it hands to the XOR chain for the degree-k part of J (one or
+    none), each with that chain's polynomial bound."""
     pairs, chains = {}, []
     real_pair, real_chain = refute._degree_pair_step, refute._xor_chain
 
-    def pair_step(M, M2, j):
-        pairs[j] = M, M2
-        return real_pair(M, M2, j)
+    def pair_step(M, M2, j, c0):
+        pairs[j] = M, M2, c0
+        return real_pair(M, M2, j, c0)
 
     def xor_chain(I, *args):
         steps, poly = real_chain(I, *args)
@@ -593,37 +538,47 @@ def _degree_k_chain(J):
     return cert, I, poly
 
 
-def reduced_top_terms(J):
-    """The per-constraint reference for refute_csp's reduction of each
-    degree-k term chat_k prod(c) x^alpha by x_i^2 = 1: (the sorted indices
-    of odd multiplicity in alpha, chat_k prod(c)), in constraint order."""
-    chat = instances.fourier_decompose(J.truth_table).coefficient(
-        tuple(range(J.k)))
-    return [(tuple(sorted(i for i, count in Counter(alpha).items()
-                          if count % 2)), chat * math.prod(c))
-            for alpha, c in J.constraints]
+def reduced_terms(J):
+    """The per-constraint reference for refute_csp's reduction: for every
+    constraint (alpha, c), then every nonzero chat_S, |S| >= 1, in sorted
+    order, (|S|, the sorted indices of odd multiplicity in alpha_S, chat_S
+    prod_{i in S} c_i), the term chat_S prod c_i x^(alpha_S) reduced by
+    x_i^2 = 1."""
+    items = sorted((S, v) for S, v in instances.fourier_decompose(
+        J.truth_table).coefficients.items() if S and v != 0.0)
+    return [(len(S), tuple(sorted(i for i, count in Counter(
+        alpha[t] for t in S).items() if count % 2)),
+        chat * math.prod(c[t] for t in S))
+        for alpha, c in J.constraints for S, chat in items]
 
 
-def folded_degree_d(J, d):
-    """flatten_degree_d(J, d) plus, one constraint at a time, the degree-k
-    terms that reduce to degree d, each at the base-n rank of its indices."""
-    M = refute.flatten_degree_d(J, d)
-    for key, w in reduced_top_terms(J):
-        if len(key) == d:
-            M.flat[np.ravel_multi_index(key, (J.n,) * d)] += w
-    return M
+def reference_pairs(J):
+    """(c0, {j: (M, M')}) added one reduced term at a time: c0 the terms of
+    degree 0, and M and M' those of degree 2j - 1 and 2j, each at the
+    base-n rank of its indices."""
+    c0, n = 0.0, J.n
+    pairs = {j: (np.zeros((n ** (j - 1), n ** j)), np.zeros((n ** j,) * 2))
+             for j in range(1, (J.k + 1) // 2)}
+    for _, key, w in reduced_terms(J):
+        d = len(key)
+        if d == 0:
+            c0 += w
+        elif d < J.k:
+            M = pairs[(d + 1) // 2][1 - d % 2]
+            M.flat[np.ravel_multi_index(key, (n,) * d)] += w
+    return c0, pairs
 
 
 def degree_k_loop(J):
     """The per-constraint reference for refute_csp's degree-k part: the
-    support weights of the terms over k distinct indices, summed in
-    constraint order, zero sums dropped, and the reduced monomials of the
-    rest."""
+    support weights of the degree-k terms still over k distinct indices,
+    summed in constraint order, zero sums dropped, and the reduced
+    monomials of the rest."""
     weights, reduced = {}, []
-    for key, w in reduced_top_terms(J):
+    for d, key, w in reduced_terms(J):
         if len(key) == J.k:
             weights[key] = weights.get(key, 0.0) + w
-        else:
+        elif d == J.k:
             reduced.append((key, w))
     return {key: w for key, w in weights.items() if w != 0.0}, reduced
 
@@ -667,13 +622,15 @@ def _integers(a):
     instances.sample_csp(_SAT, 2, 3, 0.5, seed=0),
 ], ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
 def test_csp_chain_parts_sum_to_the_value_exactly(J):
-    # m chat_empty + sum_j (y^T M y' + y'^T M' y') + sum_S w_S x^S is
+    # m chat_empty + c0 + sum_j (y^T M y' + y'^T M' y') + sum_S w_S x^S is
     # sum_i P(c_i o x^alpha_i) at every x, in integers after scaling by 2^k
     scale = 2 ** J.k
-    cert, pairs, chains = _csp_chain(J)
+    cert, _, chains = _csp_chain(J)
+    c0, pairs = reference_pairs(J)
     x = _sign_powers(J.n, 1).astype(np.int64)
     p0 = instances.fourier_decompose(J.truth_table).coefficient(())
-    total = np.full(len(x), J.m * _integers(scale * p0))
+    total = np.full(len(x), J.m * _integers(scale * p0) + _integers(
+        scale * c0))
     for j, (M, M2) in pairs.items():
         y = _sign_powers(J.n, j - 1).astype(np.int64)
         y2 = _sign_powers(J.n, j).astype(np.int64)
@@ -1381,7 +1338,7 @@ def test_refutation_golden_digests():
     assert _digest(refute.refute_xor(I, z=6)) == (
         "83de94a497e0ddedc9a59b2d211ec426b9f82e18f8731fb1463dcee436f58bf8")
     assert _digest(refute.refute_csp(J, z=6)) == (
-        "1188fc27a38a3ad09a3226a60dd1450d4cb3591677ac34c5b43fcadd5c2eb94c")
+        "285772273416f95f4b9887f76194473a33fb5d0f501e9cab6015ff9f64f80aef")
 
 
 def test_refutations_never_read_the_clause_dict(monkeypatch):
@@ -1412,3 +1369,29 @@ def test_refute_size_cap_bounds_the_swap_block():
     with pytest.raises(ValueError, match="infeasible: swap block dimension "
                                          "7381 exceeds cap 7260"):
         refute.refute_xor(I)
+
+
+def _k5_csp_past_the_cap():
+    """40 random 5-ary constraints at n = 60: the swap block (q = 3600)
+    is past BLOCK_DIM_CAP, and M' alone would be 60^4 doubles."""
+    rng = np.random.default_rng(7)
+    return instances.CspInstance(60, 5, _random_table(5, 8), [
+        (tuple(a), tuple(c)) for a, c in zip(
+            rng.integers(0, 60, size=(40, 5)).tolist(),
+            rng.choice((-1, 1), size=(40, 5)).tolist())])
+
+
+@pytest.mark.parametrize("refute_fn, I", [
+    (refute.refute_csp, _k5_csp_past_the_cap()),
+    (refute.refute_xor, instances.XorInstance(60, 5, {(0, 1, 2, 3, 4): 1.0})),
+], ids=["csp", "xor"])
+def test_refutations_refuse_the_cap_before_allocating(refute_fn, I):
+    tracemalloc.start()
+    try:
+        with pytest.raises(linalg.Infeasible, match="swap block dimension "
+                                                    "6481800 exceeds cap"):
+            refute_fn(I)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
