@@ -253,9 +253,11 @@ def _reduction_cases():
     ]
 
 
+# the degree-d parts of the CSP, d < k, flattened into each degree pair's
+# M (d = 2j - 1) and M' (d = 2j) after the x_i^2 = 1 reduction
 @pytest.mark.parametrize("J", _reduction_cases(),
                          ids=lambda J: f"k{J.k}-n{J.n}-m{J.m}")
-def test_pair_matrices_match_the_reduced_terms(J):
+def test_flatten_degree_d_matches_loop(J):
     c0, want = reference_pairs(J)
     _, pairs, _ = _csp_chain(J)
     # parity's terms all have degree 3, which reduces to 3 or 1
@@ -272,6 +274,52 @@ def test_pair_matrices_match_the_reduced_terms(J):
         assert got_M.tobytes() == M.tobytes()
         assert got_M2.tobytes() == M2.tobytes()
         assert got_c0 == (c0 if j == 1 else 0.0)
+
+
+def reduced_part_value_oracle(J, d, x):
+    """Direct evaluation at the assignment x of every term chat_S prod_{i
+    in S} c_i x_{alpha_i}, |S| >= 1, whose reduced degree is d."""
+    total = 0.0
+    fourier = instances.fourier_decompose(J.truth_table)
+    for alpha, c in J.constraints:
+        for S, chat in fourier.coefficients.items():
+            odd = [i for i, count in Counter(alpha[t] for t in S).items()
+                   if count % 2]
+            if S and len(odd) == d:
+                total += chat * math.prod(c[t] * x[alpha[t]] for t in S)
+    return total
+
+
+def test_flatten_degree_d_matches_value_oracle():
+    table = instances.predicate_table("3sat")
+    J = instances.sample_csp(table, 5, 3, 0.05, seed=6)
+    assert J.m > 0
+    _, pairs, _ = _csp_chain(J)
+    M, M2, c0 = pairs[1]
+    assert M.shape == (1, 5) and M2.shape == (5, 5)
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        x = rng.choice([-1.0, 1.0], size=5)
+        for d, got in ((0, c0), (1, (M @ x)[0]), (2, x @ M2 @ x)):
+            np.testing.assert_allclose(
+                got, reduced_part_value_oracle(J, d, x), atol=1e-10)
+
+
+def test_flatten_degree_d_parity_is_zero():
+    table = instances.predicate_table("parity", 3)
+    J = instances.sample_csp(table, 5, 3, 0.05, seed=2)
+    # parity has no Fourier term below degree 3, so pair 1 holds only the
+    # degree-3 terms that a repeated index reduces to degree 1
+    _, pairs, _ = _csp_chain(J)
+    M, M2, c0 = pairs[1]
+    assert M.any() and not M2.any() and c0 == 0.0
+    distinct = instances.CspInstance(
+        J.n, J.k, J.truth_table,
+        [(alpha, c) for alpha, c in J.constraints if len(set(alpha)) == 3])
+    assert 0 < distinct.m < J.m
+    _, pairs, _ = _csp_chain(distinct)
+    assert all(not (M.any() or M2.any() or c0)
+               for M, M2, c0 in pairs.values())
 
 
 def test_a_repeated_index_moves_a_degree_3_term_to_pair_1():
